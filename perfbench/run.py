@@ -1,23 +1,30 @@
 #!/usr/bin/env python3
 """Run one workload of the engine benchmark.
 
-    python3 perfbench/run.py --workload serve_st --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload serve_st --seed 1 --seconds 30 --trace 0
 
 Run from the root of a checkout. Builds dmf-serve and the perfbench
 load generator from source into .bench_build (or $CARGO_TARGET_DIR when set),
 then runs the workload against a freshly spawned dmf-serve. The last
 line of standard output is the result JSON; the exit code is 0 only
 when every answer passed the oracle (and, traced, every replica matched
-the engine bitwise).
+the engine bitwise). --seconds defaults to BENCHMARK.json's run_seconds.
 """
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
 import sys
 
 WORKLOADS = ("serve_st", "route_mix", "mutate_persist")
+
+
+def run_seconds():
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "..", "BENCHMARK.json")) as f:
+        return float(json.load(f)["run_seconds"])
 
 
 def build(build_dir):
@@ -38,7 +45,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=run_seconds())
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
 
