@@ -6,10 +6,10 @@
 // experiment times a 64-query s-t max-flow batch both ways on several
 // graph families and reports queries/s plus the speedup (acceptance bar:
 // >= 3x). Also shown: the worker-pool scaling at 1/2/4 threads on one
-// prebuilt hierarchy (E13b), the async submit path vs. the run_batch shim
-// (E13c), and the multi-terminal hierarchy cache on repeated terminal
-// sets (E13d, acceptance bar: >= 3x at value ratio >= 0.99 vs. per-query
-// hierarchies).
+// prebuilt hierarchy (E13b), the multi-terminal hierarchy cache on
+// repeated terminal sets (E13d, acceptance bar: >= 3x at value ratio
+// >= 0.99 vs. per-query hierarchies), and CSR vs. adjacency-list BFS
+// (E13e).
 //
 //   ./bench_e13_engine_throughput [n] [queries] [seed]
 #include <algorithm>
@@ -35,6 +35,20 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+// Submits the whole batch, then resolves it in order.
+std::vector<dmf::Result<dmf::MaxFlowApproxResult>> run_all(
+    dmf::FlowEngine& engine, const std::vector<dmf::MaxFlowQuery>& queries) {
+  std::vector<dmf::MaxFlowTicket> tickets;
+  tickets.reserve(queries.size());
+  for (const dmf::MaxFlowQuery& q : queries) {
+    tickets.push_back(engine.submit(q));
+  }
+  std::vector<dmf::Result<dmf::MaxFlowApproxResult>> results;
+  results.reserve(tickets.size());
+  for (dmf::MaxFlowTicket& t : tickets) results.push_back(t.get());
+  return results;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -57,7 +71,7 @@ int main(int argc, char** argv) {
     const Graph g = bench::make_family(family, n, rng);
 
     // Query workload: random distinct s-t pairs.
-    std::vector<EngineQuery> queries;
+    std::vector<MaxFlowQuery> queries;
     std::vector<std::pair<NodeId, NodeId>> pairs;
     for (int i = 0; i < num_queries; ++i) {
       const NodeId s = static_cast<NodeId>(
@@ -79,10 +93,11 @@ int main(int argc, char** argv) {
     // --- Engine: one hierarchy build + batch. ---
     const auto engine_start = Clock::now();
     FlowEngine engine(g, options);
-    const std::vector<QueryOutcome> outcomes = engine.run_batch(queries);
+    const std::vector<Result<MaxFlowApproxResult>> outcomes =
+        run_all(engine, queries);
     const double engine_seconds = seconds_since(engine_start);
     int failures = 0;
-    for (const QueryOutcome& o : outcomes) failures += o.ok ? 0 : 1;
+    for (const auto& o : outcomes) failures += o.ok() ? 0 : 1;
 
     // --- Naive: a fresh ShermanSolver (fresh hierarchy) per query, at
     // the same accuracy contract (the engine derives almost_route.epsilon
@@ -102,8 +117,8 @@ int main(int argc, char** argv) {
     double ratio_sum = 0.0;
     int ratio_count = 0;
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      if (outcomes[i].ok && outcomes[i].max_flow && naive_values[i] > 0.0) {
-        ratio_sum += outcomes[i].max_flow->value / naive_values[i];
+      if (outcomes[i].ok() && naive_values[i] > 0.0) {
+        ratio_sum += outcomes[i].value().value / naive_values[i];
         ++ratio_count;
       }
     }
@@ -135,7 +150,7 @@ int main(int argc, char** argv) {
   bench::print_row({"threads", "batch_s", "qps", "efficiency"});
   Rng rng(seed);
   const Graph g = bench::make_family("gnp", n, rng);
-  std::vector<EngineQuery> queries;
+  std::vector<MaxFlowQuery> queries;
   for (int i = 0; i < num_queries; ++i) {
     const NodeId s = static_cast<NodeId>(
         rng.next_below(static_cast<std::uint64_t>(g.num_nodes())));
@@ -158,7 +173,7 @@ int main(int argc, char** argv) {
     options.seed = seed;
     FlowEngine engine(g, options);  // build excluded from the timing below
     const auto start = Clock::now();
-    (void)engine.run_batch(queries);
+    (void)run_all(engine, queries);
     const double batch_seconds = seconds_since(start);
     const double qps = static_cast<double>(num_queries) / batch_seconds;
     if (threads == 1) qps_t1 = qps;
@@ -174,57 +189,6 @@ int main(int argc, char** argv) {
          {"throughput_qps", qps},
          {"efficiency", efficiency},
          {"value_ratio", 1.0}});
-  }
-
-  // --- E13c: async submit vs the run_batch shim on one engine. ---
-  // Same queries, same pool; submit returns tickets immediately and
-  // completion is collected out of band, so the comparison isolates the
-  // shim overhead (expected: parity) while demonstrating the session API.
-  bench::print_header("E13c", "async submit vs run_batch shim");
-  bench::print_row({"api", "seconds", "qps", "identical"});
-  {
-    EngineOptions options;
-    options.threads = 2;
-    options.sherman.num_trees = 6;
-    options.seed = seed;
-    FlowEngine engine(g, options);
-    const auto batch_start = Clock::now();
-    const std::vector<QueryOutcome> batched = engine.run_batch(queries);
-    const double batch_seconds = seconds_since(batch_start);
-
-    const auto async_start = Clock::now();
-    std::vector<MaxFlowTicket> tickets;
-    tickets.reserve(queries.size());
-    for (const EngineQuery& q : queries) {
-      tickets.push_back(engine.submit(std::get<MaxFlowQuery>(q)));
-    }
-    std::vector<Result<MaxFlowApproxResult>> results;
-    results.reserve(tickets.size());
-    for (MaxFlowTicket& t : tickets) results.push_back(t.get());
-    const double async_seconds = seconds_since(async_start);
-
-    bool identical = batched.size() == results.size();
-    for (std::size_t i = 0; identical && i < results.size(); ++i) {
-      identical = batched[i].ok && results[i].ok() &&
-                  batched[i].max_flow->value == results[i].value().value;
-    }
-    bench::print_row({"run_batch", bench::fmt(batch_seconds),
-                      bench::fmt(static_cast<double>(num_queries) /
-                                     batch_seconds,
-                                 1),
-                      "-"});
-    bench::print_row({"submit", bench::fmt(async_seconds),
-                      bench::fmt(static_cast<double>(num_queries) /
-                                     async_seconds,
-                                 1),
-                      identical ? "yes" : "NO"});
-    artifact.add(
-        {{"scenario", "e13c_submit_vs_run_batch"},
-         {"n", static_cast<int>(n)},
-         {"queries", num_queries},
-         {"throughput_qps", static_cast<double>(num_queries) / async_seconds},
-         {"speedup", batch_seconds / async_seconds},
-         {"value_ratio", identical ? 1.0 : 0.0}});
   }
 
   // --- E13d: multi-terminal hierarchy cache on repeated terminal sets. ---

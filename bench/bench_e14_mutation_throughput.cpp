@@ -281,19 +281,19 @@ int main(int argc, char** argv) {
   // --- Post-swap correctness: the rolled engine vs a fresh build. ---
   // Every e14b refresh took the repair path, so this bitwise probe is
   // the repaired-hierarchy == full-rebuild identity on a live chain.
-  const QueryOutcome probe = engine.run(MaxFlowQuery{pairs[0].first,
-                                                     pairs[0].second});
+  const MaxFlowQuery probe_query{pairs[0].first, pairs[0].second};
+  const Result<MaxFlowApproxResult> probe = engine.submit(probe_query).get();
   FlowEngine reference(
       Graph(*engine.store()->snapshot(final_version).graph), options);
-  const QueryOutcome want = reference.run(MaxFlowQuery{pairs[0].first,
-                                                       pairs[0].second});
+  const Result<MaxFlowApproxResult> want =
+      reference.submit(probe_query).get();
   const bool post_swap_match =
-      probe.ok && want.ok && probe.served_version == final_version &&
-      probe.max_flow->value == want.max_flow->value &&
-      probe.max_flow->flow == want.max_flow->flow;
+      probe.ok() && want.ok() && probe.served_version == final_version &&
+      probe.value().value == want.value().value &&
+      probe.value().flow == want.value().flow;
   const double post_swap_ratio =
-      probe.ok && want.ok && want.max_flow->value > 0.0
-          ? probe.max_flow->value / want.max_flow->value
+      probe.ok() && want.ok() && want.value().value > 0.0
+          ? probe.value().value / want.value().value
           : 0.0;
 
   bench::print_header("E14", "summary");

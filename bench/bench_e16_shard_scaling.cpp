@@ -29,7 +29,7 @@
 
 #include "bench_util.h"
 #include "engine/engine.h"
-#include "graph/shard_plan.h"
+#include "engine/shard_plan.h"
 #include "util/rng.h"
 
 namespace {
@@ -102,12 +102,12 @@ int main(int argc, char** argv) {
   bench::JsonArtifact artifact("BENCH_e16.json");
 
   // Hot pairs from within ShardPlan clusters: same-shard at any K.
-  const auto plan = ShardPlan::build(g);
+  const ShardPlan plan = ShardPlan::build(g);
   std::vector<std::vector<NodeId>> cluster_nodes(
-      static_cast<std::size_t>(plan->num_clusters));
+      static_cast<std::size_t>(plan.num_clusters));
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     cluster_nodes[static_cast<std::size_t>(
-                      plan->cluster[static_cast<std::size_t>(v)])]
+                      plan.cluster[static_cast<std::size_t>(v)])]
         .push_back(v);
   }
   std::vector<std::vector<std::pair<NodeId, NodeId>>> cluster_pairs;
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   bench::print_header("E16", "sharded pipelines vs single pool (hot pairs)");
   std::printf("  torus n=%d, %d clusters, %zu hot in-cluster pairs x %d "
               "repeats = %d queries\n",
-              static_cast<int>(g.num_nodes()), plan->num_clusters,
+              static_cast<int>(g.num_nodes()), plan.num_clusters,
               hot_pairs.size(), repeats, total);
   bench::print_row({"config", "seconds", "qps", "speedup", "local_frac",
                     "store_hits", "value_ratio"});

@@ -33,6 +33,12 @@ contracts":
                          job): a member declared DMF_GUARDED_BY(mu) is
                          only touched by functions that visibly hold or
                          require `mu` in the same file.
+  layering               Files under src/graph/ and src/util/ include
+                         only graph/, util/ and system headers. They are
+                         the foundation every other layer builds on;
+                         an include upward (say lsst/ or engine/) makes
+                         a dependency cycle and drags a higher layer's
+                         decisions into the snapshot.
 
 Suppression: append `// dmf-lint: allow(rule-name) <justification>` to
 the offending line, or put it alone on the previous line.
@@ -80,6 +86,10 @@ THREAD_OWNERS = (
     "src/engine/shard_exec",
     "src/serve/",
 )
+
+# Foundation layers and the only project headers they may include.
+LOWER_LAYERS = ("src/graph/", "src/util/")
+LOWER_LAYER_INCLUDES = ("graph/", "util/")
 
 SUPPRESS_RE = re.compile(r"//\s*dmf-lint:\s*allow\(([a-z\-, ]+)\)")
 FIXTURE_PATH_RE = re.compile(r"//\s*dmf-lint-fixture-path:\s*(\S+)")
@@ -419,6 +429,30 @@ def check_unguarded_field(relpath, code, findings):
             break  # one finding per function is enough signal
 
 
+INCLUDE_DIRECTIVE_RE = re.compile(r"^\s*#\s*include\b")
+QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+
+
+def check_layering(relpath, raw_lines, code_lines, findings):
+    p = relpath.replace(os.sep, "/")
+    if not p.startswith(LOWER_LAYERS):
+        return
+    for idx, (raw, code) in enumerate(zip(raw_lines, code_lines), start=1):
+        # The directive must survive comment stripping (a commented-out
+        # include is not one); the path comes from the raw line, since
+        # stripping blanks string literals.
+        if not INCLUDE_DIRECTIVE_RE.match(code):
+            continue
+        m = QUOTED_INCLUDE_RE.match(raw)
+        if m and not m.group(1).startswith(LOWER_LAYER_INCLUDES):
+            findings.append(Finding(
+                relpath, idx, "layering",
+                f"'{m.group(1)}' included from a foundation layer; "
+                "src/graph/ and src/util/ may include only graph/, util/ "
+                "and system headers — move the code that needs it up a "
+                "layer"))
+
+
 # --- driver ------------------------------------------------------------------
 
 def lint_text(relpath, raw_text):
@@ -433,6 +467,7 @@ def lint_text(relpath, raw_text):
     check_assert(relpath, code_lines, findings)
     check_naked_thread(relpath, code_lines, findings)
     check_unguarded_field(relpath, code, findings)
+    check_layering(relpath, raw_lines, code_lines, findings)
     return [f for f in findings
             if f.rule not in suppressed.get(f.line, set())]
 

@@ -9,19 +9,11 @@ namespace dmf {
 
 MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const CsrGraph& g,
                                            NodeId s, NodeId t) {
-  DMF_REQUIRE(kind != SolverKind::kSherman,
+  DMF_REQUIRE(kind == SolverKind::kDinic || kind == SolverKind::kPushRelabel,
               "exact_max_flow_adapter: not an exact baseline");
-  MaxFlowResult exact;
-  switch (kind) {
-    case SolverKind::kDinic:
-      exact = dinic_max_flow(g, s, t);
-      break;
-    case SolverKind::kPushRelabel:
-      exact = push_relabel_max_flow(g, s, t);
-      break;
-    case SolverKind::kSherman:
-      break;  // unreachable, rejected above
-  }
+  MaxFlowResult exact = kind == SolverKind::kDinic
+                            ? dinic_max_flow(g, s, t)
+                            : push_relabel_max_flow(g, s, t);
   MaxFlowApproxResult out;
   out.value = exact.value;
   out.flow = std::move(exact.edge_flow);

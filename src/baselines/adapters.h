@@ -16,8 +16,9 @@
 
 namespace dmf {
 
-// Solve s-t max flow exactly with the requested baseline
-// (SolverKind::kSherman is rejected — the engine routes that itself).
+// Solve s-t max flow exactly with the requested baseline: kDinic or
+// kPushRelabel. Any other kind throws RequirementError (the engine
+// routes kSherman and kCongestSim itself).
 // The engine passes the snapshot's CSR view; the Graph overload packs a
 // transient one.
 MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const CsrGraph& g,

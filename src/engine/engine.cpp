@@ -16,6 +16,7 @@
 #include "baselines/adapters.h"
 #include "engine/hierarchy_cache.h"
 #include "engine/shard_exec.h"
+#include "engine/shard_plan.h"
 #include "graph/flow.h"
 #include "maxflow/hierarchy_io.h"
 #include "util/rng.h"
@@ -36,6 +37,22 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 // workers keep serving queries from the previous snapshot meanwhile.
 constexpr int kRebuildPriority = std::numeric_limits<int>::max();
 
+// Multi-terminal hierarchies retained per serving generation (each owns
+// an augmented graph + hierarchy), least-recently-used beyond that.
+// Eviction never changes results: a re-requested set rebuilds the
+// identical hierarchy, it just pays the build again.
+constexpr std::size_t kHierarchyCacheCapacity = 64;
+// Capacity of each shard's submission ring; a full ring blocks the
+// submitter briefly (counted in ShardStats::ring_full_waits).
+constexpr std::size_t kShardRingCapacity = 1024;
+// Replay-store entries retained per shard per generation (FIFO
+// eviction). Stores are dropped whole with their generation, so
+// replayed results never mix versions.
+constexpr std::size_t kShardResultStoreCapacity = 4096;
+// Registry policy: an epsilon at or below this is an accuracy no
+// approximate run can promise, so the query goes to an exact baseline.
+constexpr double kExactEpsilon = 1e-6;
+
 // Content hashing for per-terminal-set RNG streams (FNV-1a over 64-bit
 // words).
 struct ContentHash {
@@ -52,7 +69,7 @@ std::shared_ptr<QueryDispatcher> make_dispatcher(const EngineOptions& options) {
   if (options.shards > 0) {
     ShardedDispatcher::Options sharded;
     sharded.num_shards = options.shards;
-    sharded.ring_capacity = options.shard_ring_capacity;
+    sharded.ring_capacity = kShardRingCapacity;
     sharded.pin_threads = options.pin_shard_threads;
     return std::make_shared<ShardedDispatcher>(sharded);
   }
@@ -250,50 +267,34 @@ struct FlowEngine::Core {
   // at execution start and keep it (shared_ptr) until they resolve, so
   // a concurrent swap can never mix generations within a query. The
   // HierarchyCache lives here — per snapshot — so multi-terminal
-  // entries of different generations can never be confused.
+  // entries of different generations can never be confused. One cache
+  // serves every lane: it is thread-safe and its builds are
+  // content-seeded, so which lane builds an entry never shows.
   struct Serving {
     GraphSnapshot snapshot;
     std::shared_ptr<const ShermanHierarchy> hierarchy;
     ShermanSolver solver;  // default-accuracy solver on the hierarchy
     std::shared_ptr<HierarchyCache> cache;
-    // --- sharded backend only (num_shards > 0; null/empty otherwise) ---
-    // The snapshot's plan folded onto K shards: the router's node ->
-    // shard map plus per-shard slice views for stats.
+    // --- sharded backend only (num_shards > 0; null otherwise) ---
+    // The snapshot's shard plan folded onto K shards: the router's
+    // node -> shard map plus per-shard counts for stats.
     std::shared_ptr<const ShardAssignment> assignment;
-    // One HierarchyCache per shard so a shard's multi-terminal builds
-    // never contend with another's. Content-seeded builds make the
-    // split invisible to results.
-    std::vector<std::shared_ptr<HierarchyCache>> shard_caches;
     // Replay stores, one per shard, owned exclusively by that shard's
     // worker; dropped whole with this generation.
     std::shared_ptr<ShardMemo> memo;
 
     Serving(GraphSnapshot snap, std::shared_ptr<const ShermanHierarchy> h,
-            const ShermanOptions& solver_options, std::size_t cache_capacity,
-            int num_shards, std::size_t result_store_capacity)
+            const ShermanOptions& solver_options,
+            std::shared_ptr<const ShardAssignment> shards)
         : snapshot(std::move(snap)),
           hierarchy(std::move(h)),
           solver(hierarchy, solver_options),
-          cache(std::make_shared<HierarchyCache>(cache_capacity)) {
-      if (num_shards > 0) {
-        assignment = std::make_shared<const ShardAssignment>(
-            *snapshot.plan, num_shards, *snapshot.csr);
-        shard_caches.reserve(static_cast<std::size_t>(num_shards));
-        for (int s = 0; s < num_shards; ++s) {
-          shard_caches.push_back(
-              std::make_shared<HierarchyCache>(cache_capacity));
-        }
-        memo = std::make_shared<ShardMemo>(num_shards, result_store_capacity);
+          cache(std::make_shared<HierarchyCache>(kHierarchyCacheCapacity)),
+          assignment(std::move(shards)) {
+      if (assignment != nullptr) {
+        memo = std::make_shared<ShardMemo>(assignment->num_shards(),
+                                           kShardResultStoreCapacity);
       }
-    }
-
-    // The multi-terminal cache serving `shard` (-1 = unsharded backend).
-    [[nodiscard]] const std::shared_ptr<HierarchyCache>& cache_for(
-        int shard) const {
-      if (shard >= 0 && !shard_caches.empty()) {
-        return shard_caches[static_cast<std::size_t>(shard)];
-      }
-      return cache;
     }
   };
 
@@ -397,16 +398,12 @@ struct FlowEngine::Core {
     }
     build_sherman = options.sherman;
     if (build_sherman.hierarchy.threads == 1) {
-      // The engine parallelizes the build on its own worker budget;
-      // sample_threads is the engine-level pin (sample_threads = 1
-      // keeps the build sequential).
+      // The engine parallelizes the build on its own worker budget.
       build_sherman.hierarchy.threads =
-          options.sample_threads > 0
-              ? options.sample_threads
-              : resolve_worker_threads(options.threads);
+          resolve_worker_threads(options.threads);
     }
-    registry = SolverRegistry::standard(options.exact_cutoff_nodes,
-                                        options.exact_epsilon);
+    registry =
+        SolverRegistry::standard(options.exact_cutoff_nodes, kExactEpsilon);
     hier_fingerprint = hierarchy_fingerprint(build_sherman, options.seed);
     hier_autosave = store->persistence_enabled() &&
                     store->options().persist == PersistPolicy::kOnPublish;
@@ -422,9 +419,7 @@ struct FlowEngine::Core {
                            store->options().verify_checksums);
         if (loaded != nullptr) {
           serving = std::make_shared<const Serving>(
-              snap, std::move(loaded), options.sherman,
-              options.hierarchy_cache_capacity, num_shards,
-              options.shard_result_store_capacity);
+              snap, std::move(loaded), options.sherman, assign_shards(snap));
           stats.hierarchy_cold_loads = 1;
         }
       } catch (...) {
@@ -468,10 +463,18 @@ struct FlowEngine::Core {
     // publish time); every query traversal of this generation shares it.
     auto hierarchy = std::make_shared<const ShermanHierarchy>(
         snap.graph, build_sherman, rng, snap.version, snap.csr);
-    return std::make_shared<const Serving>(
-        snap, std::move(hierarchy), options.sherman,
-        options.hierarchy_cache_capacity, num_shards,
-        options.shard_result_store_capacity);
+    return std::make_shared<const Serving>(snap, std::move(hierarchy),
+                                           options.sherman,
+                                           assign_shards(snap));
+  }
+
+  // The sharded backend's placement of `snap`'s nodes (null when
+  // unsharded): the snapshot's shard plan folded onto num_shards.
+  [[nodiscard]] std::shared_ptr<const ShardAssignment> assign_shards(
+      const GraphSnapshot& snap) const {
+    if (num_shards == 0) return nullptr;
+    return std::make_shared<const ShardAssignment>(
+        ShardPlan::build(*snap.graph), num_shards, *snap.graph);
   }
 
   [[nodiscard]] std::shared_ptr<const Serving> current_serving() const {
@@ -507,7 +510,9 @@ struct FlowEngine::Core {
   // Attempt an incremental repair of `prev`'s hierarchy onto `snap`
   // (capacity-only transitions). Null when repair does not apply —
   // the caller falls back to a full build. The repaired hierarchy is
-  // bitwise identical to what build_serving(snap) would construct.
+  // bitwise identical to what build_serving(snap) would construct. The
+  // shard assignment carries over: repair only succeeds when the
+  // topology is unchanged, and the plan depends on nothing else.
   [[nodiscard]] std::shared_ptr<const Serving> repair_serving(
       const Serving& prev, const GraphSnapshot& snap,
       HierarchyRepairReport* report) const {
@@ -516,10 +521,8 @@ struct FlowEngine::Core {
         ShermanHierarchy::repair(*prev.hierarchy, snap.graph, build_sherman,
                                  rng, snap.version, snap.csr, report);
     if (hierarchy == nullptr) return nullptr;
-    return std::make_shared<const Serving>(
-        snap, std::move(hierarchy), options.sherman,
-        options.hierarchy_cache_capacity, num_shards,
-        options.shard_result_store_capacity);
+    return std::make_shared<const Serving>(snap, std::move(hierarchy),
+                                           options.sherman, prev.assignment);
   }
 
   // The background refresh task body. Repairs or rebuilds the hierarchy
@@ -627,14 +630,10 @@ struct FlowEngine::Core {
       }
       stats.num_trees = next->hierarchy->approximator().num_trees();
       stats.alpha = next->hierarchy->alpha();
-      // The retired snapshot's caches are dropped with it; fold their
+      // The retired snapshot's cache is dropped with it; fold its
       // counters in so engine totals stay cumulative.
       retired_cache_hits += retired->cache->hits();
       retired_cache_misses += retired->cache->misses();
-      for (const auto& shard_cache : retired->shard_caches) {
-        retired_cache_hits += shard_cache->hits();
-        retired_cache_misses += shard_cache->misses();
-      }
     }
     version_cv.notify_all();
     if (auto p = pool.lock()) {
@@ -706,13 +705,9 @@ struct FlowEngine::Core {
   // --- typed execution (validation, dispatch, classification) ---
   // Every exec runs against ONE Serving, grabbed by the caller at
   // execution start: graph, hierarchy, and cache all belong to the same
-  // snapshot generation. `shard` selects shard-local state (the
-  // multi-terminal cache); -1 means the unsharded backend. It can never
-  // change a result — only which cache instance builds/holds it.
+  // snapshot generation.
 
-  Result<MaxFlowApproxResult> exec(const MaxFlowQuery& q, const Serving& sv,
-                                   int shard) {
-    (void)shard;
+  Result<MaxFlowApproxResult> exec(const MaxFlowQuery& q, const Serving& sv) {
     using R = Result<MaxFlowApproxResult>;
     const Graph& g = *sv.snapshot.graph;
     if (!g.is_valid_node(q.s) || !g.is_valid_node(q.t)) {
@@ -751,9 +746,7 @@ struct FlowEngine::Core {
     return out;
   }
 
-  Result<RouteResult> exec(const RouteQuery& q, const Serving& sv,
-                           int shard) {
-    (void)shard;
+  Result<RouteResult> exec(const RouteQuery& q, const Serving& sv) {
     using R = Result<RouteResult>;
     const Graph& g = *sv.snapshot.graph;
     if (q.demand.size() != static_cast<std::size_t>(g.num_nodes())) {
@@ -783,7 +776,7 @@ struct FlowEngine::Core {
   }
 
   Result<MultiTerminalMaxFlowResult> exec(const MultiTerminalQuery& q,
-                                          const Serving& sv, int shard) {
+                                          const Serving& sv) {
     using R = Result<MultiTerminalMaxFlowResult>;
     const Graph& g = *sv.snapshot.graph;
     if (q.sources.empty() || q.sinks.empty()) {
@@ -840,19 +833,14 @@ struct FlowEngine::Core {
       if (entry.kind == SolverKind::kSherman) {
         const ShermanOptions per_query =
             multi_terminal_options_for_epsilon(epsilon);
-        if (options.share_multi_terminal_hierarchies) {
-          const std::shared_ptr<const SuperTerminalHierarchy> st =
-              sv.cache_for(shard)->get_or_build(
-                  sources, sinks,
-                  [this, &sv](const std::vector<NodeId>& srcs,
-                              const std::vector<NodeId>& snks) {
-                    return build_entry(sv, srcs, snks);
-                  });
-          out.payload = solve_on_super_terminal_hierarchy(*st, per_query);
-        } else {
-          const SuperTerminalHierarchy st = build_entry(sv, sources, sinks);
-          out.payload = solve_on_super_terminal_hierarchy(st, per_query);
-        }
+        const std::shared_ptr<const SuperTerminalHierarchy> st =
+            sv.cache->get_or_build(
+                sources, sinks,
+                [this, &sv](const std::vector<NodeId>& srcs,
+                            const std::vector<NodeId>& snks) {
+                  return build_entry(sv, srcs, snks);
+                });
+        out.payload = solve_on_super_terminal_hierarchy(*st, per_query);
       } else {
         // Exact super-terminal reduction, then project the virtual edges
         // away.
@@ -870,9 +858,7 @@ struct FlowEngine::Core {
     return out;
   }
 
-  Result<CongestRunResult> exec(const CongestQuery& q, const Serving& sv,
-                                int shard) {
-    (void)shard;
+  Result<CongestRunResult> exec(const CongestQuery& q, const Serving& sv) {
     using R = Result<CongestRunResult>;
     const Graph& g = *sv.snapshot.graph;
     if (!g.is_valid_node(q.source) || !g.is_valid_node(q.sink)) {
@@ -969,10 +955,6 @@ struct FlowEngine::Core {
     }
     out.hierarchy_cache_hits += s->cache->hits();
     out.hierarchy_cache_misses += s->cache->misses();
-    for (const auto& shard_cache : s->shard_caches) {
-      out.hierarchy_cache_hits += shard_cache->hits();
-      out.hierarchy_cache_misses += shard_cache->misses();
-    }
     out.serving_version = s->snapshot.version;
     out.latest_version = store->latest_version();
     // --- sharded backend breakdown ---
@@ -986,7 +968,7 @@ struct FlowEngine::Core {
         ShardStats row;
         row.shard = sh;
         const ShardAssignment::Slice& slice = s->assignment->slice(sh);
-        row.nodes = static_cast<NodeId>(slice.nodes.size());
+        row.nodes = slice.nodes;
         row.internal_edges = slice.internal_edges;
         row.boundary_edges = slice.boundary_edges;
         const ShardCounters& counters =
@@ -1054,8 +1036,8 @@ Ticket<Payload> FlowEngine::submit_impl(
   // Terminal-locality routing (sharded backend): pick the query's lane
   // from the *current* serving's assignment. A rebuild may swap in a
   // different assignment before the query executes — harmless, since
-  // the lane only decides where the query runs and which shard-local
-  // state serves it, never what it computes.
+  // the lane only decides where the query runs and which replay store
+  // serves it, never what it computes.
   int shard = -1;
   if (core->num_shards > 0) {
     bool cross = false;
@@ -1073,7 +1055,7 @@ Ticket<Payload> FlowEngine::submit_impl(
   auto run = [core, promise, done, shard, query = std::move(query)] {
     const auto start = std::chrono::steady_clock::now();
     // One consistent generation for the whole query: graph, hierarchy,
-    // caches, and replay store all come from this Serving, which the
+    // cache, and replay store all come from this Serving, which the
     // shared_ptr keeps alive even if a rebuild swaps it out mid-query.
     const std::shared_ptr<const Core::Serving> serving =
         core->current_serving();
@@ -1101,7 +1083,7 @@ Ticket<Payload> FlowEngine::submit_impl(
     }
     if (!replayed) {
       try {
-        result = core->exec(query, *serving, shard);
+        result = core->exec(query, *serving);
       } catch (...) {
         result = Result<Payload>::failure(ErrorCode::kInternalError,
                                           "non-standard exception escaped "
@@ -1345,80 +1327,7 @@ const std::shared_ptr<GraphStore>& FlowEngine::store() const {
   return core_->store;
 }
 
-// --- compatibility shims -----------------------------------------------------
-
-namespace {
-
-template <typename T>
-void fill_outcome_common(QueryOutcome& outcome, const Result<T>& r) {
-  outcome.ok = r.ok();
-  outcome.code = r.code;
-  outcome.error = r.message;
-  outcome.solver = r.solver;
-  outcome.seconds = r.seconds;
-  outcome.served_version = r.served_version;
-}
-
-QueryOutcome to_outcome(Result<MaxFlowApproxResult>&& r) {
-  QueryOutcome outcome;
-  fill_outcome_common(outcome, r);
-  outcome.max_flow = std::move(r.payload);
-  return outcome;
-}
-
-QueryOutcome to_outcome(Result<RouteResult>&& r) {
-  QueryOutcome outcome;
-  fill_outcome_common(outcome, r);
-  outcome.route = std::move(r.payload);
-  return outcome;
-}
-
-QueryOutcome to_outcome(Result<MultiTerminalMaxFlowResult>&& r) {
-  QueryOutcome outcome;
-  fill_outcome_common(outcome, r);
-  outcome.multi_terminal = std::move(r.payload);
-  return outcome;
-}
-
-QueryOutcome to_outcome(Result<CongestRunResult>&& r) {
-  QueryOutcome outcome;
-  fill_outcome_common(outcome, r);
-  outcome.congest = std::move(r.payload);
-  return outcome;
-}
-
-using AnyTicket = std::variant<MaxFlowTicket, RouteTicket, MultiTerminalTicket,
-                               CongestTicket>;
-
-}  // namespace
-
-std::vector<QueryOutcome> FlowEngine::run_batch(
-    const std::vector<EngineQuery>& queries) {
-  std::vector<AnyTicket> tickets;
-  tickets.reserve(queries.size());
-  for (const EngineQuery& query : queries) {
-    std::visit([&](const auto& q) { tickets.emplace_back(submit(q)); },
-               query);
-  }
-  std::vector<QueryOutcome> outcomes;
-  outcomes.reserve(tickets.size());
-  for (AnyTicket& ticket : tickets) {
-    outcomes.push_back(std::visit(
-        [](auto& t) { return to_outcome(t.get()); }, ticket));
-  }
-  return outcomes;
-}
-
-QueryOutcome FlowEngine::run(const EngineQuery& query) {
-  return std::visit([&](const auto& q) { return to_outcome(submit(q).get()); },
-                    query);
-}
-
 // --- accessors ---------------------------------------------------------------
-
-const Graph& FlowEngine::graph() const {
-  return *core_->current_serving()->snapshot.graph;
-}
 
 const ShermanHierarchy& FlowEngine::hierarchy() const {
   return *core_->current_serving()->hierarchy;

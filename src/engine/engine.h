@@ -14,14 +14,13 @@
 // returns a typed Ticket<T> — a future of Result<T> plus cancellation.
 // Completion can also be observed through a per-query callback, and
 // wait_all() barriers on everything outstanding. Per-query priorities
-// order execution; results never depend on them. run_batch()/run() remain
-// as thin synchronous shims over submit for existing callers.
+// order execution; results never depend on them. Synchronous callers
+// use submit(query).get().
 //
 // Determinism: a query's result depends only on the engine seed, the
 // graph, and the query's content — never on submission order, priority,
-// thread count, or what else is in flight. Submitted results are
-// therefore bitwise identical to run_batch and to issuing the same
-// queries one at a time.
+// thread count, or what else is in flight. Submitting a whole batch is
+// therefore bitwise identical to issuing the same queries one at a time.
 //
 // Solver selection goes through a SolverRegistry: tiny instances and
 // exactness-demanding queries are dispatched to the exact baselines
@@ -49,12 +48,14 @@
 //
 // v4: the execution backend is pluggable. EngineOptions::shards > 0
 // replaces the single mutexed worker pool with per-shard run-to-
-// completion pipelines (engine/shard_exec.h): each snapshot carries a
-// locality shard plan (graph/shard_plan.h), submit() routes a query to
-// the shard owning its terminals over a bounded SPSC ring, and the
-// owning worker — the only thread that ever executes that shard's
-// queries — serves it with shard-local state: a per-shard
-// HierarchyCache and a per-shard, per-generation result store that
+// completion pipelines (engine/shard_exec.h): each serving generation
+// folds a locality shard plan of its snapshot (engine/shard_plan.h)
+// onto the K shards — the plan is the engine's alone; snapshots never
+// carry one, and an unsharded engine never builds one. submit() routes
+// a query to the shard owning its terminals over a bounded SPSC ring,
+// and the owning worker — the only thread that ever executes that
+// shard's queries — serves it against the generation's shared
+// HierarchyCache plus a per-shard, per-generation result store that
 // replays previously computed identical queries. The determinism
 // contract is unchanged and shard-count-invariant: results are bitwise
 // identical at any shard count (including 0, the classic pool), because
@@ -70,7 +71,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -79,6 +79,7 @@
 #include "engine/registry.h"
 #include "engine/result.h"
 #include "engine/session.h"
+#include "engine/shard_plan.h"
 #include "graph/graph.h"
 #include "graph/graph_store.h"
 #include "maxflow/multi_terminal.h"
@@ -124,22 +125,6 @@ using RouteTicket = Ticket<RouteResult>;
 using MultiTerminalTicket = Ticket<MultiTerminalMaxFlowResult>;
 using CongestTicket = Ticket<CongestRunResult>;
 
-// Compatibility result for the run()/run_batch() shims: the pre-v2
-// untyped bag of optionals, now also carrying the ErrorCode.
-struct QueryOutcome {
-  bool ok = false;
-  ErrorCode code = ErrorCode::kInternalError;
-  std::string error;   // set when !ok
-  std::string solver;  // registry entry (or "sherman-route") that served it
-  double seconds = 0.0;
-  GraphVersion served_version = 0;  // snapshot the query was served from
-  // Exactly one of these is populated, matching the query alternative.
-  std::optional<MaxFlowApproxResult> max_flow;
-  std::optional<RouteResult> route;
-  std::optional<MultiTerminalMaxFlowResult> multi_terminal;
-  std::optional<CongestRunResult> congest;
-};
-
 // How background hierarchy refreshes behaved, grouped (one refresh =
 // one full rebuild OR one incremental repair; see FlowEngine::apply).
 struct RebuildStats {
@@ -167,8 +152,9 @@ struct RebuildStats {
 };
 
 // Per-shard serving breakdown (sharded backend only; see
-// EngineOptions::shards). Slice fields describe the serving snapshot's
-// shard plan; counter fields are cumulative since engine construction.
+// EngineOptions::shards). Slice fields describe the serving
+// generation's shard assignment; counter fields are cumulative since
+// engine construction.
 struct ShardStats {
   int shard = 0;
   NodeId nodes = 0;            // global nodes owned by this shard
@@ -280,10 +266,6 @@ struct EngineOptions {
   // amortization) of the engine's throughput story. Set to false to keep
   // the library's conservative routing untouched.
   bool tune_routing_for_throughput = true;
-  // Share super-terminal hierarchies across approximate multi-terminal
-  // queries with the same canonical terminal sets (see hierarchy_cache.h).
-  // Disabling rebuilds per query; results are identical either way.
-  bool share_multi_terminal_hierarchies = true;
   // Structural capacity quantization width (octaves) applied to the
   // hierarchy build when the caller left
   // sherman.hierarchy.capacity_bucket_octaves at the library default
@@ -296,18 +278,13 @@ struct EngineOptions {
   // per-tree recapacitation, so feasibility/cut guarantees are
   // unaffected. 0 disables (every capacity change rebuilds every tree).
   double capacity_quantization_octaves = 1.0;
-  // Retained cache entries (each owns an augmented graph + hierarchy);
-  // least-recently-used eviction beyond this. 0 = unbounded. Eviction
-  // never changes results — a re-requested evicted set rebuilds the
-  // identical hierarchy, it just pays the build again.
-  std::size_t hierarchy_cache_capacity = 64;
   // Worker threads of the persistent pool; 0 = all hardware threads.
-  // Ignored when `shards` > 0 for query execution (one worker per
-  // shard), but still sizes the hierarchy-build parallelism.
+  // Also sizes the hierarchy build's virtual-tree sampling. Ignored for
+  // query execution when `shards` > 0 (one worker per shard).
   int threads = 0;
   // --- sharded execution backend ---
   // 0 (default) keeps the classic single worker pool. K > 0 partitions
-  // the serving snapshot into K shards via its locality plan and pins
+  // the serving snapshot into K shards via a locality plan and pins
   // one run-to-completion worker per shard behind a bounded SPSC ring;
   // submit() routes each query to the shard owning its terminals.
   // Results are bitwise identical at every value of K — sharding moves
@@ -315,21 +292,11 @@ struct EngineOptions {
   // becomes a no-op (each ring is FIFO); it was always only a
   // scheduling hint.
   int shards = 0;
-  // Capacity of each shard's submission ring; a full ring blocks the
-  // submitter briefly (counted in ShardStats::ring_full_waits).
-  std::size_t shard_ring_capacity = 1024;
   // Pin shard workers to cores (Linux, best-effort).
   bool pin_shard_threads = true;
-  // Entries retained per shard per generation in the result store
-  // (FIFO eviction; 0 disables replay). Stores are dropped whole with
-  // their snapshot generation, so replayed results never mix versions.
-  std::size_t shard_result_store_capacity = 4096;
-  // Threads for the one-off virtual-tree sampling; 0 = same as `threads`,
-  // 1 = keep the build sequential.
-  int sample_threads = 0;
-  // Registry policy knobs (see SolverRegistry::standard).
+  // Registry policy: instances up to this many nodes go to the exact
+  // baselines (see SolverRegistry::standard).
   NodeId exact_cutoff_nodes = 64;
-  double exact_epsilon = 1e-6;
   // Seed for the hierarchy build and for per-terminal-set derivation.
   std::uint64_t seed = 0x5eed0f10eULL;
 };
@@ -446,27 +413,13 @@ class FlowEngine {
   [[nodiscard]] GraphSnapshot snapshot() const;
   [[nodiscard]] const std::shared_ptr<GraphStore>& store() const;
 
-  // --- synchronous compatibility shims over submit ---
-  // Execute a batch; outcome[i] corresponds to queries[i].
-  std::vector<QueryOutcome> run_batch(const std::vector<EngineQuery>& queries);
-  // Single-query convenience; equivalent to a batch of one.
-  QueryOutcome run(const EngineQuery& query);
-
-  // The currently served graph. The reference stays valid as long as
-  // the store retains the snapshot — for the engine's lifetime with the
-  // FlowEngine(Graph) shim (its private store keeps every snapshot),
-  // but potentially only until the next swap on a shared GraphStore
-  // constructed with a history_limit. After an apply() it refers to a
-  // superseded snapshot either way; take snapshot() for version-aware,
-  // lifetime-safe access.
-  [[nodiscard]] const Graph& graph() const;
-  // The currently serving hierarchy. Unlike graph(), the reference is
-  // only guaranteed until the next rebuild swap retires it — do not
-  // hold it across apply()/refresh().
+  // The currently serving hierarchy. The reference is only guaranteed
+  // until the next rebuild swap retires it — do not hold it across
+  // apply()/refresh().
   [[nodiscard]] const ShermanHierarchy& hierarchy() const;
   [[nodiscard]] const SolverRegistry& registry() const;
   [[nodiscard]] const EngineOptions& options() const;
-  // The serving snapshot's shard assignment (null when shards == 0).
+  // The serving generation's shard assignment (null when shards == 0).
   // Like hierarchy(), superseded by the next rebuild swap — but the
   // shared_ptr keeps a grabbed assignment valid indefinitely.
   [[nodiscard]] std::shared_ptr<const ShardAssignment> shard_assignment()

@@ -5,7 +5,7 @@
 // bounded single-producer/single-consumer ring (util/spsc_ring.h) and
 // runs each task to completion — a shard's worker is the only thread
 // that ever executes that shard's queries, which is what lets per-shard
-// serving state (result stores, hierarchy caches) live lock-free. The
+// serving state (the result stores) live lock-free. The
 // engine's terminal-locality router picks the lane; a per-lane producer
 // mutex serializes the many submitter threads into the ring's single
 // producer while the consumer side stays lock-free on the hot path

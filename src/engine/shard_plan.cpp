@@ -1,4 +1,4 @@
-#include "graph/shard_plan.h"
+#include "engine/shard_plan.h"
 
 #include <algorithm>
 #include <cmath>
@@ -27,41 +27,24 @@ double plan_radius(NodeId n) {
 
 }  // namespace
 
-std::shared_ptr<const ShardPlan> ShardPlan::build(const Graph& g) {
-  auto plan = std::make_shared<ShardPlan>();
+ShardPlan ShardPlan::build(const Graph& g) {
+  ShardPlan plan;
   const NodeId n = g.num_nodes();
   if (n == 0) return plan;
   const Multigraph mg = Multigraph::from_graph(g);
   const std::vector<char> allowed(mg.num_edges(), 1);
   Rng rng(kShardPlanSeed);
   SplitResult split = split_graph(mg, allowed, plan_radius(n), rng);
-  plan->cluster = std::move(split.cluster);
-  plan->num_clusters = split.count;
-  plan->rounds = split.rounds;
-  return plan;
-}
-
-std::shared_ptr<const ShardPlan> ShardPlan::extend(const ShardPlan& prev,
-                                                   NodeId num_nodes) {
-  DMF_REQUIRE(static_cast<std::size_t>(num_nodes) >= prev.cluster.size(),
-              "ShardPlan::extend: node count shrank");
-  auto plan = std::make_shared<ShardPlan>();
-  plan->cluster = prev.cluster;
-  plan->num_clusters = prev.num_clusters;
-  plan->rounds = prev.rounds;
-  plan->cluster.reserve(static_cast<std::size_t>(num_nodes));
-  while (plan->cluster.size() < static_cast<std::size_t>(num_nodes)) {
-    plan->cluster.push_back(plan->num_clusters++);
-  }
+  plan.cluster = std::move(split.cluster);
+  plan.num_clusters = split.count;
   return plan;
 }
 
 ShardAssignment::ShardAssignment(const ShardPlan& plan, int num_shards,
-                                 const CsrGraph& csr)
+                                 const Graph& g)
     : num_shards_(num_shards) {
   DMF_REQUIRE(num_shards > 0, "ShardAssignment: num_shards must be positive");
-  DMF_REQUIRE(plan.cluster.size() ==
-                  static_cast<std::size_t>(csr.num_nodes()),
+  DMF_REQUIRE(plan.cluster.size() == static_cast<std::size_t>(g.num_nodes()),
               "ShardAssignment: plan does not match graph");
   const std::size_t n = plan.cluster.size();
 
@@ -104,42 +87,19 @@ ShardAssignment::ShardAssignment(const ShardPlan& plan, int num_shards,
         cluster_shard[static_cast<std::size_t>(plan.cluster[v])];
   }
 
-  // Slices: per-shard induced subgraphs (local node ids in ascending
-  // global order, internal edges in ascending global edge-id order).
   slices_.resize(static_cast<std::size_t>(num_shards));
-  std::vector<NodeId> local_id(n, kInvalidNode);
-  for (std::size_t v = 0; v < n; ++v) {
-    Slice& slice = slices_[static_cast<std::size_t>(node_shard_[v])];
-    local_id[v] = static_cast<NodeId>(slice.nodes.size());
-    slice.nodes.push_back(static_cast<NodeId>(v));
+  for (const int s : node_shard_) {
+    ++slices_[static_cast<std::size_t>(s)].nodes;
   }
-  std::vector<Graph> locals;
-  locals.reserve(slices_.size());
-  for (const Slice& slice : slices_) {
-    Graph g;
-    if (!slice.nodes.empty()) {
-      g.add_nodes(static_cast<NodeId>(slice.nodes.size()));
-    }
-    locals.push_back(std::move(g));
-  }
-  for (EdgeId e = 0; e < csr.num_edges(); ++e) {
-    const EdgeEndpoints ep = csr.endpoints(e);
+  for (const EdgeEndpoints& ep : g.edge_endpoints()) {
     const int su = node_shard_[static_cast<std::size_t>(ep.u)];
     const int sv = node_shard_[static_cast<std::size_t>(ep.v)];
     if (su == sv) {
-      Slice& slice = slices_[static_cast<std::size_t>(su)];
-      ++slice.internal_edges;
-      locals[static_cast<std::size_t>(su)].add_edge(
-          local_id[static_cast<std::size_t>(ep.u)],
-          local_id[static_cast<std::size_t>(ep.v)], csr.capacity(e));
+      ++slices_[static_cast<std::size_t>(su)].internal_edges;
     } else {
       ++slices_[static_cast<std::size_t>(su)].boundary_edges;
       ++slices_[static_cast<std::size_t>(sv)].boundary_edges;
     }
-  }
-  for (std::size_t s = 0; s < slices_.size(); ++s) {
-    slices_[s].csr = std::make_shared<const CsrGraph>(
-        std::make_shared<const Graph>(std::move(locals[s])));
   }
 }
 

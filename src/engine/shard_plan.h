@@ -2,19 +2,18 @@
 // (Algorithm SplitGraph, Figure 4 — the LSST/cluster machinery) reused
 // as the partitioning basis of the sharded serving engine.
 //
-// A ShardPlan is packed at snapshot-publish time next to the CsrGraph
-// (see GraphStore::apply): one cluster label per node, produced by
-// split_graph over the unweighted multigraph lift with a fixed,
-// content-independent seed. The plan is shard-count independent —
-// clusters are the unit of placement, and a ShardAssignment folds them
-// into K shards deterministically (largest cluster first onto the
-// least-loaded shard), so any engine can derive the same node -> shard
-// map for its K from the same snapshot.
+// Sharding is an engine-only concern: a sharded engine builds the plan
+// when it brings up a serving generation (one cluster label per node,
+// produced by split_graph over the unweighted multigraph lift with a
+// fixed, content-independent seed), and a ShardAssignment folds the
+// clusters into K shards deterministically (largest cluster first onto
+// the least-loaded shard). The plan is shard-count independent, so any
+// engine derives the same node -> shard map for its K from the same
+// graph. An unsharded engine (shards = 0) never builds one.
 //
-// Reuse mirrors the CSR rules: capacity-only batches share the previous
-// plan outright (SplitGraph's BFS is unweighted, so capacities cannot
-// change it), node-only batches extend it with singleton clusters for
-// the new nodes, and only topology batches recompute the decomposition.
+// Reuse: a capacity-only repair keeps the previous generation's
+// assignment (SplitGraph's BFS is unweighted, so capacities cannot
+// change it); every full rebuild recomputes the plan.
 //
 // Determinism note: the plan influences WHERE a query executes (which
 // shard's pipeline) and never WHAT it computes — query results are
@@ -22,10 +21,8 @@
 // like scheduling, is invisible in results.
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "graph/csr_graph.h"
 #include "graph/graph.h"
 
 namespace dmf {
@@ -34,34 +31,20 @@ struct ShardPlan {
   // Cluster label per node, in [0, num_clusters). Every node is covered.
   std::vector<int> cluster;
   int num_clusters = 0;
-  // Simulated CONGEST rounds the decomposition consumed (split_graph's
-  // accounting; informational).
-  double rounds = 0.0;
 
   // Decompose `g` with the fixed plan seed. Deterministic in the graph's
   // topology (capacities do not participate).
-  [[nodiscard]] static std::shared_ptr<const ShardPlan> build(const Graph& g);
-
-  // Node-only extension: labels of existing nodes are preserved and each
-  // new node in [prev.cluster.size(), num_nodes) becomes its own
-  // singleton cluster.
-  [[nodiscard]] static std::shared_ptr<const ShardPlan> extend(
-      const ShardPlan& prev, NodeId num_nodes);
+  [[nodiscard]] static ShardPlan build(const Graph& g);
 };
 
-// A plan folded onto K shards, with the per-shard induced CSR slices the
-// pinned workers own. Cluster-atomic: all nodes of one cluster land on
-// one shard, so the decomposition's low cut probability bounds the
-// cross-shard edge fraction.
+// A plan folded onto K shards, with per-shard node and edge counts.
+// Cluster-atomic: all nodes of one cluster land on one shard, so the
+// decomposition's low cut probability bounds the cross-shard edge
+// fraction.
 class ShardAssignment {
  public:
   struct Slice {
-    // Global node ids owned by this shard, ascending; local id = index.
-    std::vector<NodeId> nodes;
-    // Induced subgraph over `nodes` (local ids, internal edges only, in
-    // ascending global edge-id order) packed as a CSR — the worker's own
-    // flat view of its territory.
-    std::shared_ptr<const CsrGraph> csr;
+    NodeId nodes = 0;           // global nodes owned by this shard
     EdgeId internal_edges = 0;  // both endpoints on this shard
     EdgeId boundary_edges = 0;  // exactly one endpoint on this shard
   };
@@ -69,7 +52,7 @@ class ShardAssignment {
   // Folds plan clusters into `num_shards` bins: clusters sorted by
   // (size desc, id asc), each placed on the least-loaded shard (ties to
   // the lowest shard id). Deterministic; num_shards must be positive.
-  ShardAssignment(const ShardPlan& plan, int num_shards, const CsrGraph& csr);
+  ShardAssignment(const ShardPlan& plan, int num_shards, const Graph& g);
 
   [[nodiscard]] int num_shards() const { return num_shards_; }
 

@@ -105,9 +105,7 @@ GraphStore::GraphStore(Graph initial, GraphStoreOptions options)
       "GraphStore: persist policy requires a data_dir");
   auto graph = std::make_shared<const Graph>(std::move(initial));
   auto csr = std::make_shared<const CsrGraph>(graph);
-  auto plan = ShardPlan::build(*graph);
-  history_.push_back(
-      GraphSnapshot{std::move(graph), std::move(csr), std::move(plan), 0});
+  history_.push_back(GraphSnapshot{std::move(graph), std::move(csr), 0});
   if (options_.persist == PersistPolicy::kOnPublish) {
     MutexLock writer(writer_mutex_);
     persist_snapshot_locked(history_.back());
@@ -209,9 +207,7 @@ std::shared_ptr<GraphStore> GraphStore::open(const std::string& data_dir,
     auto csr = std::make_shared<const CsrGraph>(
         graph,
         CsrArrays{arrays.offsets, arrays.neighbors, arrays.edge_ids});
-    auto plan = ShardPlan::build(*graph);
     history.push_back(GraphSnapshot{std::move(graph), std::move(csr),
-                                    std::move(plan),
                                     static_cast<GraphVersion>(v)});
     if (v == latest) {
       last.valid = true;
@@ -283,23 +279,8 @@ GraphSnapshot GraphStore::apply(const MutationBatch& batch) {
   // half-edge arrays survive capacity- and node-only batches).
   auto next_csr =
       std::make_shared<const CsrGraph>(next_graph, base.csr.get());
-  // The shard plan follows the same reuse ladder: capacities cannot
-  // change the (unweighted) decomposition, new nodes become singleton
-  // clusters, and only new edges force a recompute.
-  std::shared_ptr<const ShardPlan> next_plan;
-  switch (batch.classify()) {
-    case BatchKind::kCapacityOnly:
-      next_plan = base.plan;
-      break;
-    case BatchKind::kNodeOnly:
-      next_plan = ShardPlan::extend(*base.plan, next_graph->num_nodes());
-      break;
-    case BatchKind::kTopology:
-      next_plan = ShardPlan::build(*next_graph);
-      break;
-  }
   GraphSnapshot published{std::move(next_graph), std::move(next_csr),
-                          std::move(next_plan), base.version + 1};
+                          base.version + 1};
   {
     MutexLock lock(mutex_);
     history_.push_back(published);

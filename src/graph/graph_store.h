@@ -39,7 +39,6 @@
 
 #include "graph/csr_graph.h"
 #include "graph/graph.h"
-#include "graph/shard_plan.h"
 #include "util/thread_annotations.h"
 
 namespace dmf {
@@ -50,14 +49,11 @@ namespace dmf {
 // Capacity-only batches republish the previous snapshot's packed
 // adjacency arrays unchanged; node-only batches reuse the half-edge
 // arrays and re-derive the offsets; only batches that add edges pay a
-// full O(n + m) repack. The locality shard plan (graph/shard_plan.h)
-// rides along under the same reuse discipline: capacity-only shares the
-// previous plan, node-only extends it with singleton clusters, topology
-// recomputes the decomposition.
+// full O(n + m) repack. How the graph is partitioned for execution is
+// the engine's concern, not the snapshot's.
 struct GraphSnapshot {
   std::shared_ptr<const Graph> graph;
   std::shared_ptr<const CsrGraph> csr;
-  std::shared_ptr<const ShardPlan> plan;
   GraphVersion version = 0;
 };
 

@@ -28,7 +28,7 @@ namespace dmf {
 
 struct ShermanOptions {
   double epsilon = 0.25;        // target approximation quality
-  int num_trees = 0;            // sampled virtual trees; 0 = 2 ceil(log2 n)
+  int num_trees = 0;            // sampled virtual trees; 0 = ceil(3 log2 n)
   double alpha = 0.0;           // 0 = estimate empirically after sampling
   int alpha_samples = 12;       // s-t pairs used by the alpha estimate
   // Repair fast path: when alpha is estimated (alpha == 0) and a repair

@@ -122,11 +122,9 @@ void ServeApp::deadline_main() {
     if (cancel == nullptr) return;  // stop requested
     // cancel() may run the engine completion callback synchronously on
     // this thread (for still-queued/parked queries); that callback
-    // re-takes mu_, so it must run outside the lock.
-    if (cancel()) {
-      MutexLock lock(mu_);
-      ++counters_.deadline_cancelled;
-    }
+    // re-takes mu_, so it must run outside the lock. The callback also
+    // counts the cancellation (finish_query), before the 504 is sent.
+    (void)cancel();
   }
 }
 
@@ -197,6 +195,10 @@ void ServeApp::finish_query(std::uint64_t request_id, Clock::time_point start,
   {
     MutexLock lock(mu_);
     deadlines_.erase(request_id);
+    // Only the deadline timer cancels tickets, so a kCancelled result
+    // is a deadline kill. Counted here, before complete() releases the
+    // response, so a client that has read its 504 sees the count.
+    if (res.code == ErrorCode::kCancelled) ++counters_.deadline_cancelled;
   }
   if (!res.ok()) {
     complete("query", start, /*admitted=*/true, responder,

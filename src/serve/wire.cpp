@@ -534,7 +534,7 @@ QueryEnvelope parse_query_request(const Json& body) {
 }
 
 MutationBatch parse_mutation_request(const Json& body, double* wait_seconds) {
-  body.as_object("mutate");
+  (void)body.as_object("mutate");  // type check: throws on a non-object
   if (wait_seconds != nullptr) {
     *wait_seconds = 0.0;
     if (const Json* w = body.find("wait_seconds")) {
@@ -545,7 +545,7 @@ MutationBatch parse_mutation_request(const Json& body, double* wait_seconds) {
   if (ops_field == nullptr) throw WireError("mutate: missing \"ops\"");
   MutationBatch batch;
   for (const Json& op_json : ops_field->as_array("mutate.ops")) {
-    op_json.as_object("mutate.ops[]");
+    (void)op_json.as_object("mutate.ops[]");  // type check
     const Json* op_name = op_json.find("op");
     if (op_name == nullptr) throw WireError("mutate: op missing \"op\"");
     const std::string& op = op_name->as_string("mutate.ops[].op");

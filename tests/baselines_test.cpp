@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "baselines/adapters.h"
 #include "baselines/dinic.h"
 #include "baselines/push_relabel.h"
 #include "baselines/tree_routing.h"
@@ -115,6 +116,27 @@ TEST(PushRelabel, AgreesOnGridAndRegular) {
   const Graph reg = make_random_regular(24, 3, {1, 6}, rng);
   EXPECT_NEAR(push_relabel_max_flow(reg, 0, 23).value,
               dinic_max_flow_value(reg, 0, 23), 1e-6);
+}
+
+TEST(ExactAdapter, AnswersWithTheRequestedBaseline) {
+  Rng rng(57);
+  const Graph g = make_gnp_connected(30, 0.2, {1, 7}, rng);
+  const double want = dinic_max_flow_value(g, 0, 29);
+  for (const SolverKind kind : {SolverKind::kDinic, SolverKind::kPushRelabel}) {
+    const MaxFlowApproxResult r = exact_max_flow_adapter(kind, g, 0, 29);
+    EXPECT_NEAR(r.value, want, 1e-6);
+    EXPECT_TRUE(r.converged);
+  }
+}
+
+TEST(ExactAdapter, RejectsKindsThatAreNotExactBaselines) {
+  Rng rng(59);
+  const Graph g = make_gnp_connected(20, 0.3, {1, 7}, rng);
+  // Neither is an exact s-t solver: an answer of 0 here would be a lie.
+  EXPECT_THROW((void)exact_max_flow_adapter(SolverKind::kCongestSim, g, 0, 19),
+               RequirementError);
+  EXPECT_THROW((void)exact_max_flow_adapter(SolverKind::kSherman, g, 0, 19),
+               RequirementError);
 }
 
 TEST(FlowUtils, DivergenceSignsAndValue) {

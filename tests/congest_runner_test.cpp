@@ -54,29 +54,23 @@ TEST(CongestRunner, SubmitReturnsRunStatsAndLedger) {
   EXPECT_GT(result->ledger.total(), phase_total);
 }
 
-TEST(CongestRunner, RunBatchShimCarriesCongestOutcome) {
+TEST(CongestRunner, EngineServesCongestBesideMaxFlow) {
   const Graph g = test_graph(18, 193);
   const NodeId sink = g.num_nodes() - 1;
   FlowEngine engine(g);
-  const std::vector<EngineQuery> queries = {
-      CongestQuery{0, sink},
-      MaxFlowQuery{0, sink},
-  };
-  const std::vector<QueryOutcome> outcomes = engine.run_batch(queries);
-  ASSERT_EQ(outcomes.size(), 2u);
-  ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
-  ASSERT_TRUE(outcomes[0].congest.has_value());
-  EXPECT_FALSE(outcomes[0].max_flow.has_value());
-  EXPECT_EQ(outcomes[0].solver, "congest-push-relabel");
-  ASSERT_TRUE(outcomes[1].ok) << outcomes[1].error;
-  ASSERT_TRUE(outcomes[1].max_flow.has_value());
+  CongestTicket congest_ticket = engine.submit(CongestQuery{0, sink});
+  MaxFlowTicket max_flow_ticket = engine.submit(MaxFlowQuery{0, sink});
+  const Result<CongestRunResult> congest = congest_ticket.get();
+  const Result<MaxFlowApproxResult> max_flow = max_flow_ticket.get();
+  ASSERT_TRUE(congest.ok()) << congest.message;
+  EXPECT_EQ(congest.solver, "congest-push-relabel");
+  ASSERT_TRUE(max_flow.ok()) << max_flow.message;
   // The simulator measures the strawman's rounds; the engine's exact
   // baselines answer small instances with trivial collect-all rounds.
-  EXPECT_NEAR(outcomes[0].congest->flow_value, outcomes[1].max_flow->value,
-              1e-4);
+  EXPECT_NEAR(congest.value().flow_value, max_flow.value().value, 1e-4);
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.queries_by_solver.at("congest-push-relabel"), 1);
-  EXPECT_GE(stats.query_rounds_total, outcomes[0].congest->stats.rounds);
+  EXPECT_GE(stats.query_rounds_total, congest.value().stats.rounds);
 }
 
 TEST(CongestRunner, InvalidQueriesResolveWithErrorCode) {

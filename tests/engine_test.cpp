@@ -1,11 +1,13 @@
-// Tests for the FlowEngine: the async submit API matches the run_batch
-// shim bitwise, thread count never changes results, the SolverRegistry
+// Tests for the FlowEngine: a batch submitted all at once matches the
+// same queries issued one at a time bitwise, thread count never changes
+// results, the SolverRegistry
 // dispatches tiny/exact instances to the exact baselines, failures
 // resolve with typed ErrorCodes, and engine stats account the work.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "baselines/dinic.h"
@@ -50,39 +52,73 @@ std::vector<EngineQuery> mixed_batch(const Graph& g, int pairs, Rng& rng) {
   return queries;
 }
 
-TEST(FlowEngine, SubmitMatchesRunBatchBitwise) {
+// A resolved query of any kind.
+using AnyResult =
+    std::variant<Result<MaxFlowApproxResult>, Result<RouteResult>,
+                 Result<MultiTerminalMaxFlowResult>, Result<CongestRunResult>>;
+using AnyTicket = std::variant<MaxFlowTicket, RouteTicket, MultiTerminalTicket,
+                               CongestTicket>;
+
+// Submits every query before resolving any, then resolves them in order.
+std::vector<AnyResult> submit_all(FlowEngine& engine,
+                                  const std::vector<EngineQuery>& queries) {
+  std::vector<AnyTicket> tickets;
+  for (const EngineQuery& query : queries) {
+    std::visit([&](const auto& q) { tickets.emplace_back(engine.submit(q)); },
+               query);
+  }
+  std::vector<AnyResult> results;
+  for (AnyTicket& ticket : tickets) {
+    std::visit([&](auto& t) { results.emplace_back(t.get()); }, ticket);
+  }
+  return results;
+}
+
+void expect_same_payload(const MaxFlowApproxResult& a,
+                         const MaxFlowApproxResult& b) {
+  EXPECT_EQ(a.value, b.value);
+  EXPECT_EQ(a.flow, b.flow);
+}
+void expect_same_payload(const RouteResult& a, const RouteResult& b) {
+  EXPECT_EQ(a.congestion, b.congestion);
+  EXPECT_EQ(a.flow, b.flow);
+}
+void expect_same_payload(const MultiTerminalMaxFlowResult& a,
+                         const MultiTerminalMaxFlowResult& b) {
+  EXPECT_EQ(a.value, b.value);
+  EXPECT_EQ(a.flow, b.flow);
+}
+void expect_same_payload(const CongestRunResult& a, const CongestRunResult& b) {
+  EXPECT_EQ(a.flow_value, b.flow_value);
+  EXPECT_EQ(a.stats.rounds, b.stats.rounds);
+}
+
+// Both results succeeded and agree bitwise (not merely near).
+void expect_same(const AnyResult& a, const AnyResult& b) {
+  ASSERT_EQ(a.index(), b.index());
+  std::visit(
+      [&](const auto& x) {
+        const auto& y = std::get<std::decay_t<decltype(x)>>(b);
+        ASSERT_TRUE(x.ok()) << x.message;
+        ASSERT_TRUE(y.ok()) << y.message;
+        EXPECT_EQ(x.solver, y.solver);
+        expect_same_payload(x.value(), y.value());
+      },
+      a);
+}
+
+TEST(FlowEngine, SubmitAllMatchesOneAtATimeBitwise) {
   Rng rng(11);
   const Graph g = make_gnp_connected(90, 0.07, {1, 9}, rng);
   const std::vector<EngineQuery> queries = mixed_batch(g, 6, rng);
 
   FlowEngine batch_engine(g, small_options(/*threads=*/1));
-  const std::vector<QueryOutcome> batched = batch_engine.run_batch(queries);
+  const std::vector<AnyResult> batched = submit_all(batch_engine, queries);
 
-  FlowEngine async_engine(g, small_options(/*threads=*/1));
+  FlowEngine single_engine(g, small_options(/*threads=*/1));
   ASSERT_EQ(batched.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const QueryOutcome single = async_engine.run(queries[i]);
-    ASSERT_TRUE(batched[i].ok) << batched[i].error;
-    ASSERT_TRUE(single.ok) << single.error;
-    EXPECT_EQ(batched[i].solver, single.solver);
-    ASSERT_EQ(batched[i].max_flow.has_value(), single.max_flow.has_value());
-    ASSERT_EQ(batched[i].route.has_value(), single.route.has_value());
-    ASSERT_EQ(batched[i].multi_terminal.has_value(),
-              single.multi_terminal.has_value());
-    if (batched[i].max_flow) {
-      EXPECT_EQ(batched[i].max_flow->value, single.max_flow->value);
-      EXPECT_EQ(batched[i].max_flow->flow, single.max_flow->flow);
-    }
-    if (batched[i].route) {
-      EXPECT_EQ(batched[i].route->congestion, single.route->congestion);
-      EXPECT_EQ(batched[i].route->flow, single.route->flow);
-    }
-    if (batched[i].multi_terminal) {
-      EXPECT_EQ(batched[i].multi_terminal->value,
-                single.multi_terminal->value);
-      EXPECT_EQ(batched[i].multi_terminal->flow,
-                single.multi_terminal->flow);
-    }
+    expect_same(batched[i], submit_all(single_engine, {queries[i]}).front());
   }
 }
 
@@ -93,27 +129,10 @@ TEST(FlowEngine, ThreadCountDoesNotChangeResults) {
 
   FlowEngine one(g, small_options(/*threads=*/1));
   FlowEngine four(g, small_options(/*threads=*/4));
-  const std::vector<QueryOutcome> a = one.run_batch(queries);
-  const std::vector<QueryOutcome> b = four.run_batch(queries);
+  const std::vector<AnyResult> a = submit_all(one, queries);
+  const std::vector<AnyResult> b = submit_all(four, queries);
   ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(a[i].ok && b[i].ok);
-    EXPECT_EQ(a[i].solver, b[i].solver);
-    if (a[i].max_flow) {
-      EXPECT_EQ(a[i].max_flow->value, b[i].max_flow->value);
-      EXPECT_EQ(a[i].max_flow->flow, b[i].max_flow->flow);
-    }
-    if (a[i].route) {
-      EXPECT_EQ(a[i].route->congestion, b[i].route->congestion);
-      EXPECT_EQ(a[i].route->flow, b[i].route->flow);
-    }
-    if (a[i].multi_terminal) {
-      // The shared-hierarchy path is fully deterministic: bitwise, not
-      // merely near.
-      EXPECT_EQ(a[i].multi_terminal->value, b[i].multi_terminal->value);
-      EXPECT_EQ(a[i].multi_terminal->flow, b[i].multi_terminal->flow);
-    }
-  }
+  for (std::size_t i = 0; i < a.size(); ++i) expect_same(a[i], b[i]);
 }
 
 TEST(FlowEngine, RegistryPicksExactBaselineForTinyInstances) {
@@ -178,13 +197,15 @@ TEST(FlowEngine, FailuresAreTypedNotThrown) {
   // Demand that does not sum to zero must fail that query only.
   std::vector<double> bad(40, 0.0);
   bad[0] = 1.0;
-  const std::vector<QueryOutcome> outcomes =
-      engine.run_batch({RouteQuery{bad}, MaxFlowQuery{0, 39}});
-  EXPECT_FALSE(outcomes[0].ok);
-  EXPECT_EQ(outcomes[0].code, ErrorCode::kInvalidQuery);
-  EXPECT_FALSE(outcomes[0].error.empty());
-  EXPECT_TRUE(outcomes[1].ok) << outcomes[1].error;
-  EXPECT_EQ(outcomes[1].code, ErrorCode::kOk);
+  RouteTicket bad_ticket = engine.submit(RouteQuery{bad});
+  MaxFlowTicket good_ticket = engine.submit(MaxFlowQuery{0, 39});
+  const Result<RouteResult> failed = bad_ticket.get();
+  const Result<MaxFlowApproxResult> served = good_ticket.get();
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(failed.code, ErrorCode::kInvalidQuery);
+  EXPECT_FALSE(failed.message.empty());
+  EXPECT_TRUE(served.ok()) << served.message;
+  EXPECT_EQ(served.code, ErrorCode::kOk);
   EXPECT_EQ(engine.stats().queries_failed, 1);
   EXPECT_EQ(engine.stats().queries_served, 1);
 
@@ -209,7 +230,7 @@ TEST(FlowEngine, StatsAmortizeBuildOverQueries) {
   for (int i = 1; i <= 10; ++i) {
     queries.push_back(MaxFlowQuery{0, static_cast<NodeId>(59 - i % 7)});
   }
-  engine.run_batch(queries);
+  (void)submit_all(engine, queries);
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.queries_served, 10);
   EXPECT_LE(stats.amortized_build_seconds_per_query(),

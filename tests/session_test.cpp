@@ -334,24 +334,28 @@ TEST(FlowEngineSession, HierarchyCacheHitAccounting) {
   EXPECT_GT(results[4].value().value, 0.0);
 }
 
-TEST(FlowEngineSession, CacheDisabledGivesIdenticalResults) {
+// The cache only saves builds: every answer it serves equals the answer
+// of a fresh engine that has seen no other query.
+TEST(FlowEngineSession, CachedAnswersMatchFreshEngines) {
   Rng rng(404);
   const Graph g = make_gnp_connected(50, 0.12, {1, 9}, rng);
-  const MultiTerminalQuery query{{0, 1}, {48, 49}, 0.0, false};
-
-  EngineOptions with_cache = session_options(1);
-  EngineOptions without_cache = session_options(1);
-  without_cache.share_multi_terminal_hierarchies = false;
-
-  FlowEngine cached(g, with_cache);
-  FlowEngine uncached(g, without_cache);
-  const Result<MultiTerminalMaxFlowResult> a = cached.submit(query).get();
-  const Result<MultiTerminalMaxFlowResult> b = uncached.submit(query).get();
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a.value().value, b.value().value);
-  EXPECT_EQ(a.value().flow, b.value().flow);
+  const std::vector<MultiTerminalQuery> queries = {
+      {{0, 1}, {48, 49}, 0.0, false},
+      {{1, 0}, {49, 48}, 0.0, false},  // same sets, reordered: a hit
+      {{0, 1}, {48, 49}, 0.1, false},  // same sets, other epsilon: a hit
+  };
+  FlowEngine cached(g, session_options(1));
+  for (const MultiTerminalQuery& query : queries) {
+    const Result<MultiTerminalMaxFlowResult> a = cached.submit(query).get();
+    FlowEngine fresh(g, session_options(1));
+    const Result<MultiTerminalMaxFlowResult> b = fresh.submit(query).get();
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a.value().value, b.value().value);
+    EXPECT_EQ(a.value().flow, b.value().flow);
+    EXPECT_EQ(fresh.stats().hierarchy_cache_misses, 1);
+  }
   EXPECT_EQ(cached.stats().hierarchy_cache_misses, 1);
-  EXPECT_EQ(uncached.stats().hierarchy_cache_misses, 0);  // cache bypassed
+  EXPECT_EQ(cached.stats().hierarchy_cache_hits, 2);
 }
 
 TEST(HierarchyCache, EvictsLeastRecentlyUsedAtCapacity) {

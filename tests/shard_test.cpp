@@ -1,10 +1,10 @@
-// Tests for the sharded execution path: the ShardPlan reuse ladder on
-// GraphStore snapshots, ShardAssignment invariants (cluster atomicity,
-// slice consistency, locality), the ShardedDispatcher task lifecycle
-// (per-lane FIFO, backpressure, cancel/parked/shutdown semantics), and
-// the engine-level contract — results bitwise identical at every shard
-// count, replay-store and routing stats accounting, min_version parking
-// on the sharded backend.
+// Tests for the sharded execution path: ShardPlan determinism,
+// ShardAssignment invariants (cluster atomicity, slice counts,
+// locality), the ShardedDispatcher task lifecycle (per-lane FIFO,
+// backpressure, cancel/parked/shutdown semantics), and the engine-level
+// contract — results bitwise identical at every shard count, the shard
+// assignment following every kind of snapshot swap, replay-store and
+// routing stats accounting, min_version parking on the sharded backend.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,8 +17,8 @@
 #include "engine/engine.h"
 #include "engine/shard_exec.h"
 #include "graph/generators.h"
+#include "engine/shard_plan.h"
 #include "graph/graph_store.h"
-#include "graph/shard_plan.h"
 #include "util/require.h"
 #include "util/rng.h"
 
@@ -51,70 +51,39 @@ class Gate {
 TEST(ShardPlan, DeterministicAndContentDerived) {
   Rng rng(7);
   const Graph g = make_gnp_connected(80, 0.08, {1, 8}, rng);
-  const auto a = ShardPlan::build(g);
-  const auto b = ShardPlan::build(g);
-  ASSERT_EQ(a->cluster.size(), static_cast<std::size_t>(g.num_nodes()));
-  EXPECT_GT(a->num_clusters, 1);
-  EXPECT_EQ(a->cluster, b->cluster);  // pure function of the topology
-  EXPECT_EQ(a->num_clusters, b->num_clusters);
-  for (const int c : a->cluster) {
+  const ShardPlan a = ShardPlan::build(g);
+  const ShardPlan b = ShardPlan::build(g);
+  ASSERT_EQ(a.cluster.size(), static_cast<std::size_t>(g.num_nodes()));
+  EXPECT_GT(a.num_clusters, 1);
+  EXPECT_EQ(a.cluster, b.cluster);  // pure function of the topology
+  EXPECT_EQ(a.num_clusters, b.num_clusters);
+  for (const int c : a.cluster) {
     EXPECT_GE(c, 0);
-    EXPECT_LT(c, a->num_clusters);
+    EXPECT_LT(c, a.num_clusters);
   }
-}
-
-TEST(ShardPlan, SnapshotReuseLadder) {
-  Rng rng(11);
-  GraphStore store(make_gnp_connected(60, 0.1, {1, 8}, rng));
-  const GraphSnapshot base = store.snapshot();
-  ASSERT_NE(base.plan, nullptr);
-
-  // Capacity-only: the (unweighted) decomposition cannot change, the
-  // plan object is shared as-is.
-  const GraphSnapshot cap = store.apply(MutationBatch{}.set_capacity(0, 5.0));
-  EXPECT_EQ(cap.plan.get(), base.plan.get());
-
-  // Node-only: previous clusters survive, new nodes become singletons.
-  const GraphSnapshot grown = store.apply(MutationBatch{}.add_nodes(3));
-  ASSERT_EQ(grown.plan->cluster.size(),
-            static_cast<std::size_t>(grown.graph->num_nodes()));
-  for (std::size_t v = 0; v < base.plan->cluster.size(); ++v) {
-    EXPECT_EQ(grown.plan->cluster[v], base.plan->cluster[v]);
-  }
-  EXPECT_EQ(grown.plan->num_clusters, base.plan->num_clusters + 3);
-
-  // Topology: recomputed, and identical to a from-scratch build on the
-  // same graph (the seed is fixed and content-independent).
-  const GraphSnapshot rewired =
-      store.apply(MutationBatch{}.add_edge(0, 30, 2.0));
-  const auto fresh = ShardPlan::build(*rewired.graph);
-  EXPECT_EQ(rewired.plan->cluster, fresh->cluster);
-  EXPECT_EQ(rewired.plan->num_clusters, fresh->num_clusters);
 }
 
 TEST(ShardAssignment, SliceInvariantsAndClusterAtomicity) {
   Rng rng(13);
   const Graph g = make_gnp_connected(90, 0.07, {1, 8}, rng);
-  const auto csr = CsrGraph(std::make_shared<const Graph>(g));
-  const auto plan = ShardPlan::build(g);
+  const ShardPlan plan = ShardPlan::build(g);
   for (const int k : {1, 2, 3, 5}) {
-    const ShardAssignment assignment(*plan, k, csr);
+    const ShardAssignment assignment(plan, k, g);
     ASSERT_EQ(assignment.num_shards(), k);
+    std::vector<NodeId> owned(static_cast<std::size_t>(k), 0);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ++owned[static_cast<std::size_t>(assignment.shard_of(v))];
+    }
     NodeId total_nodes = 0;
     EdgeId internal = 0;
     EdgeId boundary_halves = 0;
     for (int s = 0; s < k; ++s) {
       const ShardAssignment::Slice& slice = assignment.slice(s);
-      total_nodes += static_cast<NodeId>(slice.nodes.size());
+      // A slice counts exactly the nodes the router maps to it.
+      EXPECT_EQ(slice.nodes, owned[static_cast<std::size_t>(s)]);
+      total_nodes += slice.nodes;
       internal += slice.internal_edges;
       boundary_halves += slice.boundary_edges;
-      // The slice CSR is the induced subgraph of the slice's nodes.
-      EXPECT_EQ(slice.csr->num_nodes(),
-                static_cast<NodeId>(slice.nodes.size()));
-      EXPECT_EQ(slice.csr->num_edges(), slice.internal_edges);
-      for (const NodeId v : slice.nodes) {
-        EXPECT_EQ(assignment.shard_of(v), s);
-      }
     }
     EXPECT_EQ(total_nodes, g.num_nodes());
     // Every edge is either internal to exactly one shard or counted as
@@ -124,8 +93,8 @@ TEST(ShardAssignment, SliceInvariantsAndClusterAtomicity) {
     // Cluster atomicity: the plan's clusters are never split.
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       for (NodeId u = 0; u < g.num_nodes(); ++u) {
-        if (plan->cluster[static_cast<std::size_t>(v)] ==
-            plan->cluster[static_cast<std::size_t>(u)]) {
+        if (plan.cluster[static_cast<std::size_t>(v)] ==
+            plan.cluster[static_cast<std::size_t>(u)]) {
           ASSERT_EQ(assignment.shard_of(v), assignment.shard_of(u));
         }
       }
@@ -385,6 +354,93 @@ TEST(FlowEngineSharded, ShardCountAndPermutationBitwiseDeterminism) {
   }
 }
 
+// Sharding is the engine's decision, re-made per serving generation: a
+// capacity-only swap (incremental repair) keeps the assignment, and a
+// full rebuild recomputes it from the new snapshot. Throughout, the
+// sharded engine answers bitwise like an unsharded one on the same
+// store.
+TEST(FlowEngineSharded, AssignmentFollowsCapacityNodeAndTopologySwaps) {
+  Rng rng(11);
+  auto store =
+      std::make_shared<GraphStore>(make_gnp_connected(60, 0.1, {1, 8}, rng));
+  FlowEngine sharded(store, shard_options(2));
+  FlowEngine unsharded(store, shard_options(0));
+
+  const auto check_serving = [&](GraphVersion expected) {
+    ASSERT_EQ(sharded.serving_version(), expected);
+    ASSERT_EQ(unsharded.serving_version(), expected);
+    const Graph& g = *sharded.snapshot().graph;
+    NodeId nodes = 0;
+    for (const ShardStats& shard : sharded.stats().shards) {
+      nodes += shard.nodes;
+    }
+    EXPECT_EQ(nodes, g.num_nodes());
+
+    std::vector<MaxFlowQuery> queries;
+    for (NodeId i = 0; i < 4; ++i) {
+      queries.push_back(MaxFlowQuery{i, g.num_nodes() - 1 - i});
+    }
+    std::vector<std::size_t> order(queries.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    const CollectedResults want = run_workload(unsharded, g, queries, order);
+    const CollectedResults got = run_workload(sharded, g, queries, order);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_TRUE(got.max_flows[i].ok()) << got.max_flows[i].message;
+      ASSERT_TRUE(want.max_flows[i].ok()) << want.max_flows[i].message;
+      EXPECT_EQ(got.max_flows[i].served_version, expected);
+      EXPECT_EQ(got.max_flows[i].value().value,
+                want.max_flows[i].value().value);
+      EXPECT_EQ(got.max_flows[i].value().flow,
+                want.max_flows[i].value().flow);
+    }
+    ASSERT_TRUE(got.route.ok() && want.route.ok()) << got.route.message;
+    EXPECT_EQ(got.route.value().flow, want.route.value().flow);
+    ASSERT_TRUE(got.multi.ok() && want.multi.ok()) << got.multi.message;
+    EXPECT_EQ(got.multi.value().value, want.multi.value().value);
+    EXPECT_EQ(got.multi.value().flow, want.multi.value().flow);
+    ASSERT_TRUE(got.congest.ok() && want.congest.ok());
+    EXPECT_EQ(got.congest.value().flow_value,
+              want.congest.value().flow_value);
+  };
+  // Publish through the sharded engine; the unsharded one picks the
+  // same version up from the shared store.
+  const auto apply = [&](const MutationBatch& batch) {
+    const GraphVersion v = sharded.apply(batch).version;
+    unsharded.refresh();
+    const bool a = sharded.wait_for_version(v, 60.0);
+    const bool b = unsharded.wait_for_version(v, 60.0);
+    EXPECT_EQ(a, b);
+    return a;
+  };
+  check_serving(0);
+
+  // Capacity-only: the repaired generation keeps the assignment.
+  const auto before = sharded.shard_assignment();
+  ASSERT_NE(before, nullptr);
+  ASSERT_TRUE(apply(MutationBatch{}.set_capacity(0, 5.0).set_capacity(7, 0.5)));
+  EXPECT_EQ(sharded.stats().rebuild.repairs_completed, 1);
+  EXPECT_EQ(sharded.shard_assignment(), before);
+  check_serving(1);
+
+  // Node-only: the new nodes are isolated, so the full rebuild (which
+  // would recompute the plan) cannot serve the snapshot. Both engines
+  // keep serving version 1 with the assignment they had.
+  EXPECT_FALSE(apply(MutationBatch{}.add_nodes(3)));
+  EXPECT_EQ(sharded.shard_assignment(), before);
+  check_serving(1);
+
+  // Topology: wiring the new nodes in makes the snapshot servable; the
+  // rebuild recomputes the assignment over all 63 nodes.
+  ASSERT_TRUE(apply(MutationBatch{}
+                        .add_edge(60, 0, 2.0)
+                        .add_edge(61, 60, 1.5)
+                        .add_edge(62, 61, 3.0)
+                        .add_edge(62, 30, 1.0)));
+  EXPECT_NE(sharded.shard_assignment(), before);
+  EXPECT_EQ(sharded.snapshot().graph->num_nodes(), 63);
+  check_serving(3);
+}
+
 TEST(FlowEngineSharded, ReplayStoreHitAccountingAndBitwiseReplay) {
   Rng rng(505);
   const Graph g = make_gnp_connected(60, 0.1, {1, 9}, rng);
@@ -479,8 +535,7 @@ TEST(FlowEngineSharded, MinVersionParkingAndMutationOnShardedBackend) {
   const Result<MaxFlowApproxResult> after = probe.get();
   ASSERT_TRUE(after.ok()) << after.message;
   EXPECT_GE(after.served_version, v);
-  // The new generation re-derives its shard state from the new
-  // snapshot's plan (capacity-only: the same plan object).
+  // The repaired generation carries the shard assignment over.
   EXPECT_NE(engine.shard_assignment(), nullptr);
   const EngineStats stats = engine.stats();
   // The probe parks only if it outran the rebuild — timing-dependent on

@@ -93,12 +93,13 @@ TEST(FlowEngineVersioning, ApplyServesStaleThenSwapsIn) {
   ASSERT_TRUE(engine.wait_for_version(1, 120.0));
   EXPECT_EQ(engine.serving_version(), 1u);
   EXPECT_EQ(engine.snapshot().version, 1u);
-  // graph() now reflects the mutated snapshot.
-  EXPECT_DOUBLE_EQ(engine.graph().capacity(0), 1.5);
+  // The serving snapshot now reflects the mutation.
+  EXPECT_DOUBLE_EQ(engine.snapshot().graph->capacity(0), 1.5);
   EXPECT_EQ(engine.hierarchy().graph_version(), 1u);
 
-  const QueryOutcome post = engine.run(MaxFlowQuery{0, 71});
-  ASSERT_TRUE(post.ok) << post.error;
+  const Result<MaxFlowApproxResult> post =
+      engine.submit(MaxFlowQuery{0, 71}).get();
+  ASSERT_TRUE(post.ok()) << post.message;
   EXPECT_EQ(post.served_version, 1u);
 
   const EngineStats stats = engine.stats();
@@ -338,8 +339,9 @@ TEST(FlowEngineVersioning, SharedStoreWithRefresh) {
 
   EXPECT_EQ(engine.refresh(), 1u);
   ASSERT_TRUE(engine.wait_for_version(1, 120.0));
-  const QueryOutcome outcome = engine.run(MaxFlowQuery{0, 71});
-  ASSERT_TRUE(outcome.ok) << outcome.error;
+  const Result<MaxFlowApproxResult> outcome =
+      engine.submit(MaxFlowQuery{0, 71}).get();
+  ASSERT_TRUE(outcome.ok()) << outcome.message;
   EXPECT_EQ(outcome.served_version, 1u);
 }
 
