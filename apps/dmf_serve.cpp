@@ -12,9 +12,9 @@
 //             [--tenant-qps R] [--deadline-ms D] [--seed S]
 //             [--data-dir DIR]
 //
-// --shards K > 0 swaps the engine's single worker pool for K per-core
-// run-to-completion pipelines (terminal-locality routed; see
-// engine/shard_exec.h); /v1/stats then carries a per-shard breakdown.
+// --shards K > 0 gives the engine's worker pool K single-worker lanes,
+// one per shard (terminal-locality routed; see EngineOptions::shards);
+// /v1/stats then carries a per-shard breakdown.
 //
 // --data-dir DIR makes the store durable: every published snapshot (and
 // the hierarchy serving it) is persisted as mmap arena files under DIR

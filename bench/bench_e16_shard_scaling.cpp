@@ -4,11 +4,11 @@
 // s-t pairs, each drawn from within one cluster of the snapshot's own
 // ShardPlan (clusters are the unit of shard placement, so such a pair
 // lands on one shard at EVERY shard count), and each pair repeated —
-// the repeated-query shape a serving system actually sees. The sharded
-// backend exploits both properties: the terminal router keeps each hot
-// pair on one pinned pipeline, and that pipeline's generation-scoped
-// result store replays repeats bitwise instead of recomputing. On a
-// multi-core box the per-shard pipelines additionally scale the
+// the repeated-query shape a serving system actually sees. A sharded
+// engine exploits both properties: the terminal router keeps each hot
+// pair on one pinned single-worker lane, and that lane's generation-
+// scoped result store replays repeats bitwise instead of recomputing.
+// On a multi-core box the per-shard lanes additionally scale the
 // compute; on a single-core runner the replay store carries the win —
 // either way the `speedup` column is the machine-independent ratio the
 // regression gate guards (acceptance bar: >= 2x at 4 shards).
@@ -48,8 +48,10 @@ struct WorkloadResult {
 };
 
 // Submit `repeats` interleaved rounds of the pair set and collect every
-// result. Per-lane FIFO makes round r of a pair execute before round
-// r+1, so repeats hit the replay store once the first round landed.
+// result. Every submission has the same priority, and a lane runs
+// equal priorities first-in, first-out, so round r of a pair executes
+// before round r+1 and repeats hit the replay store once the first
+// round landed.
 WorkloadResult run_pairs(dmf::FlowEngine& engine,
                          const std::vector<std::pair<NodeId, NodeId>>& pairs,
                          int repeats) {
@@ -135,7 +137,7 @@ int main(int argc, char** argv) {
   }
   const int total = static_cast<int>(hot_pairs.size()) * repeats;
 
-  bench::print_header("E16", "sharded pipelines vs single pool (hot pairs)");
+  bench::print_header("E16", "sharded lanes vs single pool (hot pairs)");
   std::printf("  torus n=%d, %d clusters, %zu hot in-cluster pairs x %d "
               "repeats = %d queries\n",
               static_cast<int>(g.num_nodes()), plan.num_clusters,

@@ -17,7 +17,7 @@ int main() {
     std::string name;
     NodeId n;
   };
-  for (const Case c : {Case{"complete", 60}, Case{"complete", 90},
+  for (const Case& c : {Case{"complete", 60}, Case{"complete", 90},
                        Case{"dense_gnp", 120}}) {
     Rng rng(4000 + c.n);
     const Graph g = c.name == "complete"

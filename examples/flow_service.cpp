@@ -17,11 +17,11 @@
 // read-your-writes probe per update parks on min_version until the
 // fresh snapshot is servable.
 //
-// The engine runs the sharded backend (EngineOptions::shards): queries
-// are routed to per-core run-to-completion pipelines by terminal
-// locality, and the final report prints the per-shard breakdown —
-// routing split, replay-store hit rate, and ring backpressure. Results
-// are bitwise identical to shards = 0; pass 0 to compare.
+// The engine runs sharded (EngineOptions::shards): queries are routed
+// by terminal locality to per-shard lanes of the worker pool, each with
+// one pinned worker, and the final report prints the per-shard
+// breakdown — routing split, executed count, and replay-store hits.
+// Results are bitwise identical to shards = 0; pass 0 to compare.
 //
 //   ./example_flow_service [n] [waves] [wave_queries] [threads] [seed]
 //                          [shards]
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   std::printf("service up: %s; %d trees, built in %.3fs; %s\n",
               g.summary().c_str(), engine.stats().num_trees,
               engine.stats().build_seconds,
-              shards > 0 ? "sharded pipelines" : "single worker pool");
+              shards > 0 ? "one lane per shard" : "single worker pool");
 
   // A background batch job at low priority: it only runs when the
   // interactive waves leave workers idle. Completion lands in a callback.
@@ -209,14 +209,12 @@ int main(int argc, char** argv) {
                 static_cast<long long>(stats.result_store_misses));
     for (const ShardStats& shard : stats.shards) {
       std::printf("  shard %d: %lld nodes, %lld internal + %lld boundary "
-                  "edges; executed %lld, store hits %lld, ring-full waits "
-                  "%lld\n",
+                  "edges; executed %lld, store hits %lld\n",
                   shard.shard, static_cast<long long>(shard.nodes),
                   static_cast<long long>(shard.internal_edges),
                   static_cast<long long>(shard.boundary_edges),
                   static_cast<long long>(shard.executed),
-                  static_cast<long long>(shard.result_store_hits),
-                  static_cast<long long>(shard.ring_full_waits));
+                  static_cast<long long>(shard.result_store_hits));
     }
   }
   return 0;

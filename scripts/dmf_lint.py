@@ -24,10 +24,10 @@ contracts":
                          throws) or DMF_ASSERT, never C assert(): a
                          Release build silently compiles assert() away
                          and ships the unchecked path.
-  naked-thread           std::thread is confined to the session,
-                         shard_exec, and serve layers. Everything else
-                         must go through the dispatcher so shutdown,
-                         accounting, and determinism contracts hold.
+  naked-thread           std::thread is confined to the session and
+                         serve layers. Everything else must go through
+                         the WorkerPool so shutdown, accounting, and
+                         determinism contracts hold.
   unguarded-field        Heuristic backstop for clang's Thread Safety
                          Analysis (the real enforcement, in the lint CI
                          job): a member declared DMF_GUARDED_BY(mu) is
@@ -80,10 +80,9 @@ SOLVER_DIRS = (
 )
 
 # Files allowed to own std::thread. Everyone else submits work through
-# the QueryDispatcher so shutdown and accounting stay centralized.
+# the WorkerPool so shutdown and accounting stay centralized.
 THREAD_OWNERS = (
     "src/engine/session",
-    "src/engine/shard_exec",
     "src/serve/",
 )
 
@@ -318,9 +317,9 @@ def check_naked_thread(relpath, code_lines, findings):
         if THREAD_RE.search(line):
             findings.append(Finding(
                 relpath, idx, "naked-thread",
-                "std::thread outside the session/shard_exec/serve "
-                "layers; submit work through the QueryDispatcher so "
-                "shutdown and accounting contracts hold"))
+                "std::thread outside the session/serve layers; submit "
+                "work through the WorkerPool so shutdown and accounting "
+                "contracts hold"))
 
 
 GUARDED_BY_RE = re.compile(

@@ -15,7 +15,6 @@
 
 #include "baselines/adapters.h"
 #include "engine/hierarchy_cache.h"
-#include "engine/shard_exec.h"
 #include "engine/shard_plan.h"
 #include "graph/flow.h"
 #include "maxflow/hierarchy_io.h"
@@ -34,7 +33,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 // Rebuild tasks outrank every query so staleness stays bounded by one
 // build, not by the queue depth; with >= 2 workers the remaining
-// workers keep serving queries from the previous snapshot meanwhile.
+// workers keep serving queries from the previous snapshot meanwhile. A
+// sharded engine runs them on the pool's control lane instead.
 constexpr int kRebuildPriority = std::numeric_limits<int>::max();
 
 // Multi-terminal hierarchies retained per serving generation (each owns
@@ -42,9 +42,6 @@ constexpr int kRebuildPriority = std::numeric_limits<int>::max();
 // Eviction never changes results: a re-requested set rebuilds the
 // identical hierarchy, it just pays the build again.
 constexpr std::size_t kHierarchyCacheCapacity = 64;
-// Capacity of each shard's submission ring; a full ring blocks the
-// submitter briefly (counted in ShardStats::ring_full_waits).
-constexpr std::size_t kShardRingCapacity = 1024;
 // Replay-store entries retained per shard per generation (FIFO
 // eviction). Stores are dropped whole with their generation, so
 // replayed results never mix versions.
@@ -52,6 +49,13 @@ constexpr std::size_t kShardResultStoreCapacity = 4096;
 // Registry policy: an epsilon at or below this is an accuracy no
 // approximate run can promise, so the query goes to an exact baseline.
 constexpr double kExactEpsilon = 1e-6;
+
+// A query epsilon <= 0 selects the engine default; any other value must
+// be a finite accuracy below 1. JSON's 1e999 parses to +inf, which would
+// otherwise pass as an accuracy and switch AlmostRoute off.
+bool valid_query_epsilon(double epsilon) {
+  return std::isfinite(epsilon) && epsilon < 1.0;
+}
 
 // Content hashing for per-terminal-set RNG streams (FNV-1a over 64-bit
 // words).
@@ -64,17 +68,6 @@ struct ContentHash {
 };
 
 // --- sharded-backend plumbing ------------------------------------------------
-
-std::shared_ptr<QueryDispatcher> make_dispatcher(const EngineOptions& options) {
-  if (options.shards > 0) {
-    ShardedDispatcher::Options sharded;
-    sharded.num_shards = options.shards;
-    sharded.ring_capacity = kShardRingCapacity;
-    sharded.pin_threads = options.pin_shard_threads;
-    return std::make_shared<ShardedDispatcher>(sharded);
-  }
-  return std::make_shared<WorkerPool>(options.threads);
-}
 
 // Per-shard, per-generation replay store: exact-content keys map to the
 // Result an identical earlier query of the same snapshot produced. Only
@@ -345,8 +338,8 @@ struct FlowEngine::Core {
   std::int64_t retired_cache_hits DMF_GUARDED_BY(stats_mutex) = 0;
   std::int64_t retired_cache_misses DMF_GUARDED_BY(stats_mutex) = 0;
   // For releasing parked queries after a swap; weak so Core never keeps
-  // the dispatcher (and its threads) alive past the engine.
-  std::weak_ptr<QueryDispatcher> pool;
+  // the pool (and its threads) alive past the engine.
+  std::weak_ptr<WorkerPool> pool;
 
   // --- sharded backend (options.shards; 0 = classic pool) ---
   int num_shards = 0;
@@ -718,6 +711,10 @@ struct FlowEngine::Core {
       return R::failure(ErrorCode::kInvalidQuery,
                         "max-flow query: source equals sink");
     }
+    if (!valid_query_epsilon(q.epsilon)) {
+      return R::failure(ErrorCode::kInvalidQuery,
+                        "max-flow query: epsilon must be finite and < 1");
+    }
     R out;
     try {
       const double epsilon =
@@ -756,6 +753,10 @@ struct FlowEngine::Core {
     double total = 0.0;
     double scale_hint = 0.0;
     for (const double d : q.demand) {
+      if (!std::isfinite(d)) {
+        return R::failure(ErrorCode::kInvalidQuery,
+                          "route query: demand entries must be finite");
+      }
       total += d;
       scale_hint = std::max(scale_hint, std::abs(d));
     }
@@ -782,6 +783,11 @@ struct FlowEngine::Core {
     if (q.sources.empty() || q.sinks.empty()) {
       return R::failure(ErrorCode::kInvalidQuery,
                         "multi-terminal query: empty terminal set");
+    }
+    if (!valid_query_epsilon(q.epsilon)) {
+      return R::failure(
+          ErrorCode::kInvalidQuery,
+          "multi-terminal query: epsilon must be finite and < 1");
     }
     // canonical_terminals is the single canonical form everywhere on
     // this path: the cache key, terminal_seed, and the build all derive
@@ -961,8 +967,7 @@ struct FlowEngine::Core {
     out.num_shards = num_shards;
     if (num_shards > 0 && s->assignment != nullptr) {
       out.shard_locality = s->assignment->locality();
-      const auto dispatcher =
-          std::dynamic_pointer_cast<ShardedDispatcher>(pool.lock());
+      const std::shared_ptr<WorkerPool> lanes = pool.lock();
       out.shards.reserve(static_cast<std::size_t>(num_shards));
       for (int sh = 0; sh < num_shards; ++sh) {
         ShardStats row;
@@ -981,10 +986,9 @@ struct FlowEngine::Core {
             counters.store_hits.load(std::memory_order_relaxed);
         row.result_store_misses =
             counters.store_misses.load(std::memory_order_relaxed);
-        if (dispatcher != nullptr) {
-          const ShardedDispatcher::LaneStats lane = dispatcher->lane_stats(sh);
+        if (lanes != nullptr) {
+          const WorkerPool::LaneStats lane = lanes->lane_stats(sh);
           row.executed = lane.executed;
-          row.ring_full_waits = lane.ring_full_waits;
           row.queue_depth = lane.queue_depth;
         }
         out.queries_routed_local += row.routed_local;
@@ -1003,7 +1007,8 @@ struct FlowEngine::Core {
 FlowEngine::FlowEngine(std::shared_ptr<GraphStore> store,
                        EngineOptions options)
     : core_(std::make_shared<Core>(std::move(store), std::move(options))),
-      pool_(make_dispatcher(core_->options)) {
+      pool_(std::make_shared<WorkerPool>(core_->options.threads,
+                                         core_->options.shards)) {
   core_->pool = pool_;
 }
 
@@ -1047,7 +1052,7 @@ Ticket<Payload> FlowEngine::submit_impl(
     (cross ? counters.routed_cross : counters.routed_local)
         .fetch_add(1, std::memory_order_relaxed);
   }
-  // The dispatcher requires `run` to never throw: anything escaping it
+  // The pool requires `run` to never throw: anything escaping it
   // would std::terminate the worker thread. exec() classifies solver
   // exceptions itself; the catch-alls here cover non-std throws and,
   // separately, a throwing user callback (the callback's exception is
@@ -1123,7 +1128,7 @@ Ticket<Payload> FlowEngine::submit_impl(
     }
     promise->set_value(std::move(result));
   };
-  const int lane = shard < 0 ? 0 : shard;  // single-pool ignores lanes
+  const int lane = shard < 0 ? 0 : shard;  // a pool without lanes has lane 0
   std::uint64_t id = 0;
   bool submitted = false;
   if (opts.min_version > 0) {
@@ -1132,8 +1137,8 @@ Ticket<Payload> FlowEngine::submit_impl(
     // is registered before any future flush can run.
     MutexLock lock(core->version_mutex);
     if (core->serving->snapshot.version < opts.min_version) {
-      id = pool_->dispatch_parked(opts.priority, std::move(run),
-                                  std::move(cancelled), lane);
+      id = pool_->submit_parked(opts.priority, std::move(run),
+                                std::move(cancelled), lane);
       core->parked.push_back({id, opts.min_version});
       {
         MutexLock slock(core->stats_mutex);
@@ -1143,8 +1148,8 @@ Ticket<Payload> FlowEngine::submit_impl(
     }
   }
   if (!submitted) {
-    id = pool_->dispatch(opts.priority, std::move(run), std::move(cancelled),
-                         lane);
+    id = pool_->submit(opts.priority, std::move(run), std::move(cancelled),
+                       lane);
   }
   return Ticket<Payload>(id, std::move(future), pool_);
 }
@@ -1213,7 +1218,7 @@ void FlowEngine::schedule_rebuild() {
     ++core->pending_rebuilds;
   }
   try {
-    pool_->dispatch(
+    pool_->submit(
         kRebuildPriority, [core] { core->run_rebuild(); },
         [core](ErrorCode) {
           // Engine shut down before the rebuild ran; the previous
@@ -1225,7 +1230,7 @@ void FlowEngine::schedule_rebuild() {
           }
           core->version_cv.notify_all();
         },
-        QueryDispatcher::kControlLane);
+        WorkerPool::kControlLane);
   } catch (...) {
     {
       MutexLock lock(core->version_mutex);

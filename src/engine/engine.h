@@ -46,25 +46,26 @@
 // timing, and a post-swap query matches a fresh engine built directly on
 // the mutated graph bitwise.
 //
-// v4: the execution backend is pluggable. EngineOptions::shards > 0
-// replaces the single mutexed worker pool with per-shard run-to-
-// completion pipelines (engine/shard_exec.h): each serving generation
-// folds a locality shard plan of its snapshot (engine/shard_plan.h)
-// onto the K shards — the plan is the engine's alone; snapshots never
-// carry one, and an unsharded engine never builds one. submit() routes
-// a query to the shard owning its terminals over a bounded SPSC ring,
-// and the owning worker — the only thread that ever executes that
-// shard's queries — serves it against the generation's shared
-// HierarchyCache plus a per-shard, per-generation result store that
-// replays previously computed identical queries. The determinism
-// contract is unchanged and shard-count-invariant: results are bitwise
-// identical at any shard count (including 0, the classic pool), because
-// routing only picks *where* a query runs and the result store only
-// replays what the same deterministic exec already produced for the
-// same snapshot. Cross-shard queries (terminals on different shards)
-// run on the lowest-indexed owning shard against the full hierarchy —
-// the hierarchy's top levels are the aggregation path — and are counted
-// per shard in EngineStats.
+// v4: sharded execution. EngineOptions::shards = K > 0 gives the
+// worker pool K query lanes, each a priority queue with exactly one
+// worker pinned best-effort to a core, plus a control lane for rebuilds
+// (engine/session.h). Each serving generation folds a locality shard
+// plan of its snapshot (engine/shard_plan.h) onto the K shards — the
+// plan is the engine's alone; snapshots never carry one, and an
+// unsharded engine never builds one. submit() routes a query to the
+// lane of the shard owning its terminals, and that lane's worker — the
+// only thread that ever executes the shard's queries — serves it
+// against the generation's shared HierarchyCache plus a per-shard,
+// per-generation result store that replays previously computed
+// identical queries. The determinism contract is unchanged and
+// shard-count-invariant: results are bitwise identical at any shard
+// count (including 0, the one shared queue), because routing only picks
+// *where* a query runs and the result store only replays what the same
+// deterministic exec already produced for the same snapshot.
+// Cross-shard queries (terminals on different shards) run on the
+// lowest-indexed owning shard against the full hierarchy — the
+// hierarchy's top levels are the aggregation path — and are counted per
+// shard in EngineStats.
 #pragma once
 
 #include <cstdint>
@@ -92,18 +93,20 @@ namespace dmf {
 struct MaxFlowQuery {
   NodeId s = kInvalidNode;
   NodeId t = kInvalidNode;
-  double epsilon = 0.0;  // <= 0: use the engine's default accuracy
-  bool exact = false;    // demand an exact baseline regardless of size
+  // <= 0: use the engine's default accuracy. Otherwise it must be
+  // finite and < 1, or the query resolves with kInvalidQuery.
+  double epsilon = 0.0;
+  bool exact = false;  // demand an exact baseline regardless of size
 };
 
 struct RouteQuery {
-  std::vector<double> demand;  // one entry per node, summing to ~0
+  std::vector<double> demand;  // one finite entry per node, summing to ~0
 };
 
 struct MultiTerminalQuery {
   std::vector<NodeId> sources;
   std::vector<NodeId> sinks;
-  double epsilon = 0.0;
+  double epsilon = 0.0;  // as MaxFlowQuery::epsilon
   bool exact = false;
 };
 
@@ -160,11 +163,10 @@ struct ShardStats {
   NodeId nodes = 0;            // global nodes owned by this shard
   EdgeId internal_edges = 0;   // both endpoints on this shard
   EdgeId boundary_edges = 0;   // edges this shard shares with another
-  std::size_t queue_depth = 0; // sampled SPSC ring occupancy
+  std::size_t queue_depth = 0; // sampled lane queue length
   std::int64_t executed = 0;   // queries run to completion on this lane
   std::int64_t routed_local = 0;  // all terminals on this shard
   std::int64_t routed_cross = 0;  // terminals straddle shards
-  std::int64_t ring_full_waits = 0;  // submit-side backpressure events
   std::int64_t result_store_hits = 0;
   std::int64_t result_store_misses = 0;
 };
@@ -280,20 +282,18 @@ struct EngineOptions {
   double capacity_quantization_octaves = 1.0;
   // Worker threads of the persistent pool; 0 = all hardware threads.
   // Also sizes the hierarchy build's virtual-tree sampling. Ignored for
-  // query execution when `shards` > 0 (one worker per shard).
+  // query execution when `shards` > 0 (one worker per lane).
   int threads = 0;
-  // --- sharded execution backend ---
-  // 0 (default) keeps the classic single worker pool. K > 0 partitions
-  // the serving snapshot into K shards via a locality plan and pins
-  // one run-to-completion worker per shard behind a bounded SPSC ring;
-  // submit() routes each query to the shard owning its terminals.
-  // Results are bitwise identical at every value of K — sharding moves
-  // work, never changes it. With sharding, SubmitOptions::priority
-  // becomes a no-op (each ring is FIFO); it was always only a
-  // scheduling hint.
+  // --- sharded execution ---
+  // 0 (default) keeps one queue shared by all workers. K > 0 partitions
+  // the serving snapshot into K shards via a locality plan and gives
+  // the pool one lane per shard — a priority queue with exactly one
+  // worker, pinned best-effort to a core — plus a control lane for
+  // rebuilds; submit() routes each query to the lane of the shard
+  // owning its terminals. Results are bitwise identical at every value
+  // of K — sharding moves work, never changes it. SubmitOptions::
+  // priority orders each lane; it was always only a scheduling hint.
   int shards = 0;
-  // Pin shard workers to cores (Linux, best-effort).
-  bool pin_shard_threads = true;
   // Registry policy: instances up to this many nodes go to the exact
   // baselines (see SolverRegistry::standard).
   NodeId exact_cutoff_nodes = 64;
@@ -439,7 +439,7 @@ class FlowEngine {
   void schedule_rebuild();
 
   std::shared_ptr<Core> core_;
-  std::shared_ptr<QueryDispatcher> pool_;
+  std::shared_ptr<WorkerPool> pool_;
 };
 
 }  // namespace dmf

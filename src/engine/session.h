@@ -1,18 +1,22 @@
 // Asynchronous query session plumbing for the FlowEngine.
 //
-// WorkerPool is a persistent pool (created once with the engine, not per
-// batch) draining a priority queue of submitted tasks. Each submission
-// pairs a run closure with a cancel closure; exactly one of the two ever
-// executes, guarded by an atomic per-task state machine, so a queued task
-// can be cancelled race-free while workers are popping. wait_all() blocks
-// until every submitted task has either run or been cancelled.
+// WorkerPool is the engine's one dispatcher: a persistent pool (created
+// once with the engine, not per batch) draining priority queues of
+// submitted tasks. Without lanes it is one queue shared by all workers;
+// with lanes (a sharded engine) every query lane is a queue with exactly
+// one worker, plus a control lane for rebuilds. Either way the task
+// lifecycle is the same: each submission pairs a run closure with a
+// cancel closure; exactly one of the two ever executes, guarded by an
+// atomic per-task state machine, so a queued task can be cancelled
+// race-free while workers are popping. wait_all() blocks until every
+// submitted task has either run or been cancelled.
 //
 // Ticket<T> is the caller's handle on one submitted query: a one-shot
 // future of Result<T> plus cancellation through a weak reference to the
 // pool (safe to poke after the engine is gone). Determinism note: the
 // pool orders *execution* by priority, but results are computed purely
-// from query content, so neither priority nor pop order can change what a
-// ticket yields — only when.
+// from query content, so neither priority, lane, nor pop order can
+// change what a ticket yields — only when.
 #pragma once
 
 #include <atomic>
@@ -53,129 +57,82 @@ struct SubmitOptions {
 // drift.
 [[nodiscard]] int resolve_worker_threads(int requested);
 
-// The execution backend contract the engine (and Ticket) program
-// against. Two implementations: WorkerPool (one shared priority queue —
-// the classic backend) and ShardedDispatcher (per-shard run-to-
-// completion pipelines over SPSC rings, engine/shard_exec.h). The task
-// lifecycle contract is shared: each dispatched task pairs a run
-// closure with a cancel closure, exactly one of the two ever executes,
-// and every task is resolved by shutdown at the latest — queued tasks
-// with kShutdown, parked tasks with kVersionUnavailable.
-class QueryDispatcher {
+class WorkerPool {
  public:
   // Fulfills the task's promise with the given terminal code without
   // running the query.
   using CancelFn = std::function<void(ErrorCode)>;
 
   // Lane for tasks that must never queue behind (or occupy) the query
-  // lanes — hierarchy rebuilds. The sharded backend runs them on a
-  // dedicated control thread; WorkerPool folds them into its one queue
-  // at their priority.
+  // lanes — hierarchy rebuilds. With lanes it has its own worker; a
+  // pool without lanes folds it into the one queue (lane 0) at its
+  // priority.
   static constexpr int kControlLane = -1;
 
-  virtual ~QueryDispatcher() = default;
+  struct LaneStats {
+    std::int64_t executed = 0;    // tasks run to completion
+    std::size_t queue_depth = 0;  // tasks waiting in the lane's queue
+  };
 
-  // Enqueue a task onto `lane`; returns its id (for cancel()). `run`
-  // must not throw. Backends without lanes ignore the argument.
-  virtual std::uint64_t dispatch(int priority, std::function<void()> run,
-                                 CancelFn cancelled, int lane) = 0;
+  // lanes == 0: one priority queue drained by `threads` workers
+  // (0 = all hardware threads). lanes == K > 0: K query lanes plus the
+  // control lane, each a priority queue with exactly one worker, so a
+  // query lane's tasks never run concurrently with each other; query
+  // lane s pins best-effort to core s mod hardware cores, and `threads`
+  // is ignored.
+  explicit WorkerPool(int threads, int lanes = 0);
+  ~WorkerPool();
+
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
+
+  // Enqueue a task onto `lane` (0 without lanes; kControlLane or a
+  // query lane in [0, lanes) otherwise); returns its id (for cancel()).
+  // `run` must not throw.
+  std::uint64_t submit(int priority, std::function<void()> run,
+                       CancelFn cancelled, int lane = 0);
 
   // Enqueue a task in the *parked* state: it holds an id (cancellable,
   // counted by wait_all) but no worker will pop it until release(id)
   // moves it into its lane. The engine parks queries whose
   // SubmitOptions::min_version is ahead of the serving snapshot.
-  virtual std::uint64_t dispatch_parked(int priority,
-                                        std::function<void()> run,
-                                        CancelFn cancelled, int lane) = 0;
-
-  // Move a parked task into its runnable lane. Returns false if the
-  // task is not parked anymore (released before, cancelled, unknown) or
-  // the dispatcher is shutting down (shutdown resolves parked tasks
-  // itself).
-  virtual bool release(std::uint64_t id) = 0;
-
-  // Resolve a still-parked task with `code` without ever running it.
-  // Returns false if the task is not parked anymore.
-  virtual bool fail_parked(std::uint64_t id, ErrorCode code) = 0;
-
-  // Cancel a still-queued (or still-parked) task: its CancelFn runs
-  // (with kCancelled) and true is returned. Returns false if the task
-  // already started, finished, was cancelled before, or the id is
-  // unknown.
-  virtual bool cancel(std::uint64_t id) = 0;
-
-  // Block until every task dispatched so far has run or been cancelled.
-  virtual void wait_all() = 0;
-
-  // Resolve everything still queued/parked and join the workers.
-  // Idempotent.
-  virtual void shutdown() = 0;
-
-  [[nodiscard]] virtual int threads() const = 0;
-  [[nodiscard]] virtual std::int64_t cancelled_count() const = 0;
-};
-
-class WorkerPool : public QueryDispatcher {
- public:
-  using CancelFn = QueryDispatcher::CancelFn;
-
-  explicit WorkerPool(int threads);
-  ~WorkerPool() override;
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  // Enqueue a task; returns its id (for cancel()). `run` must not throw.
-  std::uint64_t submit(int priority, std::function<void()> run,
-                       CancelFn cancelled);
-
-  // Parked form of submit; see QueryDispatcher::dispatch_parked.
   std::uint64_t submit_parked(int priority, std::function<void()> run,
-                              CancelFn cancelled);
+                              CancelFn cancelled, int lane = 0);
 
-  // QueryDispatcher interface. The pool has one queue: lanes are
-  // ignored, priorities order execution.
-  std::uint64_t dispatch(int priority, std::function<void()> run,
-                         CancelFn cancelled, int lane) override {
-    (void)lane;
-    return submit(priority, std::move(run), std::move(cancelled));
-  }
-  std::uint64_t dispatch_parked(int priority, std::function<void()> run,
-                                CancelFn cancelled, int lane) override {
-    (void)lane;
-    return submit_parked(priority, std::move(run), std::move(cancelled));
-  }
-
-  // Move a parked task into the runnable queue at its submission
-  // priority. Returns false if the task is not parked anymore (released
-  // before, cancelled, unknown) or the pool is shutting down (shutdown
-  // resolves parked tasks itself).
-  bool release(std::uint64_t id) override;
+  // Move a parked task into its lane at its submission priority.
+  // Returns false if the task is not parked anymore (released before,
+  // cancelled, unknown) or the pool is shutting down (shutdown resolves
+  // parked tasks itself).
+  bool release(std::uint64_t id);
 
   // Resolve a still-parked task with `code` without ever running it
   // (used when the version a parked query waits for can never be
   // served). Returns false if the task is not parked anymore.
-  bool fail_parked(std::uint64_t id, ErrorCode code) override;
+  bool fail_parked(std::uint64_t id, ErrorCode code);
 
   // Cancel a still-queued (or still-parked) task: its CancelFn runs
   // (with kCancelled) and true is returned. Returns false if the task
   // already started, finished, was cancelled before, or the id is
   // unknown.
-  bool cancel(std::uint64_t id) override;
+  bool cancel(std::uint64_t id);
 
   // Block until every task submitted so far has run or been cancelled.
-  void wait_all() override;
+  void wait_all();
 
-  // Cancel everything still queued (with kShutdown) and everything
-  // still parked (with kVersionUnavailable — the version they were
-  // waiting for will never arrive), then join the workers. Idempotent;
-  // called by the destructor.
-  void shutdown() override;
+  // Cancel everything still queued on any lane (with kShutdown) and
+  // everything still parked (with kVersionUnavailable — the version
+  // they were waiting for will never arrive), then join the workers.
+  // Idempotent and blocking for every caller; called by the destructor.
+  void shutdown();
 
-  [[nodiscard]] int threads() const override { return thread_count_; }
-  [[nodiscard]] std::int64_t cancelled_count() const override {
+  // Worker threads: `threads` without lanes, lanes + 1 with them.
+  [[nodiscard]] int threads() const { return thread_count_; }
+  [[nodiscard]] int lanes() const { return lane_count_; }
+  [[nodiscard]] std::int64_t cancelled_count() const {
     return cancelled_.load(std::memory_order_relaxed);
   }
+  // Query lane `lane` in [0, lanes()), or lane 0 of a pool without lanes.
+  [[nodiscard]] LaneStats lane_stats(int lane) const;
 
  private:
   enum : int {
@@ -188,7 +145,9 @@ class WorkerPool : public QueryDispatcher {
 
   struct TaskState {
     std::uint64_t id = 0;
-    int priority = 0;  // retained so release() re-queues at the same rank
+    // Retained so release() re-queues where and at the rank it came from.
+    int priority = 0;
+    std::size_t slot = 0;  // index into queues_
     std::atomic<int> status{kQueued};
     std::function<void()> run;
     CancelFn cancelled;
@@ -206,15 +165,24 @@ class WorkerPool : public QueryDispatcher {
     }
   };
 
+  // Lane number -> queue slot: query lanes first, the control lane last
+  // (slot 0 for every task of a pool without lanes).
+  [[nodiscard]] std::size_t slot_of(int lane) const;
   std::uint64_t enqueue(int priority, std::function<void()> run,
-                        CancelFn cancelled, bool parked);
-  void worker_loop();
-  void finish_one(std::uint64_t id);
+                        CancelFn cancelled, int lane, bool parked);
+  void push_locked(const std::shared_ptr<TaskState>& state)
+      DMF_REQUIRES(mutex_);
+  void worker_loop(std::size_t slot);
+  void finish_one(std::uint64_t id, std::size_t executed_slot);
 
+  int thread_count_ = 0;  // set once in the constructor, then read-only
+  int lane_count_ = 0;    // likewise
   mutable Mutex mutex_;
-  CondVar work_cv_;  // workers: queue non-empty or stopping
+  // One per slot; a slot's workers wait on it for work or stopping.
+  std::unique_ptr<CondVar[]> work_cv_;
   CondVar idle_cv_;  // wait_all: pending reached zero; shutdown: joined
-  std::priority_queue<QueueEntry> queue_ DMF_GUARDED_BY(mutex_);
+  std::vector<std::priority_queue<QueueEntry>> queues_ DMF_GUARDED_BY(mutex_);
+  std::vector<std::int64_t> executed_ DMF_GUARDED_BY(mutex_);  // per slot
   std::unordered_map<std::uint64_t, std::shared_ptr<TaskState>> by_id_
       DMF_GUARDED_BY(mutex_);
   std::uint64_t next_id_ DMF_GUARDED_BY(mutex_) = 1;
@@ -223,7 +191,6 @@ class WorkerPool : public QueryDispatcher {
   bool stopping_ DMF_GUARDED_BY(mutex_) = false;
   bool joined_ DMF_GUARDED_BY(mutex_) = false;  // shutdown finished joining
   std::atomic<std::int64_t> cancelled_{0};
-  int thread_count_ = 0;  // set once in the constructor, then read-only
   // Filled by the constructor before any concurrency exists; joined by
   // the single shutdown() caller that wins the stopping_ handshake, so
   // never touched by two threads at once.
@@ -244,7 +211,7 @@ class Ticket {
   // get() yields ErrorCode::kCancelled; false means it already started
   // (or finished) and get() yields its real result.
   bool cancel() {
-    if (auto dispatcher = pool_.lock()) return dispatcher->cancel(id_);
+    if (auto pool = pool_.lock()) return pool->cancel(id_);
     return false;
   }
 
@@ -272,12 +239,12 @@ class Ticket {
  private:
   friend class FlowEngine;
   Ticket(std::uint64_t id, std::future<Result<T>> future,
-         std::weak_ptr<QueryDispatcher> pool)
+         std::weak_ptr<WorkerPool> pool)
       : id_(id), future_(std::move(future)), pool_(std::move(pool)) {}
 
   std::uint64_t id_ = 0;
   std::future<Result<T>> future_;
-  std::weak_ptr<QueryDispatcher> pool_;
+  std::weak_ptr<WorkerPool> pool_;
 };
 
 }  // namespace dmf

@@ -711,7 +711,6 @@ Json to_json(const EngineStats& s) {
     row.emplace_back("executed", Json(shard.executed));
     row.emplace_back("routed_local", Json(shard.routed_local));
     row.emplace_back("routed_cross", Json(shard.routed_cross));
-    row.emplace_back("ring_full_waits", Json(shard.ring_full_waits));
     row.emplace_back("result_store_hits", Json(shard.result_store_hits));
     row.emplace_back("result_store_misses", Json(shard.result_store_misses));
     shards.emplace_back(Json(std::move(row)));

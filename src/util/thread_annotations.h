@@ -152,17 +152,4 @@ class CondVar {
   std::condition_variable_any cv_;
 };
 
-// A zero-cost capability naming a single-threaded role rather than a
-// lock — used to document lock-free single-producer/single-consumer
-// contracts (util/spsc_ring.h). `held()` is the analysis-time assertion
-// "this thread owns the role"; it compiles to nothing.
-class DMF_CAPABILITY("role") Role {
- public:
-  Role() = default;
-  Role(const Role&) = delete;
-  Role& operator=(const Role&) = delete;
-
-  void held() const DMF_ASSERT_CAPABILITY(this) {}
-};
-
 }  // namespace dmf

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
 
 #include "baselines/dinic.h"
 #include "congest/ledger.h"
@@ -176,7 +177,7 @@ TEST(PipelinedBroadcast, AllTokensReachAllNodes) {
   Rng rng(137);
   const Graph g = make_grid(5, 5, {1, 1}, rng);
   const DistributedBfsResult bfs = run_distributed_bfs(g, 0);
-  const auto children = children_ports_from_bfs(g, bfs);
+  auto children = children_ports_from_bfs(g, bfs);
   const int k = 12;
   std::vector<std::int64_t> tokens(k);
   std::iota(tokens.begin(), tokens.end(), 100);
@@ -187,7 +188,7 @@ TEST(PipelinedBroadcast, AllTokensReachAllNodes) {
     PipelinedBroadcastProgram::Config config;
     config.is_root = (v == 0);
     config.parent_port = bfs.parent_port[static_cast<std::size_t>(v)];
-    config.children_ports = children[static_cast<std::size_t>(v)];
+    config.children_ports = std::move(children[static_cast<std::size_t>(v)]);
     if (config.is_root) config.tokens = tokens;
     programs.emplace_back(std::move(config));
   }
@@ -211,7 +212,7 @@ TEST(PipelinedBroadcast, PathPipelineBound) {
   const int n = 40;
   const Graph g = make_path(n, {1, 1}, rng);
   const DistributedBfsResult bfs = run_distributed_bfs(g, 0);
-  const auto children = children_ports_from_bfs(g, bfs);
+  auto children = children_ports_from_bfs(g, bfs);
   const int k = 30;
   std::vector<std::int64_t> tokens(k);
   std::iota(tokens.begin(), tokens.end(), 0);
@@ -221,7 +222,7 @@ TEST(PipelinedBroadcast, PathPipelineBound) {
     PipelinedBroadcastProgram::Config config;
     config.is_root = (v == 0);
     config.parent_port = bfs.parent_port[static_cast<std::size_t>(v)];
-    config.children_ports = children[static_cast<std::size_t>(v)];
+    config.children_ports = std::move(children[static_cast<std::size_t>(v)]);
     if (config.is_root) config.tokens = tokens;
     programs.emplace_back(std::move(config));
   }

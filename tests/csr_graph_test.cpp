@@ -285,18 +285,19 @@ TEST(CsrGraphStore, ChainedBatchesKeepEveryVersionConsistent) {
 
 TEST(GraphBoundsChecks, NeighborsRequiresValidNode) {
   const Graph g = square();
-  EXPECT_THROW(g.neighbors(-1), RequirementError);
-  EXPECT_THROW(g.neighbors(4), RequirementError);
-  EXPECT_NO_THROW(g.neighbors(3));
+  EXPECT_THROW((void)g.neighbors(-1), RequirementError);
+  EXPECT_THROW((void)g.neighbors(4), RequirementError);
+  EXPECT_NO_THROW((void)g.neighbors(3));
 }
 
 TEST(GraphBoundsChecks, EndpointAndCapacityAccessorsRequireValidEdge) {
   const Graph g = square();
-  EXPECT_THROW(g.endpoints(-1), RequirementError);
-  EXPECT_THROW(g.endpoints(4), RequirementError);
-  EXPECT_THROW(g.capacity(99), RequirementError);
-  EXPECT_THROW(g.other_endpoint(0, 3), RequirementError);  // 3 not on edge 0
-  EXPECT_NO_THROW(g.capacity(3));
+  EXPECT_THROW((void)g.endpoints(-1), RequirementError);
+  EXPECT_THROW((void)g.endpoints(4), RequirementError);
+  EXPECT_THROW((void)g.capacity(99), RequirementError);
+  // Node 3 is not an endpoint of edge 0.
+  EXPECT_THROW((void)g.other_endpoint(0, 3), RequirementError);
+  EXPECT_NO_THROW((void)g.capacity(3));
 }
 
 }  // namespace

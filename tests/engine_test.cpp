@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -218,6 +219,46 @@ TEST(FlowEngine, FailuresAreTypedNotThrown) {
             ErrorCode::kInvalidQuery);
   EXPECT_EQ(engine.submit(MultiTerminalQuery{{}, {2}}).get().code,
             ErrorCode::kInvalidQuery);
+}
+
+// Accuracy and demand values come from outside the process (JSON parses
+// 1e999 to +inf). A non-finite or >= 1 epsilon, or a non-finite demand
+// entry, is the caller's error — never a silently wrong answer, and never
+// a solver-internal message.
+TEST(FlowEngine, RejectsNonFiniteOrOutOfRangeEpsilonAndDemand) {
+  Rng rng(41);
+  const Graph g = make_grid(10, 10, {1, 1}, rng);  // 100 nodes: Sherman
+  FlowEngine engine(g, small_options(2));
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double epsilon : {inf, -inf, nan, 1.0, 1e300}) {
+    const Result<MaxFlowApproxResult> r =
+        engine.submit(MaxFlowQuery{0, 99, epsilon}).get();
+    EXPECT_EQ(r.code, ErrorCode::kInvalidQuery) << "epsilon=" << epsilon;
+    EXPECT_EQ(
+        engine.submit(MultiTerminalQuery{{0, 1}, {98, 99}, epsilon}).get().code,
+        ErrorCode::kInvalidQuery)
+        << "epsilon=" << epsilon;
+  }
+  // <= 0 still means the engine default, and a valid accuracy serves.
+  for (const double epsilon : {0.0, -1.0, 0.5}) {
+    const Result<MaxFlowApproxResult> r =
+        engine.submit(MaxFlowQuery{0, 99, epsilon}).get();
+    ASSERT_TRUE(r.ok()) << "epsilon=" << epsilon << ": " << r.message;
+    EXPECT_EQ(r.solver, "sherman-approx");
+    EXPECT_GT(r.value().value, 0.0);
+  }
+  EXPECT_TRUE(
+      engine.submit(MultiTerminalQuery{{0, 1}, {98, 99}, -1.0}).get().ok());
+
+  for (const double bad : {inf, -inf, nan}) {
+    std::vector<double> demand(100, 0.0);
+    demand[0] = bad;
+    demand[99] = -bad;
+    const Result<RouteResult> r = engine.submit(RouteQuery{demand}).get();
+    EXPECT_EQ(r.code, ErrorCode::kInvalidQuery) << "entry=" << bad;
+    EXPECT_EQ(r.message, "route query: demand entries must be finite");
+  }
 }
 
 TEST(FlowEngine, StatsAmortizeBuildOverQueries) {

@@ -155,7 +155,7 @@ TEST(FailureInjection, ApproximatorSizeMismatches) {
   RootedTree tree = make_tree(0, {kInvalidNode, 0});
   tree.parent_cap = {0.0, 1.0};
   const CongestionApproximator approx({tree});
-  EXPECT_THROW(approx.congestion_norm({1.0}), RequirementError);
+  EXPECT_THROW((void)approx.congestion_norm({1.0}), RequirementError);
   EXPECT_THROW(approx.apply({1.0, -1.0, 0.0}, 1.0), RequirementError);
   EXPECT_THROW(approx.potentials({}), RequirementError);
 }

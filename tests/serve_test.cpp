@@ -185,7 +185,7 @@ TEST(Wire, JsonParseAccessorsAndErrors) {
                WireError);
   // Type mismatch on a checked accessor names the context.
   try {
-    Json::parse("[1]").as_object("root");
+    (void)Json::parse("[1]").as_object("root");
     FAIL() << "expected WireError";
   } catch (const WireError& e) {
     EXPECT_NE(std::string(e.what()).find("root"), std::string::npos);
@@ -320,7 +320,7 @@ TEST_F(ParserCorpusTest, RejectionCorpus) {
 TEST_F(ParserCorpusTest, TruncatedRequestsDoNotWedgeTheServer) {
   // Half a request line, half a header block, half a body: close each
   // mid-request. The server must survive and keep answering.
-  for (const std::string frag :
+  for (const std::string& frag :
        {std::string("GET /part"), std::string("GET / HTTP/1.1\r\nHos"),
         std::string("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nhal")}) {
     TestClient c;
@@ -426,6 +426,22 @@ TEST(ServeApp, QueryMutateStatsHealthz) {
                         &status, &body));
   EXPECT_EQ(status, 400);
   EXPECT_GE(app.counters().wire_errors, 1);
+  // 1e999 parses to +inf: an accuracy the engine rejects, not one that
+  // silently switches the solver's routing off. Same for demand entries.
+  ASSERT_TRUE(roundtrip(port,
+                        http_request("POST", "/v1/query",
+                                     R"({"kind":"max_flow","s":0,"t":35,)"
+                                     R"("epsilon":1e999})"),
+                        &status, &body));
+  EXPECT_EQ(status, 400);
+  EXPECT_NE(body.find("epsilon"), std::string::npos) << body;
+  std::string demand = R"({"kind":"route","demand":[1e999)";
+  for (int v = 1; v < 35; ++v) demand += ",0";
+  demand += ",-1e999]}";
+  ASSERT_TRUE(roundtrip(port, http_request("POST", "/v1/query", demand),
+                        &status, &body));
+  EXPECT_EQ(status, 400);
+  EXPECT_NE(body.find("finite"), std::string::npos) << body;
 
   app.drain();
 }

@@ -1,5 +1,6 @@
 // Tests for the FlowEngine v2 session layer: the WorkerPool state
-// machine (priority order, race-free cancellation, wait_all, shutdown),
+// machine (priority order, race-free cancellation, wait_all, shutdown)
+// with and without lanes,
 // submission-order/priority/thread-count permutation determinism of
 // submitted queries, hierarchy-cache hit accounting, typed error codes,
 // and callback completion.
@@ -18,6 +19,7 @@
 #include "engine/result.h"
 #include "engine/session.h"
 #include "graph/generators.h"
+#include "util/require.h"
 #include "util/rng.h"
 
 namespace dmf {
@@ -211,6 +213,201 @@ TEST(WorkerPool, ShutdownFailsParkedTasksWithVersionUnavailable) {
   }
   EXPECT_EQ(ran.load(), 0);
   EXPECT_EQ(code.load(), static_cast<int>(ErrorCode::kVersionUnavailable));
+}
+
+// --- lanes (the sharded engine's execution) ----------------------------------
+
+// Occupies every worker of `lanes` (query lanes, then the control lane)
+// until `release` opens, so the tasks submitted next queue up.
+void hold_lanes(WorkerPool& pool, const std::vector<int>& lanes,
+                Gate& release) {
+  std::atomic<int> entered{0};
+  for (const int lane : lanes) {
+    pool.submit(
+        0,
+        [&entered, &release] {
+          entered.fetch_add(1);
+          release.wait();
+        },
+        [](ErrorCode) {}, lane);
+  }
+  while (entered.load() < static_cast<int>(lanes.size())) {
+    std::this_thread::yield();
+  }
+}
+
+TEST(WorkerPool, LanesOrderByPriorityThenSubmission) {
+  WorkerPool pool(/*threads=*/1, /*lanes=*/2);
+  EXPECT_EQ(pool.lanes(), 2);
+  EXPECT_EQ(pool.threads(), 3);  // one worker per lane + the control lane
+  Gate release;
+  hold_lanes(pool, {0, 1}, release);
+  // Each lane has one worker, so each order vector is touched by one
+  // thread only.
+  std::vector<int> order0;
+  std::vector<int> order1;
+  const auto submit = [&](int lane, int priority, int tag) {
+    std::vector<int>& order = lane == 0 ? order0 : order1;
+    pool.submit(
+        priority, [&order, tag] { order.push_back(tag); }, [](ErrorCode) {},
+        lane);
+  };
+  submit(0, 1, 1);
+  submit(1, 7, 70);
+  submit(0, 5, 5);
+  submit(1, 7, 71);  // ties: submission order
+  submit(0, 3, 3);
+  submit(1, 2, 20);
+  submit(0, 5, 50);
+  EXPECT_EQ(pool.lane_stats(0).queue_depth, 4u);
+  EXPECT_EQ(pool.lane_stats(1).queue_depth, 3u);
+  release.open();
+  pool.wait_all();
+  EXPECT_EQ(order0, (std::vector<int>{5, 50, 3, 1}));
+  EXPECT_EQ(order1, (std::vector<int>{70, 71, 20}));
+}
+
+TEST(WorkerPool, LanesRunEqualPriorityFirstInFirstOut) {
+  WorkerPool pool(1, 2);
+  std::vector<int> order0;  // touched only by lane 0's worker
+  std::vector<int> order1;
+  constexpr int kTasks = 100;
+  for (int i = 0; i < kTasks; ++i) {
+    pool.submit(0, [&order0, i] { order0.push_back(i); }, [](ErrorCode) {},
+                0);
+    pool.submit(0, [&order1, i] { order1.push_back(i); }, [](ErrorCode) {},
+                1);
+  }
+  pool.wait_all();
+  ASSERT_EQ(order0.size(), static_cast<std::size_t>(kTasks));
+  ASSERT_EQ(order1.size(), static_cast<std::size_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(order0[static_cast<std::size_t>(i)], i);
+    EXPECT_EQ(order1[static_cast<std::size_t>(i)], i);
+  }
+  EXPECT_EQ(pool.lane_stats(0).executed, kTasks);
+  EXPECT_EQ(pool.lane_stats(1).executed, kTasks);
+  EXPECT_EQ(pool.lane_stats(0).queue_depth, 0u);
+  EXPECT_EQ(pool.cancelled_count(), 0);
+}
+
+TEST(WorkerPool, LaneCancelQueuedTaskNeverRuns) {
+  WorkerPool pool(1, 2);
+  Gate release;
+  hold_lanes(pool, {1}, release);
+  std::atomic<int> ran{0};
+  std::atomic<int> cancel_code{-1};
+  const std::uint64_t id = pool.submit(
+      0, [&ran] { ran.fetch_add(1); },
+      [&cancel_code](ErrorCode c) { cancel_code = static_cast<int>(c); }, 1);
+  EXPECT_TRUE(pool.cancel(id));
+  EXPECT_FALSE(pool.cancel(id));  // already resolved
+  release.open();
+  pool.wait_all();
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(cancel_code.load(), static_cast<int>(ErrorCode::kCancelled));
+  EXPECT_EQ(pool.cancelled_count(), 1);
+  EXPECT_EQ(pool.lane_stats(1).executed, 1);  // the holder only
+}
+
+TEST(WorkerPool, LaneParkedReleaseAndFail) {
+  WorkerPool pool(1, 2);
+  // The lane's worker identity: a released task must run on it.
+  std::thread::id lane1_worker;
+  pool.submit(0, [&] { lane1_worker = std::this_thread::get_id(); },
+              [](ErrorCode) {}, 1);
+  pool.wait_all();
+  std::thread::id released_on;
+  std::atomic<int> failed_code{-1};
+  const std::uint64_t runs = pool.submit_parked(
+      0, [&] { released_on = std::this_thread::get_id(); }, [](ErrorCode) {},
+      1);
+  const std::uint64_t fails = pool.submit_parked(
+      0, [] {},
+      [&failed_code](ErrorCode c) { failed_code = static_cast<int>(c); }, 0);
+  EXPECT_EQ(pool.lane_stats(1).queue_depth, 0u);  // parked is not queued
+  EXPECT_TRUE(pool.release(runs));
+  EXPECT_FALSE(pool.release(runs));  // no longer parked
+  EXPECT_TRUE(pool.fail_parked(fails, ErrorCode::kVersionUnavailable));
+  EXPECT_FALSE(pool.fail_parked(fails, ErrorCode::kVersionUnavailable));
+  pool.wait_all();
+  EXPECT_EQ(released_on, lane1_worker);
+  EXPECT_EQ(pool.lane_stats(1).executed, 2);
+  EXPECT_EQ(pool.lane_stats(0).executed, 0);
+  EXPECT_EQ(failed_code.load(),
+            static_cast<int>(ErrorCode::kVersionUnavailable));
+}
+
+TEST(WorkerPool, ControlLaneRunsWhileEveryQueryLaneIsBlocked) {
+  WorkerPool pool(1, 2);
+  Gate release;
+  hold_lanes(pool, {0, 1}, release);
+  std::atomic<int> control_ran{0};
+  // Both query lanes are hostage; the control task must still run (on
+  // its own worker) — and it is what frees them.
+  pool.submit(
+      0,
+      [&control_ran, &release] {
+        control_ran.fetch_add(1);
+        release.open();
+      },
+      [](ErrorCode) {}, WorkerPool::kControlLane);
+  pool.wait_all();
+  EXPECT_EQ(control_ran.load(), 1);
+}
+
+TEST(WorkerPool, LaneShutdownResolvesQueuedAndParkedOnEveryLane) {
+  const std::vector<int> lanes = {0, 1, WorkerPool::kControlLane};
+  std::atomic<int> ran{0};
+  std::atomic<int> shutdown_codes{0};
+  std::atomic<int> unavailable_codes{0};
+  {
+    WorkerPool pool(1, 2);
+    Gate release;
+    hold_lanes(pool, lanes, release);
+    for (const int lane : lanes) {
+      pool.submit(
+          0, [&ran] { ran.fetch_add(1); },
+          [&](ErrorCode code) {
+            // Every worker stays hostage until shutdown() has drained
+            // all three lanes (the last kShutdown opens the gate), so no
+            // queued task can ever run.
+            if (code == ErrorCode::kShutdown &&
+                shutdown_codes.fetch_add(1) == 2) {
+              release.open();
+            }
+          },
+          lane);
+      pool.submit_parked(
+          0, [&ran] { ran.fetch_add(1); },
+          [&unavailable_codes](ErrorCode code) {
+            if (code == ErrorCode::kVersionUnavailable) {
+              unavailable_codes.fetch_add(1);
+            }
+          },
+          lane);
+    }
+    pool.shutdown();
+  }
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(shutdown_codes.load(), 3);
+  EXPECT_EQ(unavailable_codes.load(), 3);
+}
+
+TEST(WorkerPool, SubmitAfterShutdownAndOutOfRangeLaneThrow) {
+  WorkerPool plain(1);
+  EXPECT_THROW(plain.submit(0, [] {}, [](ErrorCode) {}, 1), RequirementError);
+  EXPECT_THROW((void)plain.lane_stats(1), RequirementError);
+  WorkerPool pool(1, 2);
+  EXPECT_THROW(pool.submit(0, [] {}, [](ErrorCode) {}, 2), RequirementError);
+  EXPECT_THROW(pool.submit_parked(0, [] {}, [](ErrorCode) {}, -2),
+               RequirementError);
+  EXPECT_THROW((void)pool.lane_stats(2), RequirementError);
+  pool.shutdown();
+  EXPECT_THROW(pool.submit(0, [] {}, [](ErrorCode) {}, 0), RequirementError);
+  EXPECT_THROW(
+      pool.submit(0, [] {}, [](ErrorCode) {}, WorkerPool::kControlLane),
+      RequirementError);
 }
 
 // --- engine-level async semantics -------------------------------------------

@@ -1,50 +1,22 @@
 // Tests for the sharded execution path: ShardPlan determinism,
 // ShardAssignment invariants (cluster atomicity, slice counts,
-// locality), the ShardedDispatcher task lifecycle (per-lane FIFO,
-// backpressure, cancel/parked/shutdown semantics), and the engine-level
-// contract — results bitwise identical at every shard count, the shard
-// assignment following every kind of snapshot swap, replay-store and
-// routing stats accounting, min_version parking on the sharded backend.
+// locality), and the engine-level contract — results bitwise identical
+// at every shard count, the shard assignment following every kind of
+// snapshot swap, replay-store and routing stats accounting, min_version
+// parking on the sharded backend. The lane mechanics themselves are
+// WorkerPool cases in session_test.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
-#include "engine/shard_exec.h"
 #include "graph/generators.h"
 #include "engine/shard_plan.h"
 #include "graph/graph_store.h"
-#include "util/require.h"
 #include "util/rng.h"
 
 namespace dmf {
 namespace {
-
-// A latch to hold a shard worker hostage deterministically.
-class Gate {
- public:
-  void open() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      open_ = true;
-    }
-    cv_.notify_all();
-  }
-  void wait() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return open_; });
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool open_ = false;
-};
 
 // --- shard plan --------------------------------------------------------------
 
@@ -111,138 +83,6 @@ TEST(ShardAssignment, SliceInvariantsAndClusterAtomicity) {
   }
 }
 
-// --- sharded dispatcher ------------------------------------------------------
-
-ShardedDispatcher::Options dispatcher_options(int shards,
-                                              std::size_t capacity) {
-  ShardedDispatcher::Options options;
-  options.num_shards = shards;
-  options.ring_capacity = capacity;
-  options.pin_threads = false;  // irrelevant under test, keep it quiet
-  return options;
-}
-
-TEST(ShardedDispatcher, PerLaneFifoWithBackpressure) {
-  ShardedDispatcher dispatcher(dispatcher_options(2, 2));
-  std::vector<int> order_lane0;  // touched only by lane 0's worker
-  std::vector<int> order_lane1;
-  constexpr int kTasks = 100;
-  for (int i = 0; i < kTasks; ++i) {
-    dispatcher.dispatch(
-        0, [&order_lane0, i] { order_lane0.push_back(i); },
-        [](ErrorCode) {}, /*lane=*/0);
-    dispatcher.dispatch(
-        0, [&order_lane1, i] { order_lane1.push_back(i); },
-        [](ErrorCode) {}, /*lane=*/1);
-  }
-  dispatcher.wait_all();
-  ASSERT_EQ(order_lane0.size(), static_cast<std::size_t>(kTasks));
-  ASSERT_EQ(order_lane1.size(), static_cast<std::size_t>(kTasks));
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(order_lane0[static_cast<std::size_t>(i)], i);
-    EXPECT_EQ(order_lane1[static_cast<std::size_t>(i)], i);
-  }
-  EXPECT_EQ(dispatcher.lane_stats(0).executed, kTasks);
-  EXPECT_EQ(dispatcher.lane_stats(1).executed, kTasks);
-  EXPECT_EQ(dispatcher.lane_stats(0).queue_depth, 0u);
-  EXPECT_EQ(dispatcher.cancelled_count(), 0);
-  EXPECT_EQ(dispatcher.threads(), 2);
-}
-
-TEST(ShardedDispatcher, CancelQueuedTaskNeverRuns) {
-  ShardedDispatcher dispatcher(dispatcher_options(1, 8));
-  Gate gate;
-  std::atomic<int> ran{0};
-  std::atomic<int> cancel_code{-1};
-  dispatcher.dispatch(0, [&gate] { gate.wait(); }, [](ErrorCode) {}, 0);
-  const std::uint64_t id = dispatcher.dispatch(
-      0, [&ran] { ran.fetch_add(1); },
-      [&cancel_code](ErrorCode c) { cancel_code = static_cast<int>(c); }, 0);
-  EXPECT_TRUE(dispatcher.cancel(id));
-  EXPECT_FALSE(dispatcher.cancel(id));  // already resolved
-  gate.open();
-  dispatcher.wait_all();
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_EQ(cancel_code.load(), static_cast<int>(ErrorCode::kCancelled));
-  EXPECT_EQ(dispatcher.cancelled_count(), 1);
-}
-
-TEST(ShardedDispatcher, ParkedReleaseAndFail) {
-  ShardedDispatcher dispatcher(dispatcher_options(1, 8));
-  std::atomic<int> ran{0};
-  std::atomic<int> failed_code{-1};
-  const std::uint64_t runs = dispatcher.dispatch_parked(
-      0, [&ran] { ran.fetch_add(1); }, [](ErrorCode) {}, 0);
-  const std::uint64_t fails = dispatcher.dispatch_parked(
-      0, [&ran] { ran.fetch_add(1); },
-      [&failed_code](ErrorCode c) { failed_code = static_cast<int>(c); }, 0);
-  EXPECT_TRUE(dispatcher.release(runs));
-  EXPECT_FALSE(dispatcher.release(runs));  // no longer parked
-  EXPECT_TRUE(dispatcher.fail_parked(fails, ErrorCode::kVersionUnavailable));
-  EXPECT_FALSE(dispatcher.fail_parked(fails, ErrorCode::kVersionUnavailable));
-  dispatcher.wait_all();
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_EQ(failed_code.load(),
-            static_cast<int>(ErrorCode::kVersionUnavailable));
-}
-
-TEST(ShardedDispatcher, ControlLaneRunsOffTheQueryLanes) {
-  ShardedDispatcher dispatcher(dispatcher_options(1, 4));
-  Gate gate;
-  std::atomic<int> control_ran{0};
-  // Lane 0 is hostage; the control task must still run (its own thread).
-  dispatcher.dispatch(0, [&gate] { gate.wait(); }, [](ErrorCode) {}, 0);
-  dispatcher.dispatch(
-      0, [&control_ran, &gate] {
-        control_ran.fetch_add(1);
-        gate.open();  // the control lane unblocks the query lane
-      },
-      [](ErrorCode) {}, QueryDispatcher::kControlLane);
-  dispatcher.wait_all();
-  EXPECT_EQ(control_ran.load(), 1);
-}
-
-TEST(ShardedDispatcher, ShutdownResolvesQueuedAndParked) {
-  std::atomic<int> queued_code{-1};
-  std::atomic<int> parked_code{-1};
-  std::atomic<int> ran{0};
-  {
-    ShardedDispatcher dispatcher(dispatcher_options(1, 8));
-    Gate gate;
-    dispatcher.dispatch(0, [&gate] { gate.wait(); }, [](ErrorCode) {}, 0);
-    dispatcher.dispatch(
-        0, [&ran] { ran.fetch_add(1); },
-        [&queued_code](ErrorCode c) { queued_code = static_cast<int>(c); },
-        0);
-    dispatcher.dispatch_parked(
-        0, [&ran] { ran.fetch_add(1); },
-        [&parked_code](ErrorCode c) { parked_code = static_cast<int>(c); },
-        0);
-    // Shutdown on this thread while the lane is hostage: it closes the
-    // rings immediately (nothing blocks before the close), then joins
-    // the worker — which the helper unblocks shortly after. The queued
-    // task is behind a closed ring by then and must resolve without
-    // running.
-    std::thread opener([&gate] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      gate.open();
-    });
-    dispatcher.shutdown();
-    opener.join();
-  }
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_EQ(queued_code.load(), static_cast<int>(ErrorCode::kShutdown));
-  EXPECT_EQ(parked_code.load(),
-            static_cast<int>(ErrorCode::kVersionUnavailable));
-}
-
-TEST(ShardedDispatcher, DispatchAfterShutdownThrows) {
-  ShardedDispatcher dispatcher(dispatcher_options(1, 4));
-  dispatcher.shutdown();
-  EXPECT_THROW(dispatcher.dispatch(0, [] {}, [](ErrorCode) {}, 0),
-               RequirementError);
-}
-
 // --- engine-level sharding ---------------------------------------------------
 
 EngineOptions shard_options(int shards) {
@@ -252,7 +92,6 @@ EngineOptions shard_options(int shards) {
   options.sherman.num_trees = 4;
   options.seed = 42424242;
   options.exact_cutoff_nodes = 16;
-  options.pin_shard_threads = false;
   return options;
 }
 

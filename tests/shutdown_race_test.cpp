@@ -7,9 +7,10 @@
 //     members under live worker threads.
 //  2. WorkerPool::threads() read workers_.size() unsynchronized
 //     against shutdown's workers_.clear().
-//  3. ShardedDispatcher::shutdown returned immediately for the losing
-//     caller of the stopping_ exchange, with the same premature-
-//     destruction exposure.
+//  3. The sharded backend's shutdown returned immediately for the
+//     losing caller of the stopping_ exchange, with the same premature-
+//     destruction exposure. Sharded engines now run on WorkerPool lanes;
+//     the lane cases below keep that contract covered.
 //
 // The contract under test: shutdown() is idempotent AND blocking —
 // whichever thread calls it, it returns only once every worker has
@@ -27,7 +28,6 @@
 #include <gtest/gtest.h>
 
 #include "engine/session.h"
-#include "engine/shard_exec.h"
 
 namespace dmf {
 namespace {
@@ -39,7 +39,7 @@ struct TaskLedger {
   [[nodiscard]] std::function<void()> run_fn() {
     return [this] { ran.fetch_add(1, std::memory_order_relaxed); };
   }
-  [[nodiscard]] QueryDispatcher::CancelFn cancel_fn() {
+  [[nodiscard]] WorkerPool::CancelFn cancel_fn() {
     return [this](ErrorCode) {
       cancelled.fetch_add(1, std::memory_order_relaxed);
     };
@@ -49,11 +49,11 @@ struct TaskLedger {
   }
 };
 
-void hammer_shutdown(QueryDispatcher& dispatcher, int callers) {
+void hammer_shutdown(WorkerPool& pool, int callers) {
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(callers));
   for (int i = 0; i < callers; ++i) {
-    threads.emplace_back([&dispatcher] { dispatcher.shutdown(); });
+    threads.emplace_back([&pool] { pool.shutdown(); });
   }
   for (std::thread& t : threads) t.join();
 }
@@ -97,36 +97,29 @@ TEST(ShutdownRace, WorkerPoolThreadsReadableDuringShutdown) {
   EXPECT_EQ(ledger.resolved(), 64);
 }
 
-TEST(ShutdownRace, ShardedDispatcherConcurrentShutdownResolvesEveryTask) {
+TEST(ShutdownRace, LanesConcurrentShutdownResolvesEveryTask) {
   constexpr int kTasks = 128;
   constexpr int kRounds = 10;
   for (int round = 0; round < kRounds; ++round) {
     TaskLedger ledger;
-    ShardedDispatcher::Options options;
-    options.num_shards = 2;
-    options.ring_capacity = 16;  // small: shutdown hits non-empty rings
-    options.pin_threads = false;
-    ShardedDispatcher dispatcher(options);
+    WorkerPool pool(1, 2);
     for (int i = 0; i < kTasks; ++i) {
-      const int lane =
-          i % 5 == 0 ? QueryDispatcher::kControlLane : i % options.num_shards;
-      dispatcher.dispatch(0, ledger.run_fn(), ledger.cancel_fn(), lane);
+      const int lane = i % 5 == 0 ? WorkerPool::kControlLane : i % 2;
+      pool.submit(i % 3, ledger.run_fn(), ledger.cancel_fn(), lane);
     }
-    hammer_shutdown(dispatcher, 4);
+    hammer_shutdown(pool, 4);
     EXPECT_EQ(ledger.resolved(), kTasks);
   }
 }
 
-TEST(ShutdownRace, ShardedDispatcherShutdownBlocksUntilParkedSwept) {
+TEST(ShutdownRace, LanesShutdownBlocksUntilParkedSwept) {
   TaskLedger ledger;
-  ShardedDispatcher::Options options;
-  options.num_shards = 1;
-  options.pin_threads = false;
-  ShardedDispatcher dispatcher(options);
+  WorkerPool pool(1, 2);
   for (int i = 0; i < 16; ++i) {
-    dispatcher.dispatch_parked(0, ledger.run_fn(), ledger.cancel_fn(), 0);
+    const int lane = i % 4 == 0 ? WorkerPool::kControlLane : i % 2;
+    pool.submit_parked(0, ledger.run_fn(), ledger.cancel_fn(), lane);
   }
-  hammer_shutdown(dispatcher, 3);
+  hammer_shutdown(pool, 3);
   // Parked tasks never ran; shutdown must have swept all of them, and
   // every concurrent caller must have observed the sweep completed.
   EXPECT_EQ(ledger.ran.load(), 0);
