@@ -28,6 +28,7 @@
 // so scripts (the CI smoke step) can scrape it.
 
 #include <csignal>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,6 +41,10 @@
 #include "util/rng.h"
 
 namespace {
+
+// Snapshots the store keeps in memory. The engine and ServeApp only
+// read the latest one, so older versions would only grow RSS.
+constexpr std::size_t kHistoryLimit = 1;
 
 volatile std::sig_atomic_t g_shutdown = 0;
 
@@ -115,6 +120,7 @@ int main(int argc, char** argv) {
   }
 
   dmf::GraphStoreOptions gopts;
+  gopts.history_limit = kHistoryLimit;
   gopts.data_dir = data_dir;
   if (!data_dir.empty()) gopts.persist = dmf::PersistPolicy::kOnPublish;
 

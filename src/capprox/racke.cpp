@@ -11,13 +11,14 @@ namespace dmf {
 RackeDistribution build_racke_trees(const Graph& g, const RackeOptions& options,
                                     Rng& rng) {
   DMF_REQUIRE(options.num_trees >= 1, "build_racke_trees: need >= 1 tree");
-  DMF_REQUIRE(is_connected(g), "build_racke_trees: graph must be connected");
+  const CsrGraph csr(g);
+  DMF_REQUIRE(is_connected(csr), "build_racke_trees: graph must be connected");
   const NodeId n = g.num_nodes();
   const auto nn = static_cast<std::size_t>(n);
 
   const congest::CostModel cost{
       .n = static_cast<int>(n),
-      .diameter = n > 0 ? build_bfs_tree(g, 0).height : 0};
+      .diameter = n > 0 ? build_bfs_tree(csr, 0).height : 0};
 
   Multigraph mg = Multigraph::from_graph(g);
   std::vector<double> weight(mg.num_edges(), 1.0);

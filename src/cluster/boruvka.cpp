@@ -42,12 +42,13 @@ class UnionFind {
 BoruvkaResult distributed_boruvka(const Graph& g, bool maximize) {
   const NodeId n = g.num_nodes();
   DMF_REQUIRE(n >= 1, "distributed_boruvka: empty graph");
-  DMF_REQUIRE(is_connected(g), "distributed_boruvka: graph disconnected");
+  const CsrGraph csr(g);
+  DMF_REQUIRE(is_connected(csr), "distributed_boruvka: graph disconnected");
   const auto nn = static_cast<std::size_t>(n);
 
   const congest::CostModel cost{
       .n = static_cast<int>(n),
-      .diameter = build_bfs_tree(g, 0).height};
+      .diameter = build_bfs_tree(csr, 0).height};
 
   BoruvkaResult result;
   UnionFind uf(nn);

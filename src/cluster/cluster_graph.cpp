@@ -42,12 +42,10 @@ void ClusterGraph::validate() const {
     }
     DMF_REQUIRE(cluster_of[static_cast<std::size_t>(p)] == cluster_of[vi],
                 "ClusterGraph: tree edge leaves cluster");
+    const CsrRow row = base->neighbors(v);
     bool adjacent = false;
-    for (const AdjEntry& a : base->neighbors(v)) {
-      if (a.to == p) {
-        adjacent = true;
-        break;
-      }
+    for (std::size_t i = 0; i < row.size() && !adjacent; ++i) {
+      adjacent = row.to(i) == p;
     }
     DMF_REQUIRE(adjacent, "ClusterGraph: tree parent not a graph neighbor");
   }
@@ -108,7 +106,8 @@ ClusterGraph make_cluster_graph(const Graph& g,
   const auto nn = static_cast<std::size_t>(n);
   DMF_REQUIRE(cluster_of.size() == nn, "make_cluster_graph: size mismatch");
   ClusterGraph cg;
-  cg.base = &g;
+  cg.base = std::make_shared<const CsrGraph>(g);
+  const CsrGraph& csr = *cg.base;
   cg.cluster_of = cluster_of;
   cg.count = 0;
   for (const int c : cluster_of) {
@@ -136,12 +135,13 @@ ClusterGraph make_cluster_graph(const Graph& g,
     while (!frontier.empty()) {
       const NodeId v = frontier.front();
       frontier.pop();
-      for (const AdjEntry& a : g.neighbors(v)) {
-        const auto ti = static_cast<std::size_t>(a.to);
+      const CsrRow row = csr.neighbors(v);
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        const auto ti = static_cast<std::size_t>(row.to(i));
         if (seen[ti] || cluster_of[ti] != c) continue;
         seen[ti] = 1;
         cg.tree_parent[ti] = v;
-        frontier.push(a.to);
+        frontier.push(row.to(i));
       }
     }
   }
@@ -253,19 +253,19 @@ class ClusterExchangeProgram {
   double result_ = 0.0;
 };
 
-std::size_t port_of_edge(const Graph& g, NodeId v, EdgeId e) {
-  const auto& ports = g.neighbors(v);
+std::size_t port_of_edge(const CsrGraph& g, NodeId v, EdgeId e) {
+  const CsrRow ports = g.neighbors(v);
   for (std::size_t p = 0; p < ports.size(); ++p) {
-    if (ports[p].edge == e) return p;
+    if (ports.edge(p) == e) return p;
   }
   DMF_REQUIRE(false, "port_of_edge: edge not incident");
   return congest::kNoPort;
 }
 
-std::size_t port_of_neighbor(const Graph& g, NodeId v, NodeId to) {
-  const auto& ports = g.neighbors(v);
+std::size_t port_of_neighbor(const CsrGraph& g, NodeId v, NodeId to) {
+  const CsrRow ports = g.neighbors(v);
   for (std::size_t p = 0; p < ports.size(); ++p) {
-    if (ports[p].to == to) return p;
+    if (ports.to(p) == to) return p;
   }
   DMF_REQUIRE(false, "port_of_neighbor: not a neighbor");
   return congest::kNoPort;
@@ -277,7 +277,7 @@ ClusterExchangeResult simulate_cluster_exchange(
     const ClusterGraph& cg, const std::vector<double>& leader_token) {
   DMF_REQUIRE(leader_token.size() == static_cast<std::size_t>(cg.count),
               "simulate_cluster_exchange: token count mismatch");
-  const Graph& g = *cg.base;
+  const CsrGraph& g = *cg.base;
   const NodeId n = g.num_nodes();
   const int dmax = cg.max_tree_depth();
 

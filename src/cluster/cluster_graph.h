@@ -16,17 +16,21 @@
 // ledger is backed by measured rounds (experiment E8).
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "congest/network.h"
 #include "congest/programs.h"
+#include "graph/csr_graph.h"
 #include "graph/graph.h"
 #include "graph/multigraph.h"
 
 namespace dmf {
 
 struct ClusterGraph {
-  const Graph* base = nullptr;
+  // CSR view of the base graph, packed once by make_cluster_graph; it
+  // borrows the graph, which must outlive the ClusterGraph.
+  std::shared_ptr<const CsrGraph> base;
   std::vector<int> cluster_of;      // node -> cluster id in [0, count)
   std::vector<NodeId> leader;       // cluster id -> leader node
   std::vector<NodeId> tree_parent;  // node -> parent in its cluster tree

@@ -22,17 +22,20 @@ DistributedBfsResult run_distributed_bfs(const Graph& g, NodeId root) {
 
 std::vector<std::vector<std::size_t>> children_ports_from_bfs(
     const Graph& g, const DistributedBfsResult& bfs) {
+  // Ports are CSR row positions, as in Network.
+  const CsrGraph csr(g);
   const auto n = static_cast<std::size_t>(g.num_nodes());
   std::vector<std::vector<std::size_t>> children(n);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const std::size_t pp = bfs.parent_port[static_cast<std::size_t>(v)];
     if (pp == kNoPort) continue;  // root (or unreached)
-    const NodeId parent = g.neighbors(v)[pp].to;
-    const EdgeId via = g.neighbors(v)[pp].edge;
+    const CsrRow row = csr.neighbors(v);
+    const NodeId parent = row.to(pp);
+    const EdgeId via = row.edge(pp);
     // Find the parent's port for this edge.
-    const auto& pports = g.neighbors(parent);
+    const CsrRow pports = csr.neighbors(parent);
     for (std::size_t q = 0; q < pports.size(); ++q) {
-      if (pports[q].edge == via) {
+      if (pports.edge(q) == via) {
         children[static_cast<std::size_t>(parent)].push_back(q);
         break;
       }

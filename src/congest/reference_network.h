@@ -85,15 +85,23 @@ class ReferenceNetwork {
   explicit ReferenceNetwork(const Graph& g) : graph_(&g) {
     const auto n = static_cast<std::size_t>(g.num_nodes());
     contexts_.resize(n);
+    // Port lists straight from the edge list, independently of CsrGraph:
+    // appending both half-edges in edge-id order numbers each node's
+    // ports by increasing edge id, the order Network's CSR rows use.
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const EdgeEndpoints ep = g.endpoints(e);
+      const auto add_port = [&](NodeId from, NodeId to) {
+        RefNodeContext& ctx = contexts_[static_cast<std::size_t>(from)];
+        ctx.ports_.push_back({to, e});
+        ctx.capacities_.push_back(g.capacity(e));
+      };
+      add_port(ep.u, ep.v);
+      add_port(ep.v, ep.u);
+    }
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       RefNodeContext& ctx = contexts_[static_cast<std::size_t>(v)];
       ctx.id_ = v;
       ctx.num_nodes_ = g.num_nodes();
-      ctx.ports_ = g.neighbors(v);
-      ctx.capacities_.reserve(ctx.ports_.size());
-      for (const AdjEntry& a : ctx.ports_) {
-        ctx.capacities_.push_back(g.capacity(a.edge));
-      }
       ctx.inbox_.assign(ctx.ports_.size(), std::nullopt);
       ctx.outbox_.assign(ctx.ports_.size(), std::nullopt);
     }

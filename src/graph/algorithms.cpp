@@ -5,28 +5,7 @@
 
 namespace dmf {
 
-namespace {
-
-// Uniform (to, edge) access over the two row types.
-inline NodeId neighbor_to(const std::vector<AdjEntry>& row, std::size_t i) {
-  return row[i].to;
-}
-inline NodeId neighbor_to(const CsrRow& row, std::size_t i) {
-  return row.to(i);
-}
-inline EdgeId neighbor_edge(const std::vector<AdjEntry>& row, std::size_t i) {
-  return row[i].edge;
-}
-inline EdgeId neighbor_edge(const CsrRow& row, std::size_t i) {
-  return row.edge(i);
-}
-
-// Shared BFS bodies: GraphT is Graph or CsrGraph. The neighbor
-// enumeration differs (ragged vectors vs CSR rows) but the visit order
-// is identical, so both instantiations produce the same result.
-
-template <typename GraphT>
-std::vector<int> bfs_distances_impl(const GraphT& g, NodeId src) {
+std::vector<int> bfs_distances(const CsrGraph& g, NodeId src) {
   DMF_REQUIRE(g.is_valid_node(src), "bfs_distances: bad source");
   std::vector<int> dist(static_cast<std::size_t>(g.num_nodes()), kUnreached);
   std::queue<NodeId> frontier;
@@ -35,9 +14,9 @@ std::vector<int> bfs_distances_impl(const GraphT& g, NodeId src) {
   while (!frontier.empty()) {
     const NodeId v = frontier.front();
     frontier.pop();
-    const auto& row = g.neighbors(v);
+    const CsrRow row = g.neighbors(v);
     for (std::size_t i = 0; i < row.size(); ++i) {
-      const NodeId to = neighbor_to(row, i);
+      const NodeId to = row.to(i);
       if (dist[static_cast<std::size_t>(to)] == kUnreached) {
         dist[static_cast<std::size_t>(to)] =
             dist[static_cast<std::size_t>(v)] + 1;
@@ -48,8 +27,11 @@ std::vector<int> bfs_distances_impl(const GraphT& g, NodeId src) {
   return dist;
 }
 
-template <typename GraphT>
-BfsTree build_bfs_tree_impl(const GraphT& g, NodeId root) {
+std::vector<int> bfs_distances(const Graph& g, NodeId src) {
+  return bfs_distances(CsrGraph(g), src);
+}
+
+BfsTree build_bfs_tree(const CsrGraph& g, NodeId root) {
   DMF_REQUIRE(g.is_valid_node(root), "build_bfs_tree: bad root");
   const auto n = static_cast<std::size_t>(g.num_nodes());
   BfsTree tree;
@@ -65,15 +47,14 @@ BfsTree build_bfs_tree_impl(const GraphT& g, NodeId root) {
     frontier.pop();
     tree.height =
         std::max(tree.height, tree.depth[static_cast<std::size_t>(v)]);
-    const auto& row = g.neighbors(v);
+    const CsrRow row = g.neighbors(v);
     for (std::size_t i = 0; i < row.size(); ++i) {
-      const NodeId to = neighbor_to(row, i);
+      const NodeId to = row.to(i);
       if (tree.depth[static_cast<std::size_t>(to)] == kUnreached) {
         tree.depth[static_cast<std::size_t>(to)] =
             tree.depth[static_cast<std::size_t>(v)] + 1;
         tree.parent[static_cast<std::size_t>(to)] = v;
-        tree.parent_edge[static_cast<std::size_t>(to)] =
-            neighbor_edge(row, i);
+        tree.parent_edge[static_cast<std::size_t>(to)] = row.edge(i);
         frontier.push(to);
       }
     }
@@ -81,25 +62,11 @@ BfsTree build_bfs_tree_impl(const GraphT& g, NodeId root) {
   return tree;
 }
 
-}  // namespace
-
-std::vector<int> bfs_distances(const Graph& g, NodeId src) {
-  return bfs_distances_impl(g, src);
-}
-
-std::vector<int> bfs_distances(const CsrGraph& g, NodeId src) {
-  return bfs_distances_impl(g, src);
-}
-
 BfsTree build_bfs_tree(const Graph& g, NodeId root) {
-  return build_bfs_tree_impl(g, root);
+  return build_bfs_tree(CsrGraph(g), root);
 }
 
-BfsTree build_bfs_tree(const CsrGraph& g, NodeId root) {
-  return build_bfs_tree_impl(g, root);
-}
-
-Components connected_components(const Graph& g) {
+Components connected_components(const CsrGraph& g) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   Components comps;
   comps.label.assign(n, -1);
@@ -112,10 +79,12 @@ Components connected_components(const Graph& g) {
     while (!frontier.empty()) {
       const NodeId v = frontier.front();
       frontier.pop();
-      for (const AdjEntry& a : g.neighbors(v)) {
-        if (comps.label[static_cast<std::size_t>(a.to)] == -1) {
-          comps.label[static_cast<std::size_t>(a.to)] = id;
-          frontier.push(a.to);
+      const CsrRow row = g.neighbors(v);
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        const NodeId to = row.to(i);
+        if (comps.label[static_cast<std::size_t>(to)] == -1) {
+          comps.label[static_cast<std::size_t>(to)] = id;
+          frontier.push(to);
         }
       }
     }
@@ -123,23 +92,20 @@ Components connected_components(const Graph& g) {
   return comps;
 }
 
-namespace {
+Components connected_components(const Graph& g) {
+  return connected_components(CsrGraph(g));
+}
 
-template <typename GraphT>
-bool is_connected_impl(const GraphT& g) {
+bool is_connected(const CsrGraph& g) {
   if (g.num_nodes() == 0) return true;
-  const std::vector<int> dist = bfs_distances_impl(g, 0);
+  const std::vector<int> dist = bfs_distances(g, 0);
   return std::all_of(dist.begin(), dist.end(),
                      [](int d) { return d != kUnreached; });
 }
 
-}  // namespace
+bool is_connected(const Graph& g) { return is_connected(CsrGraph(g)); }
 
-bool is_connected(const Graph& g) { return is_connected_impl(g); }
-
-bool is_connected(const CsrGraph& g) { return is_connected_impl(g); }
-
-int eccentricity(const Graph& g, NodeId v) {
+int eccentricity(const CsrGraph& g, NodeId v) {
   const std::vector<int> dist = bfs_distances(g, v);
   int ecc = 0;
   for (int d : dist) {
@@ -149,7 +115,11 @@ int eccentricity(const Graph& g, NodeId v) {
   return ecc;
 }
 
-int diameter_exact(const Graph& g) {
+int eccentricity(const Graph& g, NodeId v) {
+  return eccentricity(CsrGraph(g), v);
+}
+
+int diameter_exact(const CsrGraph& g) {
   DMF_REQUIRE(g.num_nodes() > 0, "diameter_exact: empty graph");
   int diameter = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -158,7 +128,9 @@ int diameter_exact(const Graph& g) {
   return diameter;
 }
 
-int diameter_double_sweep(const Graph& g, NodeId start) {
+int diameter_exact(const Graph& g) { return diameter_exact(CsrGraph(g)); }
+
+int diameter_double_sweep(const CsrGraph& g, NodeId start) {
   DMF_REQUIRE(g.is_valid_node(start), "diameter_double_sweep: bad start");
   const std::vector<int> first = bfs_distances(g, start);
   NodeId far = start;
@@ -171,6 +143,10 @@ int diameter_double_sweep(const Graph& g, NodeId start) {
     }
   }
   return eccentricity(g, far);
+}
+
+int diameter_double_sweep(const Graph& g, NodeId start) {
+  return diameter_double_sweep(CsrGraph(g), start);
 }
 
 }  // namespace dmf

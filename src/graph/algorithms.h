@@ -1,10 +1,8 @@
 // Basic graph algorithms: BFS, connectivity, diameter.
 //
-// The traversals come in two flavors: the Graph form for mutable /
-// under-construction graphs, and a CsrGraph overload for the frozen
-// snapshot view the solvers run on. Both visit neighbors in the same
-// order (CSR rows preserve the Graph's adjacency order exactly), so
-// trees, distances, and component labels are identical between them.
+// Every traversal runs on the CsrGraph view. The Graph overloads pack
+// one stack-local CsrGraph and call the CSR form, so both give the same
+// trees, distances, and component labels.
 #pragma once
 
 #include <vector>
@@ -33,13 +31,15 @@ struct BfsTree {
 BfsTree build_bfs_tree(const Graph& g, NodeId root);
 BfsTree build_bfs_tree(const CsrGraph& g, NodeId root);
 
-// Connected components: labels in [0, count).
+// Connected components: labels in [0, count), numbered in order of each
+// component's smallest node.
 struct Components {
   std::vector<int> label;
   int count = 0;
 };
 
 Components connected_components(const Graph& g);
+Components connected_components(const CsrGraph& g);
 
 bool is_connected(const Graph& g);
 bool is_connected(const CsrGraph& g);
@@ -47,11 +47,14 @@ bool is_connected(const CsrGraph& g);
 // Exact hop diameter via BFS from every node. O(n·m); fine up to n ~ few
 // thousand. Requires a connected graph.
 int diameter_exact(const Graph& g);
+int diameter_exact(const CsrGraph& g);
 
 // Double-sweep lower bound on the hop diameter (exact on trees). O(m).
 int diameter_double_sweep(const Graph& g, NodeId start = 0);
+int diameter_double_sweep(const CsrGraph& g, NodeId start = 0);
 
 // Eccentricity of v (max hop distance to any node). Requires connectivity.
 int eccentricity(const Graph& g, NodeId v);
+int eccentricity(const CsrGraph& g, NodeId v);
 
 }  // namespace dmf

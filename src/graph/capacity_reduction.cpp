@@ -4,11 +4,14 @@
 #include <cmath>
 #include <queue>
 
+#include "graph/csr_graph.h"
+
 namespace dmf {
 
 double widest_path_capacity(const Graph& g, NodeId s, NodeId t) {
   DMF_REQUIRE(g.is_valid_node(s) && g.is_valid_node(t),
               "widest_path_capacity: bad terminals");
+  const CsrGraph csr(g);
   const auto nn = static_cast<std::size_t>(g.num_nodes());
   std::vector<double> width(nn, 0.0);
   width[static_cast<std::size_t>(s)] = std::numeric_limits<double>::infinity();
@@ -20,11 +23,13 @@ double widest_path_capacity(const Graph& g, NodeId s, NodeId t) {
     queue.pop();
     if (w < width[static_cast<std::size_t>(v)]) continue;
     if (v == t) break;
-    for (const AdjEntry& a : g.neighbors(v)) {
-      const double through = std::min(w, g.capacity(a.edge));
-      if (through > width[static_cast<std::size_t>(a.to)]) {
-        width[static_cast<std::size_t>(a.to)] = through;
-        queue.push({through, a.to});
+    const CsrRow row = csr.neighbors(v);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      const double through = std::min(w, csr.capacity(row.edge(i)));
+      const NodeId to = row.to(i);
+      if (through > width[static_cast<std::size_t>(to)]) {
+        width[static_cast<std::size_t>(to)] = through;
+        queue.push({through, to});
       }
     }
   }

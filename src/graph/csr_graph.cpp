@@ -81,8 +81,7 @@ void CsrGraph::build(const CsrGraph* previous) {
 
   // Full pack: count degrees, prefix-sum, then place both half-edges of
   // every edge in edge-id order. Per row that yields increasing edge
-  // ids — exactly the order Graph::add_edge appended them, so CSR rows
-  // and Graph::neighbors() enumerate identical sequences.
+  // ids — the order Graph::add_edge created them.
   const EdgeEndpoints* eps = endpoints_;
   for (std::size_t e = 0; e < m; ++e) {
     ++off[static_cast<std::size_t>(eps[e].u) + 1];

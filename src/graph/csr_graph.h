@@ -1,26 +1,25 @@
-// Flat compact-sparse-row snapshot of a Graph — the solver hot-path view.
+// Flat compact-sparse-row adjacency of a Graph — the library's only
+// adjacency structure.
 //
-// Graph keeps adjacency as vector<vector<AdjEntry>>: friendly to
-// incremental construction, hostile to traversal (one heap allocation
-// per node defeats cache locality, and every accessor re-validates its
-// argument). Since GraphStore snapshots are immutable after publish, the
-// representation can be frozen and packed once: CsrGraph lays the whole
-// adjacency out in four contiguous arrays
+// Graph is an edge list (graph/graph.h); every traversal runs on a
+// CsrGraph packed from it. GraphStore snapshots are immutable after
+// publish, so each one packs its CsrGraph once; a stack-local graph
+// gets a non-owning view in O(n + m). CsrGraph lays the adjacency out
+// in four contiguous arrays
 //
 //   offsets[n+1]   row boundaries (row v = [offsets[v], offsets[v+1]))
 //   neighbors[2m]  the node reached by each half-edge
 //   edge_ids[2m]   the graph edge each half-edge belongs to
 //   capacities[m]  per-edge capacity (borrowed from the Graph)
 //
-// preserving the Graph's per-node adjacency order EXACTLY (both are in
-// increasing edge-id order per node), so any traversal converted from
-// Graph::neighbors() to a CSR row visits the same entries in the same
-// order — seeded results stay bitwise identical.
+// Every row lists a node's incident edges in increasing edge id — the
+// order Graph::add_edge created them — so traversal order, and with it
+// every seeded result, depends only on the edge list.
 //
-// Division of labor after this split: Graph is the safe mutable builder
-// (every accessor DMF_REQUIREs its argument, in Release too); CsrGraph
-// is the frozen hot view (DMF_ASSERT only — free in Release), plus raw
-// array access for inner loops that index edges directly.
+// Division of labor: Graph is the safe mutable builder (every accessor
+// DMF_REQUIREs its argument, in Release too); CsrGraph is the frozen hot
+// view (DMF_ASSERT only — free in Release), plus raw array access for
+// inner loops that index edges directly.
 //
 // Lifetime: the owning form holds the Graph via shared_ptr and borrows
 // its endpoint/capacity storage (zero copies — snapshots are immutable).
@@ -123,7 +122,7 @@ class CsrGraph {
   }
 
   // Sum of capacities of edges incident to v, accumulated in edge-id
-  // order — bitwise identical to Graph::weighted_degree.
+  // order.
   [[nodiscard]] double weighted_degree(NodeId v) const {
     const CsrRow row = neighbors(v);
     double total = 0.0;

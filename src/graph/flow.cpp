@@ -5,17 +5,37 @@
 
 namespace dmf {
 
+namespace {
+
+// The edge-list scans shared by the Graph and CsrGraph overloads.
+
+void divergence_into(NodeId n, const EdgeEndpoints* eps,
+                     const std::vector<double>& flow,
+                     std::vector<double>& div) {
+  div.assign(static_cast<std::size_t>(n), 0.0);
+  for (std::size_t e = 0; e < flow.size(); ++e) {
+    const double f = flow[e];
+    div[static_cast<std::size_t>(eps[e].u)] += f;
+    div[static_cast<std::size_t>(eps[e].v)] -= f;
+  }
+}
+
+double congestion(const double* cap, const std::vector<double>& flow) {
+  double worst = 0.0;
+  for (std::size_t e = 0; e < flow.size(); ++e) {
+    worst = std::max(worst, std::abs(flow[e]) / cap[e]);
+  }
+  return worst;
+}
+
+}  // namespace
+
 std::vector<double> flow_divergence(const Graph& g,
                                     const std::vector<double>& flow) {
   DMF_REQUIRE(flow.size() == static_cast<std::size_t>(g.num_edges()),
               "flow_divergence: size mismatch");
-  std::vector<double> div(static_cast<std::size_t>(g.num_nodes()), 0.0);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const EdgeEndpoints ep = g.endpoints(e);
-    const double f = flow[static_cast<std::size_t>(e)];
-    div[static_cast<std::size_t>(ep.u)] += f;
-    div[static_cast<std::size_t>(ep.v)] -= f;
-  }
+  std::vector<double> div;
+  divergence_into(g.num_nodes(), g.edge_endpoints().data(), flow, div);
   return div;
 }
 
@@ -30,28 +50,12 @@ void flow_divergence_into(const CsrGraph& g, const std::vector<double>& flow,
                           std::vector<double>& div) {
   DMF_REQUIRE(flow.size() == static_cast<std::size_t>(g.num_edges()),
               "flow_divergence: size mismatch");
-  div.assign(static_cast<std::size_t>(g.num_nodes()), 0.0);
-  const EdgeEndpoints* eps = g.endpoints_data();
-  const auto m = static_cast<std::size_t>(g.num_edges());
-  for (std::size_t e = 0; e < m; ++e) {
-    const double f = flow[e];
-    div[static_cast<std::size_t>(eps[e].u)] += f;
-    div[static_cast<std::size_t>(eps[e].v)] -= f;
-  }
-}
-
-double flow_value(const Graph& g, const std::vector<double>& flow, NodeId s) {
-  double value = 0.0;
-  for (const AdjEntry& a : g.neighbors(s)) {
-    const EdgeEndpoints ep = g.endpoints(a.edge);
-    const double f = flow[static_cast<std::size_t>(a.edge)];
-    value += (ep.u == s) ? f : -f;
-  }
-  return value;
+  divergence_into(g.num_nodes(), g.endpoints_data(), flow, div);
 }
 
 double flow_value(const CsrGraph& g, const std::vector<double>& flow,
                   NodeId s) {
+  DMF_REQUIRE(g.is_valid_node(s), "flow_value: bad node");
   double value = 0.0;
   const CsrRow row = g.neighbors(s);
   for (std::size_t i = 0; i < row.size(); ++i) {
@@ -62,27 +66,20 @@ double flow_value(const CsrGraph& g, const std::vector<double>& flow,
   return value;
 }
 
+double flow_value(const Graph& g, const std::vector<double>& flow, NodeId s) {
+  return flow_value(CsrGraph(g), flow, s);
+}
+
 double max_congestion(const Graph& g, const std::vector<double>& flow) {
   DMF_REQUIRE(flow.size() == static_cast<std::size_t>(g.num_edges()),
               "max_congestion: size mismatch");
-  double worst = 0.0;
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    worst = std::max(worst, std::abs(flow[static_cast<std::size_t>(e)]) /
-                                g.capacity(e));
-  }
-  return worst;
+  return congestion(g.capacities().data(), flow);
 }
 
 double max_congestion(const CsrGraph& g, const std::vector<double>& flow) {
   DMF_REQUIRE(flow.size() == static_cast<std::size_t>(g.num_edges()),
               "max_congestion: size mismatch");
-  const double* cap = g.capacities_data();
-  const auto m = static_cast<std::size_t>(g.num_edges());
-  double worst = 0.0;
-  for (std::size_t e = 0; e < m; ++e) {
-    worst = std::max(worst, std::abs(flow[e]) / cap[e]);
-  }
-  return worst;
+  return congestion(g.capacities_data(), flow);
 }
 
 bool is_feasible(const Graph& g, const std::vector<double>& flow, double tol) {

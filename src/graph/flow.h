@@ -23,8 +23,7 @@ namespace dmf {
 // (sources have positive b, sinks negative, sum b == 0).
 std::vector<double> flow_divergence(const Graph& g,
                                     const std::vector<double>& flow);
-// CSR overload for the solver hot path: same accumulation order (edge
-// ids ascending), bitwise-identical result.
+// Both overloads accumulate in edge-id order; results are identical.
 std::vector<double> flow_divergence(const CsrGraph& g,
                                     const std::vector<double>& flow);
 // In-place variant for per-iteration reuse (div is resized and zeroed).

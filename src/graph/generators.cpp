@@ -58,22 +58,17 @@ Graph make_gnp_connected(NodeId n, double p, const CapacityRange& caps,
       if (rng.next_bool(p)) g.add_edge(u, v, draw_capacity(caps, rng));
     }
   }
-  // Stitch components together with random inter-component edges.
-  Components comps = connected_components(g);
-  while (comps.count > 1) {
-    // Pick a representative of component 0 and of some other component.
-    NodeId a = kInvalidNode;
-    NodeId b = kInvalidNode;
-    for (NodeId v = 0; v < n && (a == kInvalidNode || b == kInvalidNode); ++v) {
-      if (comps.label[static_cast<std::size_t>(v)] == 0 && a == kInvalidNode) {
-        a = v;
-      } else if (comps.label[static_cast<std::size_t>(v)] != 0 &&
-                 b == kInvalidNode) {
-        b = v;
-      }
-    }
-    g.add_edge(a, b, draw_capacity(caps, rng));
-    comps = connected_components(g);
+  // Stitch components together: link node 0 to the smallest node of
+  // every other component, in label order. Labels number components by
+  // their smallest node, so this is the same edge sequence as linking
+  // node 0 to the smallest node it cannot reach until none is left.
+  const Components comps = connected_components(g);
+  std::vector<char> linked(static_cast<std::size_t>(comps.count), 0);
+  for (NodeId v = 0; v < n; ++v) {
+    char& done = linked[static_cast<std::size_t>(
+        comps.label[static_cast<std::size_t>(v)])];
+    if (done == 0 && v != 0) g.add_edge(0, v, draw_capacity(caps, rng));
+    done = 1;
   }
   return g;
 }

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,7 @@ struct EdgeEndpoints {
   NodeId v = kInvalidNode;
 };
 
-// One adjacency entry: the neighbor reached and the edge used.
+// One (neighbor, edge) pair, for callers that keep a local adjacency.
 struct AdjEntry {
   NodeId to = kInvalidNode;
   EdgeId edge = kInvalidEdge;
@@ -44,13 +45,16 @@ class Graph {
   explicit Graph(NodeId num_nodes) { add_nodes(num_nodes); }
 
   NodeId add_node() {
-    adjacency_.emplace_back();
-    return static_cast<NodeId>(adjacency_.size()) - 1;
+    add_nodes(1);
+    return num_nodes_ - 1;
   }
 
+  // Throws, leaving the count unchanged, if it would pass the NodeId range.
   void add_nodes(NodeId count) {
     DMF_REQUIRE(count >= 0, "add_nodes: negative count");
-    adjacency_.resize(adjacency_.size() + static_cast<std::size_t>(count));
+    DMF_REQUIRE(count <= std::numeric_limits<NodeId>::max() - num_nodes_,
+                "add_nodes: node count would overflow NodeId");
+    num_nodes_ += count;
   }
 
   EdgeId add_edge(NodeId u, NodeId v, double capacity = 1.0) {
@@ -61,14 +65,10 @@ class Graph {
     const auto e = static_cast<EdgeId>(endpoints_.size());
     endpoints_.push_back({u, v});
     capacities_.push_back(capacity);
-    adjacency_[static_cast<std::size_t>(u)].push_back({v, e});
-    adjacency_[static_cast<std::size_t>(v)].push_back({u, e});
     return e;
   }
 
-  [[nodiscard]] NodeId num_nodes() const {
-    return static_cast<NodeId>(adjacency_.size());
-  }
+  [[nodiscard]] NodeId num_nodes() const { return num_nodes_; }
   [[nodiscard]] EdgeId num_edges() const {
     return static_cast<EdgeId>(endpoints_.size());
   }
@@ -108,22 +108,6 @@ class Graph {
     capacities_[static_cast<std::size_t>(e)] = capacity;
   }
 
-  [[nodiscard]] const std::vector<AdjEntry>& neighbors(NodeId v) const {
-    DMF_REQUIRE(is_valid_node(v), "neighbors: bad node");
-    return adjacency_[static_cast<std::size_t>(v)];
-  }
-
-  [[nodiscard]] std::size_t degree(NodeId v) const {
-    return neighbors(v).size();
-  }
-
-  // Sum of capacities of edges incident to v.
-  [[nodiscard]] double weighted_degree(NodeId v) const {
-    double total = 0.0;
-    for (const AdjEntry& a : neighbors(v)) total += capacity(a.edge);
-    return total;
-  }
-
   [[nodiscard]] double total_capacity() const {
     double total = 0.0;
     for (double c : capacities_) total += c;
@@ -155,7 +139,7 @@ class Graph {
   [[nodiscard]] std::string summary() const;
 
  private:
-  std::vector<std::vector<AdjEntry>> adjacency_;
+  NodeId num_nodes_ = 0;
   std::vector<EdgeEndpoints> endpoints_;
   std::vector<double> capacities_;
 };

@@ -195,9 +195,9 @@ std::shared_ptr<GraphStore> GraphStore::open(const std::string& data_dir,
     DMF_REQUIRE(arrays.endpoints.size() >= m && arrays.capacities.size() >= m,
                 "GraphStore::open: arrays shorter than manifest edge count");
 
-    // Rebuild the Graph by replaying the edges in id order — bitwise
-    // identical to the graph that was persisted, because mutation is
-    // append-only and add_edge assigns adjacency in edge-id order.
+    // Rebuild the Graph's edge list by replaying the edges in id order
+    // through add_edge, which re-validates every endpoint and capacity;
+    // ids come out as persisted because mutation is append-only.
     Graph g(static_cast<NodeId>(n));
     for (std::uint64_t e = 0; e < m; ++e) {
       const EdgeEndpoints ep = arrays.endpoints[e];

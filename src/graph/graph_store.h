@@ -43,9 +43,9 @@
 
 namespace dmf {
 
-// One immutable published state of the graph. Each snapshot carries its
-// flat CSR view, packed once at publish time (graph/csr_graph.h):
-// solvers traverse `csr`, never the Graph's per-node vectors.
+// One immutable published state of the graph: the edge list (`graph`)
+// and its CSR adjacency (`csr`, graph/csr_graph.h), packed once at
+// publish time.
 // Capacity-only batches republish the previous snapshot's packed
 // adjacency arrays unchanged; node-only batches reuse the half-edge
 // arrays and re-derive the offsets; only batches that add edges pay a

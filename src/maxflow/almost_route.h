@@ -66,8 +66,7 @@ AlmostRouteResult almost_route(const CsrGraph& g,
                                const AlmostRouteOptions& options);
 
 // Convenience shim for callers holding only a Graph: packs a transient
-// CSR view (O(n + m), dwarfed by the descent) and delegates. Identical
-// results — CSR rows preserve the adjacency order.
+// CSR view (O(n + m), dwarfed by the descent) and delegates.
 AlmostRouteResult almost_route(const Graph& g,
                                const CongestionApproximator& approximator,
                                const std::vector<double>& demand,

@@ -70,7 +70,6 @@ std::uint64_t hierarchy_fingerprint(const ShermanOptions& options,
   h = fnv1a_mix(h, static_cast<std::uint64_t>(options.num_trees));
   h = fnv1a_mix(h, double_bits(options.alpha));
   h = fnv1a_mix(h, static_cast<std::uint64_t>(options.alpha_samples));
-  h = fnv1a_mix(h, double_bits(options.alpha_repair_reuse_fraction));
   h = fnv1a_mix(h, static_cast<std::uint64_t>(options.max_almost_route_calls));
   h = fnv1a_mix(h, double_bits(options.route_residual_tolerance));
   h = fnv1a_mix(h, double_bits(options.almost_route.epsilon));

@@ -23,10 +23,9 @@ SuperTerminalGraph build_super_terminal_graph(
     DMF_REQUIRE(!is_source[static_cast<std::size_t>(t)],
                 "super_terminal_graph: terminal sets must be disjoint");
   }
-  // Weighted degrees via one flat edge scan instead of per-terminal
-  // adjacency walks. Per node the incident capacities accumulate in
-  // edge-id order — the same order Graph::weighted_degree adds them, so
-  // the virtual-edge capacities are bitwise unchanged.
+  // Weighted degrees via one flat edge scan. Per node the incident
+  // capacities accumulate in edge-id order — the same order
+  // CsrGraph::weighted_degree adds them.
   const std::vector<EdgeEndpoints>& eps = g.edge_endpoints();
   const std::vector<double>& caps = g.capacities();
   std::vector<double> weighted(static_cast<std::size_t>(g.num_nodes()), 0.0);

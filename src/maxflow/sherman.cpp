@@ -260,25 +260,9 @@ std::shared_ptr<const ShermanHierarchy> ShermanHierarchy::repair(
   if (options.alpha > 0.0) {
     out->alpha_ = options.alpha;
   } else {
-    const double dirty_fraction =
-        count > 0 ? static_cast<double>(diff.num_dirty) /
-                        static_cast<double>(count)
-                  : 0.0;
-    if (options.alpha_repair_reuse_fraction > 0.0 &&
-        dirty_fraction <= options.alpha_repair_reuse_fraction) {
-      // Opt-in fixed-cost path: the alpha_samples Dinic+congestion
-      // probes dominate repair when few trees are dirty, and a mostly-
-      // clean approximator would estimate nearly the same alpha.
-      // Skipping them is safe for everything else: estimate_alpha is
-      // the LAST rng consumer in this reconstruction, so every other
-      // member still matches a from-scratch build bitwise.
-      out->alpha_ = prev.alpha_;
-      report->alpha_reused = true;
-    } else {
-      const AlphaEstimate est = estimate_alpha(g, *out->approximator_,
-                                               options.alpha_samples, rng);
-      out->alpha_ = std::clamp(1.25 * est.alpha, 1.5, 12.0);
-    }
+    const AlphaEstimate est = estimate_alpha(g, *out->approximator_,
+                                             options.alpha_samples, rng);
+    out->alpha_ = std::clamp(1.25 * est.alpha, 1.5, 12.0);
   }
   double mst_rounds = 0.0;
   out->mwst_ = boruvka_max_weight_tree(g, 0, &mst_rounds);

@@ -31,16 +31,6 @@ struct ShermanOptions {
   int num_trees = 0;            // sampled virtual trees; 0 = ceil(3 log2 n)
   double alpha = 0.0;           // 0 = estimate empirically after sampling
   int alpha_samples = 12;       // s-t pairs used by the alpha estimate
-  // Repair fast path: when alpha is estimated (alpha == 0) and a repair
-  // resamples at most this fraction of the trees, reuse the previous
-  // hierarchy's alpha instead of re-running the alpha_samples maxflow
-  // probes — they dominate repair cost when few trees are dirty, and a
-  // mostly-clean approximator estimates nearly the same alpha anyway.
-  // 0 (default) disables: alpha then matches a from-scratch rebuild
-  // bitwise, which the repair parity contract relies on. Opting in
-  // trades that strict parity (for alpha and everything downstream of
-  // it) for a flat repair cost; all other members stay bitwise equal.
-  double alpha_repair_reuse_fraction = 0.0;
   int max_almost_route_calls = 0;  // 0 = ceil(log2 m) + 2
   // route() hands the residual to the exact Lemma 9.1 tree rerouting once
   // its mass falls below this fraction of the demand scale. The default
@@ -92,9 +82,6 @@ struct HierarchyRepairReport {
   int trees_total = 0;
   int trees_repaired = 0;  // dirty: resampled from their recorded seeds
   int trees_reused = 0;    // clean: structure spliced, loads recomputed
-  // The alpha_repair_reuse_fraction fast path engaged: the previous
-  // alpha was carried over and the estimation probes were skipped.
-  bool alpha_reused = false;
 };
 
 // Which trees of `prev` a transition to graph `next` invalidates.

@@ -114,13 +114,14 @@ TEST(DistributedBfs, ParentPortsFormTree) {
   Rng rng(109);
   const Graph g = make_grid(6, 6, {1, 1}, rng);
   const DistributedBfsResult result = run_distributed_bfs(g, 0);
+  const CsrGraph csr(g);
   int roots = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (result.parent_port[static_cast<std::size_t>(v)] == kNoPort) {
       ++roots;
     } else {
       const NodeId p =
-          g.neighbors(v)[result.parent_port[static_cast<std::size_t>(v)]].to;
+          csr.neighbors(v).to(result.parent_port[static_cast<std::size_t>(v)]);
       EXPECT_EQ(result.depth[static_cast<std::size_t>(v)],
                 result.depth[static_cast<std::size_t>(p)] + 1);
     }
@@ -414,19 +415,20 @@ TEST(DistributedPushRelabel, FlowConservationAtEarlyPulseBoundaryStop) {
   EXPECT_GT(stats.rounds, 0);
   EXPECT_EQ(stats.rounds % 3, 0);  // a pulse boundary
   // Edge antisymmetry: both endpoints agree on every edge's flow.
+  const CsrGraph csr(g);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const EdgeEndpoints ep = g.endpoints(e);
-    const auto port_of = [&g](NodeId v, EdgeId edge) {
-      const auto& ports = g.neighbors(v);
+    const auto port_of = [&csr](NodeId v, EdgeId edge) {
+      const CsrRow ports = csr.neighbors(v);
       for (std::size_t p = 0; p < ports.size(); ++p) {
-        if (ports[p].edge == edge) return p;
+        if (ports.edge(p) == edge) return p;
       }
       return ports.size();
     };
     const std::size_t pu = port_of(ep.u, e);
     const std::size_t pv = port_of(ep.v, e);
-    ASSERT_LT(pu, g.neighbors(ep.u).size());
-    ASSERT_LT(pv, g.neighbors(ep.v).size());
+    ASSERT_LT(pu, csr.degree(ep.u));
+    ASSERT_LT(pv, csr.degree(ep.v));
     EXPECT_NEAR(programs[static_cast<std::size_t>(ep.u)].port_flow()[pu],
                 -programs[static_cast<std::size_t>(ep.v)].port_flow()[pv],
                 1e-6)

@@ -92,6 +92,17 @@ TEST(GraphStore, InvalidOpRejectsWholeBatchAtomically) {
   EXPECT_DOUBLE_EQ(store.snapshot().graph->capacity(0), 1.0);
 }
 
+// Two add_nodes ops of 2^30 would carry the count past the NodeId
+// range: the batch throws and publishes nothing.
+TEST(GraphStore, NodeCountOverflowRejectsWholeBatch) {
+  GraphStore store(triangle());
+  MutationBatch batch;
+  batch.add_nodes(NodeId{1} << 30).add_nodes(NodeId{1} << 30);
+  EXPECT_THROW(store.apply(batch), RequirementError);
+  EXPECT_EQ(store.latest_version(), 0u);
+  EXPECT_EQ(store.snapshot().graph->num_nodes(), 3);
+}
+
 TEST(MutationBatch, RejectsNonFiniteCapacityAtRecordTime) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();

@@ -1,9 +1,12 @@
 // Unit tests for the core Graph structure and basic algorithms.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "graph/algorithms.h"
+#include "graph/csr_graph.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "util/rng.h"
@@ -30,8 +33,9 @@ TEST(Graph, AddNodesAndEdges) {
   EXPECT_EQ(g.endpoints(e0).v, 1);
   EXPECT_EQ(g.other_endpoint(e0, 0), 1);
   EXPECT_EQ(g.other_endpoint(e0, 1), 0);
-  EXPECT_EQ(g.degree(1), 2u);
-  EXPECT_DOUBLE_EQ(g.weighted_degree(1), 8.0);
+  const CsrGraph csr(g);
+  EXPECT_EQ(csr.degree(1), 2u);
+  EXPECT_DOUBLE_EQ(csr.weighted_degree(1), 8.0);
   EXPECT_DOUBLE_EQ(g.total_capacity(), 8.0);
 }
 
@@ -40,7 +44,7 @@ TEST(Graph, ParallelEdgesAllowed) {
   g.add_edge(0, 1, 1.0);
   g.add_edge(0, 1, 2.0);
   EXPECT_EQ(g.num_edges(), 2);
-  EXPECT_EQ(g.degree(0), 2u);
+  EXPECT_EQ(CsrGraph(g).degree(0), 2u);
 }
 
 TEST(Graph, RejectsSelfLoops) {
@@ -74,6 +78,23 @@ TEST(Graph, RejectsBadNodes) {
   Graph g(2);
   EXPECT_THROW(g.add_edge(0, 2, 1.0), RequirementError);
   EXPECT_THROW(g.add_edge(-1, 0, 1.0), RequirementError);
+}
+
+// Node counts past the NodeId range throw before anything changes
+// (a wrapped count would be signed overflow).
+TEST(Graph, AddNodesRejectsNodeIdOverflow) {
+  constexpr NodeId kMax = std::numeric_limits<NodeId>::max();
+  Graph g(3);
+  g.add_edge(0, 1, 2.0);
+  EXPECT_THROW(g.add_nodes(kMax), RequirementError);
+  EXPECT_EQ(g.num_nodes(), 3);
+  g.add_nodes(kMax - 4);
+  EXPECT_EQ(g.num_nodes(), kMax - 1);
+  EXPECT_EQ(g.add_node(), kMax - 1);
+  EXPECT_THROW(g.add_node(), RequirementError);
+  EXPECT_THROW(g.add_nodes(1), RequirementError);
+  EXPECT_EQ(g.num_nodes(), kMax);
+  EXPECT_EQ(g.num_edges(), 1);
 }
 
 TEST(Graph, SetCapacity) {
@@ -141,6 +162,51 @@ TEST(Diameter, DoubleSweepOnTreeIsExact) {
   }
 }
 
+// FNV-1a 64 over n, m, then each edge's u, v and capacity bit pattern in
+// id order, one xor-multiply per 64-bit word.
+std::uint64_t graph_fingerprint(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t word) {
+    h ^= word;
+    h *= 0x100000001b3ull;
+  };
+  mix(static_cast<std::uint64_t>(g.num_nodes()));
+  mix(static_cast<std::uint64_t>(g.num_edges()));
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const EdgeEndpoints ep = g.endpoints(e);
+    const double cap = g.capacity(e);
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &cap, sizeof(bits));
+    mix(static_cast<std::uint64_t>(ep.u));
+    mix(static_cast<std::uint64_t>(ep.v));
+    mix(bits);
+  }
+  return h;
+}
+
+// The graphs the engine benchmark serves, pinned edge by edge: the
+// generators must keep producing them bitwise.
+TEST(Generators, GoldenFingerprintsOfBenchmarkGraphs) {
+  {
+    Rng rng(0x73657276655f7374ull);
+    const Graph g = make_gnp_connected(256, 4.0 / 256, {1, 8}, rng);
+    EXPECT_EQ(g.num_edges(), 520);
+    EXPECT_EQ(graph_fingerprint(g), 0x383bbb4812f51d6aull);
+  }
+  {
+    Rng rng(0x726f7574656d6978ull);
+    const Graph g = make_grid(16, 16, {1, 8}, rng);
+    EXPECT_EQ(g.num_edges(), 480);
+    EXPECT_EQ(graph_fingerprint(g), 0x1b98a72d9850479full);
+  }
+  {
+    Rng rng(0x6d75746174655f70ull);
+    const Graph g = make_gnp_connected(16384, 4.0 / 16384, {1, 8}, rng);
+    EXPECT_EQ(g.num_edges(), 33103);
+    EXPECT_EQ(graph_fingerprint(g), 0xc1c65fa76bb76707ull);
+  }
+}
+
 TEST(Generators, GridShape) {
   Rng rng(5);
   const Graph g = make_grid(7, 5, {1, 4}, rng);
@@ -155,7 +221,8 @@ TEST(Generators, TorusIsRegular) {
   Rng rng(5);
   const Graph g = make_torus(5, 4, {1, 1}, rng);
   EXPECT_EQ(g.num_nodes(), 20);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_EQ(g.degree(v), 4u);
+  const CsrGraph csr(g);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_EQ(csr.degree(v), 4u);
   EXPECT_TRUE(is_connected(g));
 }
 
@@ -172,7 +239,8 @@ TEST(Generators, RandomRegularDegrees) {
   Rng rng(13);
   const Graph g = make_random_regular(30, 4, {1, 1}, rng);
   EXPECT_TRUE(is_connected(g));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_EQ(g.degree(v), 4u);
+  const CsrGraph csr(g);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_EQ(csr.degree(v), 4u);
 }
 
 TEST(Generators, BarbellHasBridge) {

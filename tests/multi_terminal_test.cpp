@@ -5,6 +5,7 @@
 
 #include "baselines/dinic.h"
 #include "engine/result.h"
+#include "graph/csr_graph.h"
 #include "graph/flow.h"
 #include "graph/generators.h"
 #include "maxflow/multi_terminal.h"
@@ -23,11 +24,12 @@ double exact_multi(const Graph& g, const std::vector<NodeId>& sources,
   }
   const NodeId super_s = g.num_nodes();
   const NodeId super_t = g.num_nodes() + 1;
+  const CsrGraph csr(g);
   for (const NodeId s : sources) {
-    augmented.add_edge(super_s, s, std::max(1e-9, g.weighted_degree(s)));
+    augmented.add_edge(super_s, s, std::max(1e-9, csr.weighted_degree(s)));
   }
   for (const NodeId t : sinks) {
-    augmented.add_edge(t, super_t, std::max(1e-9, g.weighted_degree(t)));
+    augmented.add_edge(t, super_t, std::max(1e-9, csr.weighted_degree(t)));
   }
   return dinic_max_flow_value(augmented, super_s, super_t);
 }

@@ -280,131 +280,6 @@ TEST(HierarchyRepair, TopologyBatchesFallBackToFullRebuild) {
   EXPECT_EQ(stats.rebuild.repairs_completed, 1);
 }
 
-// Everything expect_bitwise_equal checks except alpha (and
-// build_rounds, which is independent of alpha either way).
-void expect_bitwise_equal_except_alpha(const ShermanHierarchy& got,
-                                       const ShermanHierarchy& want) {
-  ASSERT_EQ(got.approximator().num_trees(), want.approximator().num_trees());
-  EXPECT_EQ(got.build_rounds(), want.build_rounds());
-  EXPECT_EQ(got.bfs_height(), want.bfs_height());
-  for (int t = 0; t < got.approximator().num_trees(); ++t) {
-    const RootedTree& a = got.approximator().tree(t);
-    const RootedTree& b = want.approximator().tree(t);
-    EXPECT_EQ(a.root, b.root) << "tree " << t;
-    EXPECT_EQ(a.parent, b.parent) << "tree " << t;
-    EXPECT_EQ(a.parent_edge, b.parent_edge) << "tree " << t;
-    EXPECT_EQ(a.parent_cap, b.parent_cap) << "tree " << t;
-  }
-  EXPECT_EQ(got.mwst().root, want.mwst().root);
-  EXPECT_EQ(got.mwst().parent, want.mwst().parent);
-  EXPECT_EQ(got.mwst().parent_cap, want.mwst().parent_cap);
-}
-
-// The opt-in alpha reuse fast path (alpha_repair_reuse_fraction):
-// below the threshold the repaired hierarchy carries the previous
-// alpha and skips the estimation probes, while every OTHER member
-// stays bitwise identical to the uncached repair (which itself equals
-// a from-scratch build — estimate_alpha is the last rng consumer, so
-// skipping it cannot perturb anything already reconstructed).
-TEST(HierarchyRepair, AlphaReuseBelowThresholdKeepsEverythingElseBitwise) {
-  const std::uint64_t kSeed = 20250808;
-  const Graph g = repair_graph();
-  auto base = std::make_shared<const Graph>(g);
-  ShermanOptions opts;
-  opts.num_trees = 6;
-  // Octave-wide structural buckets (the engine's default): without
-  // quantization every capacity change dirties every tree and the
-  // below-threshold regime is unreachable.
-  opts.hierarchy.capacity_bucket_octaves = 1.0;
-  Rng build_rng(kSeed);
-  ShermanHierarchy prev(base, opts, build_rng, 1);
-  const int total = static_cast<int>(prev.tree_records().size());
-  ASSERT_EQ(total, 6);
-
-  // Find a single-edge capacity nudge that dirties some but at most
-  // half of the trees (which buckets a nudge crosses depends on each
-  // tree's dither, so probe edges until one lands in range).
-  std::shared_ptr<const Graph> next;
-  for (EdgeId e = 0; e < g.num_edges() && next == nullptr; ++e) {
-    auto candidate = std::make_shared<Graph>(g);
-    candidate->set_capacity(e, g.capacity(e) * 1.35);
-    const HierarchyDirtySet diff = hierarchy_dirty_set(prev, *candidate);
-    if (diff.num_dirty > 0 && diff.num_dirty * 2 <= total) {
-      next = std::move(candidate);
-    }
-  }
-  ASSERT_NE(next, nullptr) << "no probe dirtied 1.." << total / 2 << " trees";
-
-  // Uncached repair (the default): alpha re-estimated, full parity
-  // with a from-scratch build on the mutated graph.
-  HierarchyRepairReport plain_report;
-  Rng plain_rng(kSeed);
-  const auto plain = ShermanHierarchy::repair(prev, next, opts, plain_rng, 2,
-                                              nullptr, &plain_report);
-  ASSERT_NE(plain, nullptr);
-  EXPECT_TRUE(plain_report.attempted);
-  EXPECT_FALSE(plain_report.alpha_reused);
-  Rng fresh_rng(kSeed);
-  ShermanHierarchy fresh(next, opts, fresh_rng, 2);
-  expect_bitwise_equal(*plain, fresh);
-
-  // Opt-in repair with the dirty fraction under the threshold: alpha
-  // is carried over verbatim, the probes are skipped, and every other
-  // member matches the uncached repair bitwise.
-  ShermanOptions reuse_opts = opts;
-  reuse_opts.alpha_repair_reuse_fraction = 0.5;
-  HierarchyRepairReport reuse_report;
-  Rng reuse_rng(kSeed);
-  const auto reused = ShermanHierarchy::repair(prev, next, reuse_opts,
-                                               reuse_rng, 2, nullptr,
-                                               &reuse_report);
-  ASSERT_NE(reused, nullptr);
-  EXPECT_TRUE(reuse_report.attempted);
-  EXPECT_TRUE(reuse_report.alpha_reused);
-  EXPECT_EQ(reuse_report.trees_repaired, plain_report.trees_repaired);
-  EXPECT_EQ(reused->alpha(), prev.alpha());
-  expect_bitwise_equal_except_alpha(*reused, *plain);
-}
-
-// Above the threshold the fast path must NOT engage: the repair
-// re-estimates alpha and is fully bitwise identical to the uncached
-// path, so enabling the option never changes large repairs.
-TEST(HierarchyRepair, AlphaReuseAboveThresholdFallsBackToEstimation) {
-  const std::uint64_t kSeed = 20250808;
-  const Graph g = repair_graph();
-  auto base = std::make_shared<const Graph>(g);
-  ShermanOptions opts;
-  opts.num_trees = 6;
-  opts.hierarchy.capacity_bucket_octaves = 1.0;
-  Rng build_rng(kSeed);
-  ShermanHierarchy prev(base, opts, build_rng, 1);
-
-  // A x8 bump crosses >= 3 octave-wide buckets regardless of dither:
-  // every tree goes dirty, fraction 1.0 > any sane threshold.
-  auto next = std::make_shared<Graph>(g);
-  next->set_capacity(0, g.capacity(0) * 8.0);
-  const HierarchyDirtySet diff = hierarchy_dirty_set(prev, *next);
-  ASSERT_EQ(diff.num_dirty, static_cast<int>(prev.tree_records().size()));
-
-  ShermanOptions reuse_opts = opts;
-  reuse_opts.alpha_repair_reuse_fraction = 0.25;
-  HierarchyRepairReport report;
-  Rng reuse_rng(kSeed);
-  const auto repaired = ShermanHierarchy::repair(prev, next, reuse_opts,
-                                                 reuse_rng, 2, nullptr,
-                                                 &report);
-  ASSERT_NE(repaired, nullptr);
-  EXPECT_TRUE(report.attempted);
-  EXPECT_FALSE(report.alpha_reused);
-
-  Rng plain_rng(kSeed);
-  const auto plain =
-      ShermanHierarchy::repair(prev, next, opts, plain_rng, 2, nullptr);
-  ASSERT_NE(plain, nullptr);
-  expect_bitwise_equal(*repaired, *plain);
-  EXPECT_EQ(repaired->alpha(), plain->alpha());
-}
-
 // stats() is a coherent snapshot: once the engine is quiescent at a
 // version, a single snapshot must be internally consistent — refresh
 // counters balance and the version fields agree with what was awaited.

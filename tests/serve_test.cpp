@@ -446,6 +446,35 @@ TEST(ServeApp, QueryMutateStatsHealthz) {
   app.drain();
 }
 
+// A node count past the NodeId range is a bad request, not a wrapped
+// count: 400, nothing published, and the app keeps answering.
+TEST(ServeApp, MutateRejectsNodeCountOverflow) {
+  FlowEngine engine(serve_graph(), serve_engine_options());
+  ServeApp app(engine, ServeAppOptions{});
+  std::string error;
+  ASSERT_TRUE(app.start(&error)) << error;
+  const int port = app.http_port();
+
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(roundtrip(
+      port,
+      http_request("POST", "/v1/mutate",
+                   R"({"ops":[{"op":"add_nodes","count":2147483647}]})"),
+      &status, &body));
+  EXPECT_EQ(status, 400) << body;
+  EXPECT_EQ(engine.latest_version(), 0u);
+
+  ASSERT_TRUE(roundtrip(port,
+                        http_request("POST", "/v1/query", query_json(0, 35)),
+                        &status, &body));
+  EXPECT_EQ(status, 200) << body;
+  const Json q = Json::parse(body);
+  EXPECT_GT(q.find("result")->find("value")->as_number("value"), 0.0);
+
+  app.drain();
+}
+
 TEST(ServeApp, InFlightWindowShedsWith429) {
   FlowEngine engine(serve_graph(), serve_engine_options());
   ServeAppOptions opts;

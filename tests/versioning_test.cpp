@@ -50,8 +50,8 @@ struct Reference {
   Result<MultiTerminalMaxFlowResult> multi;
 };
 
-Reference reference_on(const Graph& g, int threads) {
-  FlowEngine engine(g, version_options(threads));
+// The three reference queries, answered by `engine`.
+Reference answers_of(FlowEngine& engine, const Graph& g) {
   Reference ref;
   ref.max_flow = engine.submit(MaxFlowQuery{0, 71}).get();
   std::vector<double> demand(static_cast<std::size_t>(g.num_nodes()), 0.0);
@@ -64,6 +64,11 @@ Reference reference_on(const Graph& g, int threads) {
   EXPECT_TRUE(ref.route.ok()) << ref.route.message;
   EXPECT_TRUE(ref.multi.ok()) << ref.multi.message;
   return ref;
+}
+
+Reference reference_on(const Graph& g, int threads) {
+  FlowEngine engine(g, version_options(threads));
+  return answers_of(engine, g);
 }
 
 TEST(FlowEngineVersioning, ApplyServesStaleThenSwapsIn) {
@@ -199,6 +204,34 @@ TEST(FlowEngineVersioning, PerVersionDeterminismRegardlessOfRebuildTiming) {
   ASSERT_TRUE(post_multi.ok()) << post_multi.message;
   EXPECT_EQ(post_multi.value().value, r1.multi.value().value);
   EXPECT_EQ(post_multi.value().flow, r1.multi.value().flow);
+}
+
+// dmf-serve's store keeps only the latest snapshot. The engine never
+// reads a past version, so after each swap, capacity-only and topology
+// alike, it still answers bitwise like a fresh engine on that graph.
+TEST(FlowEngineVersioning, HistoryLimitOneServesLikeAFreshEngine) {
+  auto store = std::make_shared<GraphStore>(test_graph(),
+                                            /*history_limit=*/1);
+  FlowEngine engine(store, version_options(2));
+  MutationBatch topology;
+  topology.add_nodes(1).add_edge(72, 0, 2.0).add_edge(72, 71, 3.0);
+  const std::vector<MutationBatch> batches = {
+      capacity_batch(*store->snapshot().graph), topology};
+  for (const MutationBatch& batch : batches) {
+    const GraphVersion v = engine.apply(batch).version;
+    ASSERT_TRUE(engine.wait_for_version(v, 120.0));
+    EXPECT_EQ(store->num_retained(), 1u);
+    const Graph& g = *store->snapshot().graph;
+    const Reference got = answers_of(engine, g);
+    const Reference want = reference_on(g, 1);
+    EXPECT_EQ(got.max_flow.served_version, v);
+    EXPECT_EQ(got.max_flow.value().value, want.max_flow.value().value);
+    EXPECT_EQ(got.max_flow.value().flow, want.max_flow.value().flow);
+    EXPECT_EQ(got.route.value().congestion, want.route.value().congestion);
+    EXPECT_EQ(got.route.value().flow, want.route.value().flow);
+    EXPECT_EQ(got.multi.value().value, want.multi.value().value);
+    EXPECT_EQ(got.multi.value().flow, want.multi.value().flow);
+  }
 }
 
 TEST(FlowEngineVersioning, MinVersionParksUntilRebuildLands) {
