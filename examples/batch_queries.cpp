@@ -3,7 +3,7 @@
 // Builds one graph, constructs the engine (= one congestion-approximator
 // hierarchy build plus a persistent worker pool), then *submits* a mixed
 // workload: many s-t max-flow queries, a multi-demand route() call, an
-// exact query dispatched to a baseline by the SolverRegistry, and two
+// exact query that select_solver sends to a baseline, and two
 // multi-terminal queries over the same terminal set — the second is a
 // hierarchy-cache hit. Tickets are collected after all submissions, so
 // queries execute concurrently while the submitter runs ahead.

@@ -3,12 +3,12 @@
 #include "baselines/dinic.h"
 #include "baselines/push_relabel.h"
 #include "congest/ledger.h"
-#include "graph/algorithms.h"
 
 namespace dmf {
 
 MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const CsrGraph& g,
-                                           NodeId s, NodeId t) {
+                                           NodeId s, NodeId t,
+                                           int bfs_height) {
   DMF_REQUIRE(kind == SolverKind::kDinic || kind == SolverKind::kPushRelabel,
               "exact_max_flow_adapter: not an exact baseline");
   MaxFlowResult exact = kind == SolverKind::kDinic
@@ -23,15 +23,9 @@ MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const CsrGraph& g,
   // Naive CONGEST accounting: collect the m edges at a leader over a BFS
   // tree, solve locally, broadcast the m flow values back.
   const congest::CostModel cost{.n = static_cast<int>(g.num_nodes()),
-                                .diameter = build_bfs_tree(g, 0).height};
+                                .diameter = bfs_height};
   out.rounds = 2.0 * cost.pipelined(static_cast<double>(g.num_edges()));
   return out;
-}
-
-MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const Graph& g,
-                                           NodeId s, NodeId t) {
-  const CsrGraph csr(g);
-  return exact_max_flow_adapter(kind, csr, s, t);
 }
 
 }  // namespace dmf

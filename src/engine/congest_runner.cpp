@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "congest/push_relabel_dist.h"
+#include "engine/session.h"
 #include "graph/algorithms.h"
 
 namespace dmf {
@@ -15,7 +16,9 @@ CongestRunResult CongestRunner::run(const CsrGraph& csr,
               "CongestRunner: bad terminals");
   congest::DistributedPushRelabelOptions options;
   options.max_rounds = query.max_rounds;
-  options.threads = query.threads;
+  // More OpenMP threads than the machine has only slow the run down (a
+  // huge request crashes libgomp), and the result is thread-invariant.
+  options.threads = std::min(query.threads, resolve_worker_threads(0));
   CongestRunResult out;
   const congest::DistributedPushRelabelResult result =
       run_distributed_push_relabel(csr, query.source, query.sink, options);

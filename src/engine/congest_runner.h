@@ -9,10 +9,9 @@
 // O(D)-round termination convergecast a real deployment would pay.
 //
 // CongestQuery goes through FlowEngine::submit() like any other query:
-// the SolverRegistry dispatches rounds queries to the
-// "congest-push-relabel" entry, the result rides a typed
-// Ticket<CongestRunResult>, and EngineStats folds the simulated rounds
-// into query_rounds_total.
+// it always reports the solver "congest-push-relabel", the result rides
+// a typed Ticket<CongestRunResult>, and EngineStats folds the simulated
+// rounds into query_rounds_total.
 #pragma once
 
 #include "congest/ledger.h"
@@ -31,7 +30,8 @@ struct CongestQuery {
   int max_rounds = 0;  // 0: the Ω(n²)-sized default budget
   // Simulator stepping threads. The engine default keeps each query
   // single-threaded — the worker pool already runs queries in parallel;
-  // raise it for one big dedicated run.
+  // raise it for one big dedicated run. Clamped to the hardware thread
+  // count; 0 means all of them. The result is identical at every value.
   int threads = 1;
 };
 

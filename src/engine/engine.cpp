@@ -16,6 +16,8 @@
 #include "baselines/adapters.h"
 #include "engine/hierarchy_cache.h"
 #include "engine/shard_plan.h"
+#include "engine/solver_select.h"
+#include "graph/algorithms.h"
 #include "graph/flow.h"
 #include "maxflow/hierarchy_io.h"
 #include "util/rng.h"
@@ -46,9 +48,6 @@ constexpr std::size_t kHierarchyCacheCapacity = 64;
 // eviction). Stores are dropped whole with their generation, so
 // replayed results never mix versions.
 constexpr std::size_t kShardResultStoreCapacity = 4096;
-// Registry policy: an epsilon at or below this is an accuracy no
-// approximate run can promise, so the query goes to an exact baseline.
-constexpr double kExactEpsilon = 1e-6;
 
 // A query epsilon <= 0 selects the engine default; any other value must
 // be a finite accuracy below 1. JSON's 1e999 parses to +inf, which would
@@ -304,7 +303,6 @@ struct FlowEngine::Core {
   // hierarchy is bitwise identical to the one a fresh engine would
   // build on the same snapshot.
   ShermanOptions build_sherman;
-  SolverRegistry registry;
   // --- hierarchy persistence (store has a data_dir; see hierarchy_io.h) ---
   // Fingerprint of build_sherman + seed; a persisted hierarchy loads
   // only when it matches, so stale saves can never serve.
@@ -395,8 +393,6 @@ struct FlowEngine::Core {
       build_sherman.hierarchy.threads =
           resolve_worker_threads(options.threads);
     }
-    registry =
-        SolverRegistry::standard(options.exact_cutoff_nodes, kExactEpsilon);
     hier_fingerprint = hierarchy_fingerprint(build_sherman, options.seed);
     hier_autosave = store->persistence_enabled() &&
                     store->options().persist == PersistPolicy::kOnPublish;
@@ -719,11 +715,11 @@ struct FlowEngine::Core {
     try {
       const double epsilon =
           q.epsilon > 0.0 ? q.epsilon : options.sherman.epsilon;
-      const QueryProfile profile{g.num_nodes(), g.num_edges(), epsilon,
-                                 q.exact};
-      const SolverEntry& entry = registry.select(profile);
-      out.solver = entry.name;
-      if (entry.kind == SolverKind::kSherman) {
+      const SolverKind kind =
+          select_solver(g.num_nodes(), g.num_edges(), epsilon, q.exact,
+                        options.exact_cutoff_nodes);
+      out.solver = solver_name(kind);
+      if (kind == SolverKind::kSherman) {
         if (q.epsilon > 0.0 && q.epsilon != options.sherman.epsilon) {
           const ShermanSolver per_query(sv.hierarchy,
                                         options_for_epsilon(q.epsilon));
@@ -732,8 +728,8 @@ struct FlowEngine::Core {
           out.payload = sv.solver.max_flow(q.s, q.t);
         }
       } else {
-        out.payload =
-            exact_max_flow_adapter(entry.kind, *sv.snapshot.csr, q.s, q.t);
+        out.payload = exact_max_flow_adapter(kind, *sv.snapshot.csr, q.s,
+                                             q.t, sv.hierarchy->bfs_height());
       }
     } catch (const std::exception& e) {
       out.code = classify_error(e);
@@ -829,14 +825,14 @@ struct FlowEngine::Core {
       const double epsilon =
           q.epsilon > 0.0 ? q.epsilon : options.sherman.epsilon;
       // The super-terminal reduction solves on an augmented instance two
-      // nodes and |S|+|T| edges larger; profile that instance.
+      // nodes and |S|+|T| edges larger; select on that instance.
       const auto extra =
           static_cast<EdgeId>(sources.size() + sinks.size());
-      const QueryProfile profile{g.num_nodes() + 2, g.num_edges() + extra,
-                                 epsilon, q.exact};
-      const SolverEntry& entry = registry.select(profile);
-      out.solver = entry.name;
-      if (entry.kind == SolverKind::kSherman) {
+      const SolverKind kind =
+          select_solver(g.num_nodes() + 2, g.num_edges() + extra, epsilon,
+                        q.exact, options.exact_cutoff_nodes);
+      out.solver = solver_name(kind);
+      if (kind == SolverKind::kSherman) {
         const ShermanOptions per_query =
             multi_terminal_options_for_epsilon(epsilon);
         const std::shared_ptr<const SuperTerminalHierarchy> st =
@@ -849,11 +845,14 @@ struct FlowEngine::Core {
         out.payload = solve_on_super_terminal_hierarchy(*st, per_query);
       } else {
         // Exact super-terminal reduction, then project the virtual edges
-        // away.
+        // away. The augmented graph is not the snapshot, so its BFS
+        // height is its own.
         const SuperTerminalGraph st =
             build_super_terminal_graph(g, sources, sinks);
-        const MaxFlowApproxResult raw = exact_max_flow_adapter(
-            entry.kind, st.graph, st.super_source, st.super_sink);
+        const CsrGraph csr(st.graph);
+        const MaxFlowApproxResult raw =
+            exact_max_flow_adapter(kind, csr, st.super_source, st.super_sink,
+                                   build_bfs_tree(csr, 0).height);
         out.payload = project_super_terminal_flow(raw, g.num_edges());
       }
     } catch (const std::exception& e) {
@@ -880,14 +879,8 @@ struct FlowEngine::Core {
                         "congest query: negative round or thread budget");
     }
     R out;
+    out.solver = "congest-push-relabel";
     try {
-      // Rounds queries carry no accuracy knob; the profile exists so the
-      // registry routes them to a simulator-backed entry.
-      QueryProfile profile{g.num_nodes(), g.num_edges(),
-                           options.sherman.epsilon, false};
-      profile.rounds_query = true;
-      const SolverEntry& entry = registry.select(profile);
-      out.solver = entry.name;
       out.payload = CongestRunner::run(*sv.snapshot.csr, q);
     } catch (const std::exception& e) {
       out.code = classify_error(e);
@@ -1278,11 +1271,19 @@ GraphVersion FlowEngine::refresh() {
 
 bool FlowEngine::wait_for_version(GraphVersion version,
                                   double timeout_seconds) {
+  using Clock = std::chrono::steady_clock;
   auto core = core_;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(std::max(0.0, timeout_seconds)));
+  // A timeout too long for the clock to hold as a deadline (+inf
+  // included) waits like a negative one, without a deadline. Half the
+  // headroom keeps the conversion to clock ticks clear of rounding at
+  // the top of the range; NaN clamps to 0.
+  const Clock::time_point now = Clock::now();
+  const std::chrono::duration<double> timeout(std::max(0.0, timeout_seconds));
+  const bool no_deadline =
+      timeout_seconds < 0.0 || timeout >= (Clock::time_point::max() - now) / 2;
+  const Clock::time_point deadline =
+      no_deadline ? Clock::time_point::max()
+                  : now + std::chrono::duration_cast<Clock::duration>(timeout);
   MutexLock lock(core->version_mutex);
   for (;;) {
     if (core->serving->snapshot.version >= version) return true;
@@ -1291,7 +1292,7 @@ bool FlowEngine::wait_for_version(GraphVersion version,
     // instead of sleeping forever — a later apply()/refresh() can make
     // a fresh wait succeed.
     if (core->pending_rebuilds == 0) return false;
-    if (timeout_seconds < 0.0) {
+    if (no_deadline) {
       core->version_cv.wait(core->version_mutex);
     } else if (core->version_cv.wait_until(core->version_mutex, deadline) ==
                std::cv_status::timeout) {
@@ -1337,8 +1338,6 @@ const std::shared_ptr<GraphStore>& FlowEngine::store() const {
 const ShermanHierarchy& FlowEngine::hierarchy() const {
   return *core_->current_serving()->hierarchy;
 }
-
-const SolverRegistry& FlowEngine::registry() const { return core_->registry; }
 
 const EngineOptions& FlowEngine::options() const { return core_->options; }
 

@@ -22,14 +22,16 @@
 // thread count, or what else is in flight. Submitting a whole batch is
 // therefore bitwise identical to issuing the same queries one at a time.
 //
-// Solver selection goes through a SolverRegistry: tiny instances and
-// exactness-demanding queries are dispatched to the exact baselines
-// (Dinic / push-relabel) via the adapters in src/baselines/adapters.h;
-// everything else rides the shared hierarchy. Approximate multi-terminal
-// queries solve on the super-terminal-augmented graph, whose hierarchy
-// cannot be shared with the base graph's — those builds go through a
-// HierarchyCache keyed by the canonicalized terminal sets, so repeated
-// (or reordered) terminal sets share one build (see hierarchy_cache.h).
+// Solver selection is one function, select_solver (engine/solver_select.h):
+// tiny instances and exactness-demanding queries go to the exact
+// baselines (Dinic / push-relabel) via the adapters in
+// src/baselines/adapters.h; everything else rides the shared hierarchy.
+// Route and CONGEST queries name their solver directly ("sherman-route",
+// "congest-push-relabel"). Approximate multi-terminal queries solve on
+// the super-terminal-augmented graph, whose hierarchy cannot be shared
+// with the base graph's — those builds go through a HierarchyCache
+// keyed by the canonicalized terminal sets, so repeated (or reordered)
+// terminal sets share one build (see hierarchy_cache.h).
 //
 // v3: the graph is no longer frozen at construction. The engine serves
 // from a GraphStore of immutable versioned snapshots; apply(MutationBatch)
@@ -77,7 +79,6 @@
 #include <vector>
 
 #include "engine/congest_runner.h"
-#include "engine/registry.h"
 #include "engine/result.h"
 #include "engine/session.h"
 #include "engine/shard_plan.h"
@@ -294,8 +295,8 @@ struct EngineOptions {
   // of K — sharding moves work, never changes it. SubmitOptions::
   // priority orders each lane; it was always only a scheduling hint.
   int shards = 0;
-  // Registry policy: instances up to this many nodes go to the exact
-  // baselines (see SolverRegistry::standard).
+  // Instances up to this many nodes go to the exact baselines (see
+  // select_solver in engine/solver_select.h).
   NodeId exact_cutoff_nodes = 64;
   // Seed for the hierarchy build and for per-terminal-set derivation.
   std::uint64_t seed = 0x5eed0f10eULL;
@@ -393,8 +394,9 @@ class FlowEngine {
   // Block until the serving hierarchy reaches `version` (true). Returns
   // false when that cannot currently happen — no rebuild is pending
   // that could reach the version (it failed, was dropped at shutdown,
-  // or was never scheduled) — or when `timeout_seconds` elapses first
-  // (negative = no deadline). A later apply()/refresh() can make a
+  // or was never scheduled) — or when `timeout_seconds` elapses first.
+  // A negative timeout, or one too large for steady_clock (+inf
+  // included), means no deadline. A later apply()/refresh() can make a
   // fresh wait succeed after a false return.
   bool wait_for_version(GraphVersion version, double timeout_seconds = -1.0);
 
@@ -417,7 +419,6 @@ class FlowEngine {
   // until the next rebuild swap retires it — do not hold it across
   // apply()/refresh().
   [[nodiscard]] const ShermanHierarchy& hierarchy() const;
-  [[nodiscard]] const SolverRegistry& registry() const;
   [[nodiscard]] const EngineOptions& options() const;
   // The serving generation's shard assignment (null when shards == 0).
   // Like hierarchy(), superseded by the next rebuild swap — but the

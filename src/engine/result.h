@@ -89,7 +89,9 @@ template <typename T>
 struct Result {
   ErrorCode code = ErrorCode::kOk;
   std::string message;  // empty iff ok()
-  std::string solver;   // registry entry (or "sherman-route") that served it
+  // The solver that served it: "dinic-exact", "push-relabel-exact",
+  // "sherman-approx", "sherman-route" or "congest-push-relabel".
+  std::string solver;
   double seconds = 0.0;  // execution wall time; queue wait excluded
   // The graph snapshot version the query was served from. During a
   // background rebuild this lags GraphStore::latest_version (stale

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 namespace dmf::serve {
 
@@ -16,6 +17,17 @@ std::int64_t checked_id(const Json& v, const std::string& context) {
     throw WireError(context + ": id out of range");
   }
   return id;
+}
+
+// An integer field the engine stores as `int`: a value outside that
+// range is a bad request, never a silently wrapped one.
+int checked_int(const Json& v, const std::string& context) {
+  const std::int64_t x = v.as_int(context);
+  if (x < std::numeric_limits<int>::min() ||
+      x > std::numeric_limits<int>::max()) {
+    throw WireError(context + ": integer out of range");
+  }
+  return static_cast<int>(x);
 }
 
 }  // namespace
@@ -456,11 +468,12 @@ QueryEnvelope parse_query_request(const Json& body) {
     env.include_flow = f->as_bool("query.include_flow");
   }
   if (const Json* f = body.find("min_version")) {
-    env.min_version =
-        static_cast<GraphVersion>(f->as_int("query.min_version"));
+    const std::int64_t v = f->as_int("query.min_version");
+    if (v < 0) throw WireError("query.min_version: must be >= 0");
+    env.min_version = static_cast<GraphVersion>(v);
   }
   if (const Json* f = body.find("priority")) {
-    env.priority = static_cast<int>(f->as_int("query.priority"));
+    env.priority = checked_int(*f, "query.priority");
   }
 
   const auto number_or = [&](const char* key, double fallback) {
@@ -518,14 +531,12 @@ QueryEnvelope parse_query_request(const Json& body) {
     CongestQuery q;
     q.source = id_field("source");
     q.sink = id_field("sink");
-    q.max_rounds = static_cast<int>(
-        body.find("max_rounds") != nullptr
-            ? body.find("max_rounds")->as_int("query.max_rounds")
-            : 0);
-    q.threads = static_cast<int>(
-        body.find("threads") != nullptr
-            ? body.find("threads")->as_int("query.threads")
-            : 1);
+    if (const Json* f = body.find("max_rounds")) {
+      q.max_rounds = checked_int(*f, "query.max_rounds");
+    }
+    if (const Json* f = body.find("threads")) {
+      q.threads = checked_int(*f, "query.threads");
+    }
     env.query = q;
   } else {
     throw WireError("query: unknown kind \"" + kind + "\"");

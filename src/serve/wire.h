@@ -125,7 +125,8 @@ struct QueryEnvelope {
 };
 
 // POST /v1/query body -> typed engine query. Throws WireError on an
-// unknown kind or malformed fields.
+// unknown kind or malformed fields, including a negative min_version
+// and a priority, max_rounds or threads outside the `int` range.
 [[nodiscard]] QueryEnvelope parse_query_request(const Json& body);
 
 // POST /v1/mutate body -> MutationBatch. Throws WireError on malformed

@@ -9,6 +9,7 @@
 #include "baselines/push_relabel.h"
 #include "baselines/tree_routing.h"
 #include "graph/algorithms.h"
+#include "graph/csr_graph.h"
 #include "graph/flow.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -121,9 +122,12 @@ TEST(PushRelabel, AgreesOnGridAndRegular) {
 TEST(ExactAdapter, AnswersWithTheRequestedBaseline) {
   Rng rng(57);
   const Graph g = make_gnp_connected(30, 0.2, {1, 7}, rng);
+  const CsrGraph csr(g);
+  const int height = build_bfs_tree(csr, 0).height;
   const double want = dinic_max_flow_value(g, 0, 29);
   for (const SolverKind kind : {SolverKind::kDinic, SolverKind::kPushRelabel}) {
-    const MaxFlowApproxResult r = exact_max_flow_adapter(kind, g, 0, 29);
+    const MaxFlowApproxResult r = exact_max_flow_adapter(kind, csr, 0, 29,
+                                                         height);
     EXPECT_NEAR(r.value, want, 1e-6);
     EXPECT_TRUE(r.converged);
   }
@@ -132,10 +136,10 @@ TEST(ExactAdapter, AnswersWithTheRequestedBaseline) {
 TEST(ExactAdapter, RejectsKindsThatAreNotExactBaselines) {
   Rng rng(59);
   const Graph g = make_gnp_connected(20, 0.3, {1, 7}, rng);
-  // Neither is an exact s-t solver: an answer of 0 here would be a lie.
-  EXPECT_THROW((void)exact_max_flow_adapter(SolverKind::kCongestSim, g, 0, 19),
-               RequirementError);
-  EXPECT_THROW((void)exact_max_flow_adapter(SolverKind::kSherman, g, 0, 19),
+  const CsrGraph csr(g);
+  // Not an exact s-t solver: an answer of 0 here would be a lie.
+  EXPECT_THROW((void)exact_max_flow_adapter(SolverKind::kSherman, csr, 0, 19,
+                                            build_bfs_tree(csr, 0).height),
                RequirementError);
 }
 

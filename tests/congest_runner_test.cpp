@@ -1,11 +1,13 @@
 // CongestRunner through the FlowEngine: round-complexity queries ride
 // the same submit()/Ticket session API as every other workload, carry
-// RunStats + a RoundLedger breakdown in the outcome, and dispatch via
-// the SolverRegistry.
+// RunStats + a RoundLedger breakdown in the outcome, report the solver
+// "congest-push-relabel", and cap the simulator's threads at the
+// hardware count.
 #include <gtest/gtest.h>
 
 #include "baselines/dinic.h"
 #include "engine/engine.h"
+#include "graph/csr_graph.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -15,17 +17,6 @@ namespace {
 Graph test_graph(NodeId n, std::uint64_t seed) {
   Rng rng(seed);
   return make_gnp_connected(n, 0.15, {1, 6}, rng);
-}
-
-TEST(CongestRunner, RegistryDispatchesRoundsQueries) {
-  const SolverRegistry registry = SolverRegistry::standard(64, 1e-6);
-  QueryProfile profile{2000, 8000, 0.25, false};
-  profile.rounds_query = true;
-  EXPECT_EQ(registry.select(profile).name, "congest-push-relabel");
-  EXPECT_EQ(registry.select(profile).kind, SolverKind::kCongestSim);
-  // Non-rounds profiles never reach the simulator entry.
-  EXPECT_EQ(registry.select({2000, 8000, 0.25, false}).name,
-            "sherman-approx");
 }
 
 TEST(CongestRunner, SubmitReturnsRunStatsAndLedger) {
@@ -132,6 +123,23 @@ TEST(CongestRunner, ServesFromTheCurrentSnapshotAfterMutation) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.served_version, v);
   EXPECT_NEAR(after->flow_value, 3.0, 1e-4);  // 1->3 still caps at 2
+}
+
+// A thread request far past the hardware is clamped, not handed to
+// OpenMP (a huge team crashes libgomp); the run is thread-invariant, so
+// the answer matches a sequential one bitwise.
+TEST(CongestRunner, HugeThreadRequestIsClampedAndBitwiseEqual) {
+  Rng rng(211);
+  const Graph g = make_gnp_connected(3000, 0.01, {1, 6}, rng);
+  const CsrGraph csr(g);
+  CongestQuery query{0, g.num_nodes() - 1};
+  query.threads = 1 << 20;
+  const CongestRunResult huge = CongestRunner::run(csr, query);
+  query.threads = 1;
+  const CongestRunResult one = CongestRunner::run(csr, query);
+  EXPECT_EQ(huge.stats.transcript_hash, one.stats.transcript_hash);
+  EXPECT_EQ(huge.stats.rounds, one.stats.rounds);
+  EXPECT_EQ(huge.flow_value, one.flow_value);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Tests for the FlowEngine: a batch submitted all at once matches the
 // same queries issued one at a time bitwise, thread count never changes
-// results, the SolverRegistry
-// dispatches tiny/exact instances to the exact baselines, failures
-// resolve with typed ErrorCodes, and engine stats account the work.
+// results, select_solver sends tiny/exact instances to the exact
+// baselines, exact answers charge the trivial rounds on the graph they
+// solved, failures resolve with typed ErrorCodes, and engine stats
+// account the work.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -12,10 +14,14 @@
 #include <vector>
 
 #include "baselines/dinic.h"
+#include "congest/ledger.h"
 #include "engine/engine.h"
-#include "engine/registry.h"
+#include "engine/solver_select.h"
+#include "graph/algorithms.h"
+#include "graph/csr_graph.h"
 #include "graph/flow.h"
 #include "graph/generators.h"
+#include "maxflow/multi_terminal.h"
 #include "util/rng.h"
 
 namespace dmf {
@@ -165,15 +171,71 @@ TEST(FlowEngine, ExactFlagForcesBaselineOnLargeInstances) {
   EXPECT_LE(approx.value().value, exact.value().value * (1.0 + 1e-9));
 }
 
-TEST(FlowEngine, RegistryStandardPolicy) {
-  const SolverRegistry registry = SolverRegistry::standard(64, 1e-6);
-  EXPECT_EQ(registry.select({2000, 8000, 0.25, false}).name,
-            "sherman-approx");
-  EXPECT_EQ(registry.select({50, 200, 0.25, false}).name, "dinic-exact");
-  EXPECT_EQ(registry.select({50, 600, 0.25, false}).name,
-            "push-relabel-exact");
-  EXPECT_EQ(registry.select({2000, 8000, 0.25, true}).name, "dinic-exact");
-  EXPECT_EQ(registry.select({2000, 8000, 1e-9, false}).name, "dinic-exact");
+TEST(FlowEngine, SelectSolverStandardPolicy) {
+  const auto name = [](NodeId n, EdgeId m, double epsilon, bool exact) {
+    return std::string(
+        solver_name(select_solver(n, m, epsilon, exact, /*cutoff=*/64)));
+  };
+  EXPECT_EQ(name(2000, 8000, 0.25, false), "sherman-approx");
+  EXPECT_EQ(name(50, 200, 0.25, false), "dinic-exact");
+  EXPECT_EQ(name(50, 600, 0.25, false), "push-relabel-exact");
+  EXPECT_EQ(name(2000, 8000, 0.25, true), "dinic-exact");
+  EXPECT_EQ(name(2000, 8000, 1e-9, false), "dinic-exact");
+  EXPECT_EQ(select_solver(2000, 8000, 0.25, false, 64), SolverKind::kSherman);
+}
+
+// The trivial CONGEST accounting of an exact answer: collect the m edges
+// at a leader over a BFS tree from node 0, broadcast m flow values back.
+double collect_and_broadcast_rounds(const Graph& g) {
+  const CsrGraph csr(g);
+  const congest::CostModel cost{.n = static_cast<int>(g.num_nodes()),
+                                .diameter = build_bfs_tree(csr, 0).height};
+  return 2.0 * cost.pipelined(static_cast<double>(g.num_edges()));
+}
+
+// Exact replies charge those rounds on the graph they solved: the
+// serving snapshot for s-t max flow (also after a capacity repair and a
+// topology rebuild), the super-terminal graph for multi-terminal.
+TEST(FlowEngine, ExactRoundsAreCollectAndBroadcastOnTheSolvedGraph) {
+  Rng rng(31);
+  const Graph g = make_gnp_connected(90, 0.05, {1, 8}, rng);
+  FlowEngine engine(g, small_options(1));
+  const std::vector<NodeId> sources{0, 1, 2};
+  const std::vector<NodeId> sinks{87, 88, 89};
+  const auto check_version = [&](GraphVersion version) {
+    ASSERT_TRUE(engine.wait_for_version(version, 120.0));
+    const Graph& served = *engine.snapshot().graph;
+    const Result<MaxFlowApproxResult> st =
+        engine.submit(MaxFlowQuery{0, 89, 0.0, true}).get();
+    ASSERT_TRUE(st.ok()) << st.message;
+    EXPECT_EQ(st.served_version, version);
+    EXPECT_EQ(st.value().rounds, collect_and_broadcast_rounds(served));
+    const Result<MultiTerminalMaxFlowResult> multi =
+        engine.submit(MultiTerminalQuery{sources, sinks, 0.0, true}).get();
+    ASSERT_TRUE(multi.ok()) << multi.message;
+    EXPECT_EQ(multi.served_version, version);
+    EXPECT_EQ(multi.value().rounds,
+              collect_and_broadcast_rounds(
+                  build_super_terminal_graph(served, sources, sinks).graph));
+  };
+  check_version(0);
+
+  MutationBatch capacities;
+  capacities.set_capacity(0, 11.0);
+  check_version(engine.apply(capacities).version);
+
+  // A new leaf hung off the farthest node from 0 deepens the BFS tree,
+  // so a height left over from the previous snapshot would show.
+  const BfsTree bfs = build_bfs_tree(g, 0);
+  const auto far = static_cast<NodeId>(
+      std::max_element(bfs.depth.begin(), bfs.depth.end()) -
+      bfs.depth.begin());
+  MutationBatch topology;
+  topology.add_nodes(1);
+  topology.add_edge(far, g.num_nodes(), 3.0);
+  check_version(engine.apply(topology).version);
+  EXPECT_EQ(build_bfs_tree(*engine.snapshot().graph, 0).height,
+            bfs.height + 1);
 }
 
 TEST(FlowEngine, RouteQueryRoutesDemandExactly) {

@@ -22,6 +22,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "engine/engine.h"
@@ -239,6 +240,37 @@ TEST(Wire, ErrorCodeToHttpStatus) {
   EXPECT_EQ(http_status_for(ErrorCode::kCancelled), 504);
   EXPECT_EQ(http_status_for(ErrorCode::kShutdown), 503);
   EXPECT_EQ(http_status_for(ErrorCode::kInternalError), 500);
+}
+
+// Integer query fields are range-checked at the wire: a wrapped
+// min_version would park the query until shutdown, and a wrapped
+// max_rounds turns a huge round budget into a tiny one.
+TEST(Wire, QueryIntegerFieldsRejectValuesThatDoNotFit) {
+  const auto parse = [](const std::string& text) {
+    return parse_query_request(Json::parse(text));
+  };
+  const std::string max_flow = R"({"kind":"max_flow","s":0,"t":5,)";
+  const std::string congest = R"({"kind":"congest","source":0,"sink":5,)";
+  for (const std::string& bad : {
+           max_flow + R"("min_version":-1})",
+           max_flow + R"("priority":2147483648})",
+           max_flow + R"("priority":-2147483649})",
+           congest + R"("max_rounds":4294967297})",
+           congest + R"("max_rounds":-2147483649})",
+           congest + R"("threads":2147483648})",
+           congest + R"("threads":-2147483649})",
+       }) {
+    EXPECT_THROW((void)parse(bad), WireError) << bad;
+  }
+  // The extremes that fit still parse unchanged.
+  const QueryEnvelope env = parse(
+      congest + R"("min_version":0,"priority":-2147483648,)" +
+      R"("max_rounds":2147483647,"threads":2147483647})");
+  EXPECT_EQ(env.min_version, 0u);
+  EXPECT_EQ(env.priority, std::numeric_limits<int>::min());
+  const auto& q = std::get<CongestQuery>(env.query);
+  EXPECT_EQ(q.max_rounds, std::numeric_limits<int>::max());
+  EXPECT_EQ(q.threads, std::numeric_limits<int>::max());
 }
 
 // --- HTTP server core: parser corpus -----------------------------------------
@@ -471,6 +503,35 @@ TEST(ServeApp, MutateRejectsNodeCountOverflow) {
   EXPECT_EQ(status, 200) << body;
   const Json q = Json::parse(body);
   EXPECT_GT(q.find("result")->find("value")->as_number("value"), 0.0);
+
+  app.drain();
+}
+
+// Out-of-range integers answer 400 before anything is submitted: no
+// query parks, and the app keeps answering.
+TEST(ServeApp, QueryIntegersThatDoNotFitAre400) {
+  FlowEngine engine(serve_graph(), serve_engine_options());
+  ServeApp app(engine, ServeAppOptions{});
+  std::string error;
+  ASSERT_TRUE(app.start(&error)) << error;
+  const int port = app.http_port();
+
+  int status = 0;
+  std::string body;
+  for (const char* bad : {
+           R"({"kind":"max_flow","s":0,"t":5,"min_version":-1})",
+           R"({"kind":"congest","source":0,"sink":5,"max_rounds":4294967297})",
+       }) {
+    ASSERT_TRUE(roundtrip(port, http_request("POST", "/v1/query", bad),
+                          &status, &body));
+    EXPECT_EQ(status, 400) << bad << " -> " << body;
+  }
+  EXPECT_EQ(engine.stats().queries_parked, 0);
+
+  ASSERT_TRUE(roundtrip(port,
+                        http_request("POST", "/v1/query", query_json(0, 35)),
+                        &status, &body));
+  EXPECT_EQ(status, 200) << body;
 
   app.drain();
 }

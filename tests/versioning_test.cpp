@@ -7,7 +7,11 @@
 // per-version hierarchy caches never mix graph generations.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+#include <limits>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
@@ -321,6 +325,37 @@ TEST(FlowEngineVersioning, FailedRebuildKeepsServingAndFailsParkedWaiters) {
       engine.submit(MaxFlowQuery{0, 71}).get();
   ASSERT_TRUE(healed.ok()) << healed.message;
   EXPECT_EQ(healed.served_version, 2u);
+}
+
+// A timeout too large for the clock (1e300 seconds, +inf) means no
+// deadline: the wait blocks until the rebuild lands. The engine's only
+// worker is held inside a query callback, so the rebuild is still
+// pending when each wait starts; a helper thread lets it go.
+TEST(FlowEngineVersioning, HugeTimeoutsWaitUntilTheVersionLands) {
+  const Graph g = test_graph();
+  FlowEngine engine(g, version_options(1));
+  for (const double timeout :
+       {1e300, std::numeric_limits<double>::infinity()}) {
+    std::promise<void> entered;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    MaxFlowTicket blocker = engine.submit(
+        MaxFlowQuery{0, 71},
+        [&entered, released](const Result<MaxFlowApproxResult>&) {
+          entered.set_value();
+          released.wait();
+        });
+    entered.get_future().wait();
+    const GraphVersion version = engine.apply(capacity_batch(g)).version;
+    std::thread releaser([&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      release.set_value();
+    });
+    EXPECT_TRUE(engine.wait_for_version(version, timeout)) << timeout;
+    releaser.join();
+    EXPECT_TRUE(blocker.get().ok());
+    EXPECT_EQ(engine.serving_version(), version);
+  }
 }
 
 // The per-snapshot HierarchyCache: the same terminal sets queried
