@@ -1,7 +1,7 @@
 // E13: micro-benchmarks of the core data-structure operations
 // (google-benchmark). These are the per-iteration costs behind the
 // wall-clock of the pipeline: BFS, tree loads, R apply / R^T apply,
-// LSST construction, and the exact baselines.
+// LSST construction, an AlmostRoute iteration, and the exact baselines.
 #include <benchmark/benchmark.h>
 
 #include "baselines/dinic.h"
@@ -13,6 +13,7 @@
 #include "graph/generators.h"
 #include "graph/tree.h"
 #include "lsst/akpw.h"
+#include "maxflow/almost_route.h"
 #include "util/rng.h"
 
 namespace {
@@ -113,6 +114,33 @@ void BM_ApproximatorApply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApproximatorApply)->Arg(256)->Arg(1024)->Arg(4096);
+
+// One AlmostRoute call per benchmark iteration: a unit s-t demand over
+// 24 sampled virtual trees, as the Sherman s-t path serves it. The
+// ns_per_iter counter divides the time by the gradient iterations run,
+// so it is the per-iteration cost the soft-max passes dominate.
+void BM_AlmostRouteIteration(benchmark::State& state) {
+  const Graph g = bench_graph(state.range(0));
+  Rng rng(17);
+  const CongestionApproximator approx = CongestionApproximator::from_samples(
+      sample_virtual_trees(g, 24, HierarchyOptions{}, rng));
+  const std::vector<double> b =
+      st_demand(g.num_nodes(), 0, g.num_nodes() - 1, 1.0);
+  double iterations = 0.0;
+  for (auto _ : state) {
+    const AlmostRouteResult r =
+        almost_route(g, approx, b, AlmostRouteOptions{});
+    iterations += r.iterations;
+    benchmark::DoNotOptimize(r.potential);
+  }
+  state.counters["ns_per_iter"] = benchmark::Counter(
+      iterations * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_AlmostRouteIteration)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DinicExact(benchmark::State& state) {
   const Graph g = bench_graph(state.range(0));

@@ -8,6 +8,34 @@
 
 namespace dmf {
 
+namespace detail {
+
+SoftMax symmetric_softmax_in_place(double* x, std::size_t k) {
+  // Four running maxima, so consecutive compares do not wait on each
+  // other; a max is exact, so the split does not change the result.
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 4 <= k; i += 4) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      lane[j] = std::max(lane[j], std::abs(x[i + j]));
+    }
+  }
+  for (; i < k; ++i) lane[0] = std::max(lane[0], std::abs(x[i]));
+  const double max =
+      std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
+  double sum = 0.0;
+  for (i = 0; i < k; ++i) {
+    const double plus = std::exp(x[i] - max);
+    const double minus = std::exp(-x[i] - max);
+    sum += plus + minus;
+    x[i] = plus - minus;
+  }
+  // The max element contributes e^0 = 1, so sum >= 1 when k > 0.
+  return {max + std::log(sum), 1.0 / sum};
+}
+
+}  // namespace detail
+
 AlmostRouteResult almost_route(const CsrGraph& g,
                                const CongestionApproximator& approximator,
                                const std::vector<double>& demand,
@@ -19,6 +47,8 @@ AlmostRouteResult almost_route(const CsrGraph& g,
   DMF_REQUIRE(demand.size() == n, "almost_route: demand size mismatch");
   DMF_REQUIRE(options.epsilon > 0.0 && options.epsilon <= 1.0,
               "almost_route: epsilon in (0, 1] required");
+  DMF_REQUIRE(std::isfinite(options.alpha),
+              "almost_route: alpha must be finite");
   const double alpha = std::max(1.0, options.alpha);
   const double eps = options.epsilon;
   const double log_n =
@@ -56,14 +86,13 @@ AlmostRouteResult almost_route(const CsrGraph& g,
   std::vector<double> price_flat;
   std::vector<double> pi;
   std::vector<double> tree_workspace;
-  std::vector<double> edge_congestion(m);  // f_e / cap_e, once per iteration
+  // Soft-max differences e^{x-M} - e^{-x-M} (see symmetric_softmax_in_place)
+  // for the edges and for the non-root tree slots.
+  std::vector<double> edge_diff(m);
+  std::vector<double> slot_diff(num_trees * n);
   int momentum_age = 0;
   double last_delta = std::numeric_limits<double>::infinity();
 
-  // Symmetric soft-max smax(x) = log sum_i (e^{x_i} + e^{-x_i}),
-  // max-shifted for stability. Evaluated in two streaming passes (max,
-  // then ordered exp sum) — same accumulation order as summing a stored
-  // term list, with no term storage.
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     ++result.iterations;
     result.rounds += rounds_per_iter;
@@ -72,44 +101,28 @@ AlmostRouteResult almost_route(const CsrGraph& g,
     flow_divergence_into(g, result.flow, div);
     for (std::size_t v = 0; v < n; ++v) residual[v] = b[v] - div[v];
 
-    // phi_1 = smax(C^-1 f), phi_2 = smax(2 alpha R r). The per-edge
-    // congestion f_e / cap_e feeds three loops (max, exp sum, gradient);
-    // divide once.
-    double max1 = 0.0;
+    // phi_1 = smax(C^-1 f) over the per-edge congestion f_e / cap_e.
     for (std::size_t e = 0; e < m; ++e) {
-      edge_congestion[e] = result.flow[e] / cap[e];
-      max1 = std::max(max1, std::abs(edge_congestion[e]));
+      edge_diff[e] = result.flow[e] / cap[e];
     }
-    double sum1 = 0.0;
-    for (std::size_t e = 0; e < m; ++e) {
-      const double x = edge_congestion[e];
-      sum1 += std::exp(x - max1) + std::exp(-x - max1);
-    }
-    const double phi1 = max1 + std::log(sum1);
+    const detail::SoftMax sm1 =
+        detail::symmetric_softmax_in_place(edge_diff.data(), m);
 
+    // phi_2 = smax(2 alpha R r) over the non-root slots of every tree,
+    // gathered in tree order.
     approximator.apply_into(residual, 2.0 * alpha, y_flat, tree_workspace);
-    double max2 = 0.0;
+    std::size_t k = 0;
     for (std::size_t t = 0; t < num_trees; ++t) {
       const RootedTree& tree = approximator.tree(static_cast<int>(t));
       const double* y = y_flat.data() + t * n;
       const auto root = static_cast<std::size_t>(tree.root);
       for (std::size_t v = 0; v < n; ++v) {
-        if (v != root) max2 = std::max(max2, std::abs(y[v]));
+        if (v != root) slot_diff[k++] = y[v];
       }
     }
-    double sum2 = 0.0;
-    for (std::size_t t = 0; t < num_trees; ++t) {
-      const RootedTree& tree = approximator.tree(static_cast<int>(t));
-      const double* y = y_flat.data() + t * n;
-      const auto root = static_cast<std::size_t>(tree.root);
-      for (std::size_t v = 0; v < n; ++v) {
-        if (v != root) {
-          sum2 += std::exp(y[v] - max2) + std::exp(-y[v] - max2);
-        }
-      }
-    }
-    const double phi2 = max2 + std::log(sum2);
-    result.potential = phi1 + phi2;
+    const detail::SoftMax sm2 =
+        detail::symmetric_softmax_in_place(slot_diff.data(), k);
+    result.potential = sm1.phi + sm2.phi;
 
     // --- Lines 4-5: rescale until phi >= 16 eps^-1 log n. ---
     if (result.potential < target_potential) {
@@ -123,29 +136,24 @@ AlmostRouteResult almost_route(const CsrGraph& g,
     }
 
     // --- Gradient. ---
-    // phi_1 part: (e^{y_e - phi1} - e^{-y_e - phi1}) / cap(e).
+    // phi_1 part: (e^{y_e - phi1} - e^{-y_e - phi1}) / cap(e), which is
+    // the stored difference times 1/sum1 (see the header notes).
     for (std::size_t e = 0; e < m; ++e) {
-      const double ye = edge_congestion[e];
-      gradient[e] = (std::exp(ye - phi1) - std::exp(-ye - phi1)) / cap[e];
+      gradient[e] = edge_diff[e] * sm1.inv_sum / cap[e];
     }
     // phi_2 part via potentials: price of link (v -> parent) in tree t is
-    // 2 alpha (e^{y-phi2} - e^{-y-phi2}) / cap_T(link); then
-    // dphi2/df_e = pi_v - pi_u for e = (u, v).
+    // 2 alpha (e^{y-phi2} - e^{-y-phi2}) / cap_T(link), again the stored
+    // difference times 1/sum2; then dphi2/df_e = pi_v - pi_u for e = (u, v).
+    const double price_scale = 2.0 * alpha * sm2.inv_sum;
     price_flat.resize(num_trees * n);
+    k = 0;
     for (std::size_t t = 0; t < num_trees; ++t) {
       const RootedTree& tree = approximator.tree(static_cast<int>(t));
-      const double* y = y_flat.data() + t * n;
       double* price = price_flat.data() + t * n;
       const auto root = static_cast<std::size_t>(tree.root);
       for (std::size_t v = 0; v < n; ++v) {
-        if (v == root) {
-          price[v] = 0.0;
-          continue;
-        }
-        const double yv = y[v];
-        price[v] = 2.0 * alpha *
-                   (std::exp(yv - phi2) - std::exp(-yv - phi2)) /
-                   tree.parent_cap[v];
+        price[v] =
+            v == root ? 0.0 : price_scale * slot_diff[k++] / tree.parent_cap[v];
       }
     }
     approximator.potentials_into(price_flat, pi, tree_workspace);

@@ -14,6 +14,12 @@
 // Implementation notes:
 //  * all soft-max evaluations use max-shifted log-sum-exp, so potentials
 //    in the hundreds (the 16 eps^-1 log n operating point) are stable;
+//  * two exp per soft-max element: with M = max_i |x_i| and
+//    sum = sum_i (e^{x_i-M} + e^{-x_i-M}), phi = M + log(sum), so
+//    e^{+-x_i-phi} = e^{+-x_i-M} / sum. The sum pass keeps the difference
+//    d_i = e^{x_i-M} - e^{-x_i-M}, and the gradient and the link prices
+//    are d_i * (1/sum) instead of two more exp each. 1/sum is safe: the
+//    element with |x_i| = M contributes e^0 = 1, so sum >= 1;
 //  * dphi2/df_e = pi_v - pi_u (Eq. 4): one R application (subtree sums)
 //    and one R^T application (root-path prefix sums) per iteration;
 //  * the 17/16 rescaling loop keeps phi in [16 eps^-1 log n, ~17/16 of
@@ -25,6 +31,7 @@
 // up the small residual via further calls and a spanning-tree rerouting.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "capprox/approximator.h"
@@ -36,8 +43,8 @@ namespace dmf {
 struct AlmostRouteOptions {
   double epsilon = 0.5;
   // Approximation quality of R used for the 2*alpha scaling and the
-  // step size; <= 0 means "estimate from the approximator" is the
-  // caller's job and 2.0 is used.
+  // step size. Values below 1 clamp to 1 (estimating alpha from the
+  // approximator is the caller's job); a non-finite value is rejected.
   double alpha = 2.0;
   int max_iterations = 50000;
   // Heavy-ball momentum, the practical stand-in for the accelerated
@@ -71,5 +78,19 @@ AlmostRouteResult almost_route(const Graph& g,
                                const CongestionApproximator& approximator,
                                const std::vector<double>& demand,
                                const AlmostRouteOptions& options);
+
+namespace detail {
+
+// The symmetric soft-max smax(x) = log sum_i (e^{x_i} + e^{-x_i}) over
+// x[0..k), max-shifted, with two exp per element. Overwrites each x_i
+// with d_i = e^{x_i-M} - e^{-x_i-M}; then
+// e^{x_i-phi} - e^{-x_i-phi} = d_i * inv_sum. Exposed for tests.
+struct SoftMax {
+  double phi = 0.0;
+  double inv_sum = 0.0;  // 1 / sum_i (e^{x_i-M} + e^{-x_i-M}), <= 1
+};
+SoftMax symmetric_softmax_in_place(double* x, std::size_t k);
+
+}  // namespace detail
 
 }  // namespace dmf

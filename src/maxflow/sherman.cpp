@@ -30,6 +30,23 @@ int resolved_num_trees(const ShermanOptions& options, NodeId n) {
                    3.0 * std::log2(static_cast<double>(n))));
 }
 
+// The alpha a build resolves: the pinned value, or the padded sampled
+// estimate (shared with repair, which must draw the same rng values).
+double resolved_alpha(const ShermanOptions& options, const Graph& g,
+                      const CongestionApproximator& approximator, Rng& rng) {
+  DMF_REQUIRE(std::isfinite(options.alpha),
+              "ShermanHierarchy: alpha must be finite");
+  if (options.alpha > 0.0) return options.alpha;
+  const AlphaEstimate est =
+      estimate_alpha(g, approximator, options.alpha_samples, rng);
+  // The gradient descent needs alpha >= the true approximation factor;
+  // pad the sampled estimate. The clamp trades a little theoretical
+  // slack for bounded step sizes: iterations scale with alpha^2, and an
+  // occasional outlier estimate (a cut no sampled tree represents well)
+  // would otherwise stall the descent far beyond its value.
+  return std::clamp(1.25 * est.alpha, 1.5, 12.0);
+}
+
 }  // namespace
 
 ShermanHierarchy::ShermanHierarchy(const Graph& g,
@@ -69,18 +86,7 @@ ShermanHierarchy::ShermanHierarchy(std::shared_ptr<const Graph> graph,
   }
   approximator_ = std::make_shared<const CongestionApproximator>(
       CongestionApproximator::from_samples(std::move(samples)));
-  if (options.alpha > 0.0) {
-    alpha_ = options.alpha;
-  } else {
-    const AlphaEstimate est =
-        estimate_alpha(g, *approximator_, options.alpha_samples, rng);
-    // The gradient descent needs alpha >= the true approximation factor;
-    // pad the sampled estimate. The clamp trades a little theoretical
-    // slack for bounded step sizes: iterations scale with alpha^2, and an
-    // occasional outlier estimate (a cut no sampled tree represents well)
-    // would otherwise stall the descent far beyond its value.
-    alpha_ = std::clamp(1.25 * est.alpha, 1.5, 12.0);
-  }
+  alpha_ = resolved_alpha(options, g, *approximator_, rng);
   // Maximum-weight spanning tree for the Lemma 9.1 rerouting, built with
   // the distributed Borůvka scheme; its rounds are part of the setup.
   double mst_rounds = 0.0;
@@ -257,13 +263,7 @@ std::shared_ptr<const ShermanHierarchy> ShermanHierarchy::repair(
   }
   out->approximator_ = std::make_shared<const CongestionApproximator>(
       CongestionApproximator::from_samples(std::move(samples)));
-  if (options.alpha > 0.0) {
-    out->alpha_ = options.alpha;
-  } else {
-    const AlphaEstimate est = estimate_alpha(g, *out->approximator_,
-                                             options.alpha_samples, rng);
-    out->alpha_ = std::clamp(1.25 * est.alpha, 1.5, 12.0);
-  }
+  out->alpha_ = resolved_alpha(options, g, *out->approximator_, rng);
   double mst_rounds = 0.0;
   out->mwst_ = boruvka_max_weight_tree(g, 0, &mst_rounds);
   out->build_rounds_ += mst_rounds;

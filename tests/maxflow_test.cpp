@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <vector>
 
 #include "baselines/dinic.h"
+#include "capprox/hierarchy.h"
 #include "capprox/racke.h"
 #include "graph/algorithms.h"
 #include "graph/flow.h"
@@ -72,6 +75,96 @@ TEST(AlmostRoute, CongestionNearOptimal) {
   EXPECT_TRUE(result.converged);
   // Flow should be close to 1.0 on the single edge.
   EXPECT_NEAR(result.flow[0], 1.0, 0.4);
+}
+
+// --- The symmetric soft-max behind every AlmostRoute iteration. ---
+
+std::vector<std::vector<double>> softmax_cases() {
+  return {
+      {-3.5, 0.0, 1e-3, 2.25, -40.0, 17.0, 0.5},
+      {1e-9, -2e-6, 0.75, -0.75, 6.0},
+      {700.0, -700.0, 699.5, -0.25, 0.0, 350.0, -123.0},
+  };
+}
+
+TEST(SymmetricSoftMax, PotentialMatchesLongDoubleReference) {
+  for (const std::vector<double>& x : softmax_cases()) {
+    long double sum = 0.0L;
+    for (const double v : x) {
+      sum += std::exp(static_cast<long double>(v)) +
+             std::exp(-static_cast<long double>(v));
+    }
+    const auto reference = static_cast<double>(std::log(sum));
+    std::vector<double> d = x;
+    const detail::SoftMax sm =
+        detail::symmetric_softmax_in_place(d.data(), d.size());
+    EXPECT_NEAR(sm.phi, reference, 1e-13 * std::abs(reference));
+  }
+}
+
+TEST(SymmetricSoftMax, DifferencesMatchTheFourExpForm) {
+  for (const std::vector<double>& x : softmax_cases()) {
+    std::vector<double> d = x;
+    const detail::SoftMax sm =
+        detail::symmetric_softmax_in_place(d.data(), d.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double plus = std::exp(x[i] - sm.phi);
+      const double minus = std::exp(-x[i] - sm.phi);
+      // Relative to the terms, not to their difference: near x = 0 both
+      // forms cancel alike, so the difference carries no more digits.
+      EXPECT_LE(std::abs(d[i] * sm.inv_sum - (plus - minus)),
+                1e-12 * (plus + minus))
+          << "x = " << x[i];
+    }
+  }
+}
+
+TEST(SymmetricSoftMax, LargeInputsStayFinite) {
+  std::vector<double> d = {700.0, -700.0, 699.9, -699.9, 0.0, 1e-300};
+  const detail::SoftMax sm =
+      detail::symmetric_softmax_in_place(d.data(), d.size());
+  EXPECT_TRUE(std::isfinite(sm.phi));
+  EXPECT_GT(sm.inv_sum, 0.0);
+  EXPECT_LE(sm.inv_sum, 1.0);
+  for (const double v : d) EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST(SymmetricSoftMax, AllZeroInputIsLogTwoK) {
+  for (const std::size_t k : {1, 7, 6120}) {
+    std::vector<double> d(k, 0.0);
+    const detail::SoftMax sm = detail::symmetric_softmax_in_place(d.data(), k);
+    EXPECT_DOUBLE_EQ(sm.phi, std::log(2.0 * static_cast<double>(k)));
+    EXPECT_DOUBLE_EQ(sm.inv_sum, 1.0 / (2.0 * static_cast<double>(k)));
+    for (const double v : d) EXPECT_EQ(v, 0.0);
+  }
+}
+
+// The soft-max form must make iterations cheaper, not change how many
+// there are: on a serve-sized instance the iteration count and the final
+// potential stay within 1% of the values the four-exp form (every
+// exponential evaluated at phi) recorded, and a second call is bitwise
+// equal to the first.
+TEST(AlmostRoute, IterationCountIsThatOfTheFourExpForm) {
+  Rng rng(1717);
+  const Graph g = make_gnp_connected(256, 4.0 / 256, {1, 8}, rng);
+  const CongestionApproximator approx = CongestionApproximator::from_samples(
+      sample_virtual_trees(g, 24, HierarchyOptions{}, rng));
+  const std::vector<double> b = st_demand(256, 0, 255, 1.0);
+  const AlmostRouteResult first =
+      almost_route(g, approx, b, AlmostRouteOptions{});
+  constexpr double kFourExpIterations = 709;
+  constexpr double kFourExpPotential = 187.63655072045398;
+  EXPECT_TRUE(first.converged);
+  EXPECT_NEAR(first.iterations, kFourExpIterations, 0.01 * kFourExpIterations);
+  EXPECT_NEAR(first.potential, kFourExpPotential, 0.01 * kFourExpPotential);
+
+  const AlmostRouteResult second =
+      almost_route(g, approx, b, AlmostRouteOptions{});
+  EXPECT_EQ(second.iterations, first.iterations);
+  ASSERT_EQ(second.flow.size(), first.flow.size());
+  EXPECT_EQ(std::memcmp(second.flow.data(), first.flow.data(),
+                        first.flow.size() * sizeof(double)),
+            0);
 }
 
 TEST(ShermanRoute, RoutesDemandExactly) {

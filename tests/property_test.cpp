@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "baselines/dinic.h"
@@ -188,6 +189,27 @@ TEST(FailureInjection, AlmostRouteBadEpsilon) {
   options.epsilon = 2.0;
   EXPECT_THROW(almost_route(g, approx, {1.0, 0.0, -1.0}, options),
                RequirementError);
+}
+
+// A non-finite alpha is rejected, not clamped. Unchecked, a NaN became
+// 1.0 and +inf scaled b to 0, so the descent spun through every rescale
+// iteration and returned converged = false.
+TEST(FailureInjection, AlmostRouteNonFiniteAlpha) {
+  Rng rng(2);
+  const Graph g = make_path(3, {1, 1}, rng);
+  const VirtualTreeSample sample =
+      sample_virtual_tree(g, HierarchyOptions{}, rng);
+  const CongestionApproximator approx({sample.tree});
+  for (const double alpha : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    AlmostRouteOptions options;
+    options.alpha = alpha;
+    EXPECT_THROW(almost_route(g, approx, {1.0, 0.0, -1.0}, options),
+                 RequirementError);
+    ShermanOptions sherman;
+    sherman.alpha = alpha;
+    EXPECT_THROW(ShermanSolver(g, sherman, rng), RequirementError);
+  }
 }
 
 TEST(FailureInjection, DemandSizeMismatch) {
