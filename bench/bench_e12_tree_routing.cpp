@@ -28,7 +28,7 @@ int main() {
         const std::vector<double> b =
             st_demand(g.num_nodes(), s, t, magnitude);
         const std::vector<double> flow =
-            route_demand_on_spanning_tree(g, mwst, b);
+            route_demand_on_spanning_tree(CsrGraph(g), mwst, b);
         const double cong = max_congestion(g, flow);
         congestion.add(cong);
         const double opt = magnitude / dinic_max_flow_value(g, s, t);

@@ -296,9 +296,9 @@ int main(int argc, char** argv) {
   }
   // --- E13e: snapshot CSR vs a per-call CSR view. ---
   // Full-graph BFS (the traversal shape of every solver hot loop) on a
-  // CSR packed once, as a snapshot carries it, vs the Graph overload,
-  // which packs a stack-local view per call. Results are identical; the
-  // difference is the pack. (The scenario keeps its historical name.)
+  // CSR packed once, as a snapshot carries it, vs a stack-local view
+  // packed per call. Results are identical; the difference is the pack.
+  // (The scenario keeps its historical name.)
   bench::print_header("E13e", "snapshot CSR vs per-call view (full-graph BFS)");
   bench::print_row({"layout", "seconds", "sweeps/s", "height"});
   {
@@ -311,7 +311,7 @@ int main(int argc, char** argv) {
 
     const auto adj_start = Clock::now();
     for (int i = 0; i < sweeps; ++i) {
-      sink += build_bfs_tree(big, i % big.num_nodes()).height;
+      sink += build_bfs_tree(CsrGraph(big), i % big.num_nodes()).height;
     }
     const double adj_seconds = seconds_since(adj_start);
 

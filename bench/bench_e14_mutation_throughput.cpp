@@ -283,8 +283,7 @@ int main(int argc, char** argv) {
   // the repaired-hierarchy == full-rebuild identity on a live chain.
   const MaxFlowQuery probe_query{pairs[0].first, pairs[0].second};
   const Result<MaxFlowApproxResult> probe = engine.submit(probe_query).get();
-  FlowEngine reference(
-      Graph(*engine.store()->snapshot(final_version).graph), options);
+  FlowEngine reference(Graph(*engine.snapshot().graph), options);
   const Result<MaxFlowApproxResult> want =
       reference.submit(probe_query).get();
   const bool post_swap_match =

@@ -23,8 +23,8 @@
 // persisted hierarchy IS the built one, tree for tree).
 //
 // The setup phase applies a couple of capacity batches before the
-// measurement so the reopened store walks a real manifest chain (COW
-// arenas, not just v0). `speedup` = T_rebuild / T_cold is
+// measurement so the reopened version shares arena files with older
+// ones (COW arenas, not just v0). `speedup` = T_rebuild / T_cold is
 // machine-class independent and is what the regression gate tracks.
 //
 // The cold open is repeated a few times and the median taken: T_cold is
@@ -93,8 +93,9 @@ int main(int argc, char** argv) {
     gopts.persist = PersistPolicy::kOnPublish;
     auto store = std::make_shared<GraphStore>(std::move(g), gopts);
     FlowEngine engine(store, options);
-    // Two capacity rounds: the reopened store replays a real manifest
-    // chain and the persisted hierarchy is the post-repair one.
+    // Two capacity rounds: the reopened version's manifest references
+    // older versions' structure files, and the persisted hierarchy is
+    // the post-repair one.
     for (int round = 0; round < 2; ++round) {
       MutationBatch batch;
       const Graph& cur = *engine.store()->snapshot().graph;

@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
       Rng rng(1000 + static_cast<std::uint64_t>(n) +
               static_cast<std::uint64_t>(trial));
       const Graph g = make_family("grid", n, rng);
-      diameter = diameter_double_sweep(g);
+      diameter = diameter_double_sweep(CsrGraph(g));
       m = g.num_edges();
       ShermanOptions options;
       options.epsilon = 0.4;
@@ -215,7 +215,8 @@ int main(int argc, char** argv) {
     // well above scheduler noise (every run is bitwise identical — the
     // loop double-checks).
     constexpr int kRepeats = 20;
-    congest::Network flat(g);
+    const CsrGraph csr(g);
+    congest::Network flat(csr);
     auto warm = make_programs();  // one warm-up run off the clock
     (void)flat.run(warm, run_options);
     auto flat_programs = make_programs();

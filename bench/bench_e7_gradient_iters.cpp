@@ -23,6 +23,7 @@ int main() {
       build_racke_trees(g, ropt, rng).trees);
   const std::vector<double> b = st_demand(g.num_nodes(), 0,
                                           g.num_nodes() - 1, 1.0);
+  const CsrGraph csr(g);
 
   print_header("E7a", "AlmostRoute iterations vs eps (alpha fixed = 2)");
   print_row({"eps", "iterations", "converged", "slope_vs_prev"});
@@ -33,7 +34,7 @@ int main() {
     options.epsilon = eps;
     options.alpha = 2.0;
     options.max_iterations = 500000;
-    const AlmostRouteResult result = almost_route(g, approx, b, options);
+    const AlmostRouteResult result = almost_route(csr, approx, b, options);
     std::string slope = "-";
     if (prev_iters > 0.0) {
       slope = fmt(std::log(static_cast<double>(result.iterations) /
@@ -56,7 +57,7 @@ int main() {
     options.epsilon = 0.3;
     options.alpha = alpha;
     options.max_iterations = 500000;
-    const AlmostRouteResult result = almost_route(g, approx, b, options);
+    const AlmostRouteResult result = almost_route(csr, approx, b, options);
     std::string slope = "-";
     if (prev_iters > 0.0) {
       slope = fmt(std::log(static_cast<double>(result.iterations) /
@@ -78,8 +79,8 @@ int main() {
     plain.max_iterations = 500000;
     AlmostRouteOptions accel = plain;
     accel.accelerate = true;
-    const AlmostRouteResult a = almost_route(g, approx, b, plain);
-    const AlmostRouteResult c = almost_route(g, approx, b, accel);
+    const AlmostRouteResult a = almost_route(csr, approx, b, plain);
+    const AlmostRouteResult c = almost_route(csr, approx, b, accel);
     print_row({fmt(eps, 2), fmt_int(a.iterations), fmt_int(c.iterations),
                fmt(static_cast<double>(a.iterations) /
                        static_cast<double>(c.iterations),

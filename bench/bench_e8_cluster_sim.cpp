@@ -49,7 +49,8 @@ int main() {
       const congest::DistributedBfsResult bfs =
           congest::run_distributed_bfs(g, 0);
       const auto children = congest::children_ports_from_bfs(g, bfs);
-      congest::Network net(g);
+      const CsrGraph csr(g);
+      congest::Network net(csr);
       std::vector<congest::PipelinedBroadcastProgram> programs;
       std::vector<std::int64_t> tokens(static_cast<std::size_t>(k), 7);
       for (NodeId v = 0; v < g.num_nodes(); ++v) {

@@ -29,7 +29,7 @@ Graph bench_graph(std::int64_t n) {
 void BM_BfsTree(benchmark::State& state) {
   const Graph g = bench_graph(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(build_bfs_tree(g, 0).height);
+    benchmark::DoNotOptimize(build_bfs_tree(CsrGraph(g), 0).height);
   }
 }
 BENCHMARK(BM_BfsTree)->Arg(256)->Arg(1024)->Arg(4096);
@@ -126,10 +126,11 @@ void BM_AlmostRouteIteration(benchmark::State& state) {
       sample_virtual_trees(g, 24, HierarchyOptions{}, rng));
   const std::vector<double> b =
       st_demand(g.num_nodes(), 0, g.num_nodes() - 1, 1.0);
+  const CsrGraph csr(g);
   double iterations = 0.0;
   for (auto _ : state) {
     const AlmostRouteResult r =
-        almost_route(g, approx, b, AlmostRouteOptions{});
+        almost_route(csr, approx, b, AlmostRouteOptions{});
     iterations += r.iterations;
     benchmark::DoNotOptimize(r.potential);
   }

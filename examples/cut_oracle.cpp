@@ -40,10 +40,11 @@ int main(int argc, char** argv) {
   const int num_trees = static_cast<int>(samples.size());
   const CongestionApproximator oracle =
       CongestionApproximator::from_samples(std::move(samples));
+  const int diameter = diameter_double_sweep(CsrGraph(g));
   std::printf("oracle: %d virtual trees, build rounds %.0f, "
               "query rounds %.0f\n\n",
-              num_trees, build_rounds, oracle.rounds_per_application(
-                                           diameter_double_sweep(g)));
+              num_trees, build_rounds,
+              oracle.rounds_per_application(diameter));
 
   std::printf("%-10s %12s %12s %8s\n", "scenario", "oracle est.",
               "exact opt", "ratio");

@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
   const NodeId s = 0;
   const NodeId t = n - 1;
 
-  std::printf("graph: %s, diameter >= %d\n", g.summary().c_str(),
-              diameter_double_sweep(g));
+  const int diameter = diameter_double_sweep(CsrGraph(g));
+  std::printf("graph: %s, diameter >= %d\n", g.summary().c_str(), diameter);
 
   // --- The paper's algorithm. ---
   ShermanOptions options;
@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
   std::printf("\naccounted CONGEST rounds : %.0f\n", approx.rounds);
   std::printf("  trivial collect-all O(m): %d rounds\n", g.num_edges());
   std::printf("  lower bound ~ D + sqrt(n): %d\n",
-              diameter_double_sweep(g) +
-                  static_cast<int>(std::sqrt(static_cast<double>(n))));
+              diameter + static_cast<int>(std::sqrt(static_cast<double>(n))));
   return approx.value >= (1.0 - 2.0 * eps) * exact ? 0 : 1;
 }

@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
   NodeId stadium = 0;
   NodeId evacuation = 0;
   const Graph g = make_city(width, height, bridges, rng, &stadium, &evacuation);
-  if (!is_connected(g)) {
+  const CsrGraph csr(g);
+  if (!is_connected(csr)) {
     std::fprintf(stderr, "city generation produced a disconnected graph; "
                          "increase bridges\n");
     return 2;
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
   options.almost_route.epsilon = 0.2;
   const ShermanSolver solver(g, options, rng);
   const MaxFlowApproxResult flow = solver.max_flow(stadium, evacuation);
-  const MinCutResult cut = dinic_min_cut(g, stadium, evacuation);
+  const MinCutResult cut = dinic_min_cut(csr, stadium, evacuation);
 
   std::printf("\nevacuation throughput (approximate): %.2f vehicles/min\n",
               flow.value);

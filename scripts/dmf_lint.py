@@ -39,6 +39,12 @@ contracts":
                          an include upward (say lsst/ or engine/) makes
                          a dependency cycle and drags a higher layer's
                          decisions into the snapshot.
+  graph-twin             A header in src/ must not declare one function
+                         name with both a `const Graph&` and a
+                         `const CsrGraph&` first parameter. Such a Graph
+                         form only packs a CSR and forwards; its caller
+                         packs once (`const CsrGraph csr(g);`) instead,
+                         so every pack is visible where it is paid.
 
 Suppression: append `// dmf-lint: allow(rule-name) <justification>` to
 the offending line, or put it alone on the previous line.
@@ -89,6 +95,19 @@ THREAD_OWNERS = (
 # Foundation layers and the only project headers they may include.
 LOWER_LAYERS = ("src/graph/", "src/util/")
 LOWER_LAYER_INCLUDES = ("graph/", "util/")
+
+# Every rule above; --self-test fails when one has no expected finding
+# in the fixture corpus, so a rule cannot ship untested.
+RULES = (
+    "nondeterministic-rng",
+    "unordered-iteration",
+    "span-convention",
+    "require-not-assert",
+    "naked-thread",
+    "unguarded-field",
+    "layering",
+    "graph-twin",
+)
 
 SUPPRESS_RE = re.compile(r"//\s*dmf-lint:\s*allow\(([a-z\-, ]+)\)")
 FIXTURE_PATH_RE = re.compile(r"//\s*dmf-lint-fixture-path:\s*(\S+)")
@@ -452,6 +471,30 @@ def check_layering(relpath, raw_lines, code_lines, findings):
                 "layer"))
 
 
+GRAPH_FIRST_PARAM_RE = re.compile(
+    r"\b(~?[A-Za-z_]\w*)\s*\(\s*const\s+(?:dmf::)?(Graph|CsrGraph)\s*&")
+
+
+def check_graph_twin(relpath, code, findings):
+    p = relpath.replace(os.sep, "/")
+    if not (p.startswith("src/") and is_header(p)):
+        return
+    forms = {}  # name -> {"Graph" | "CsrGraph": [lines]}
+    for m in GRAPH_FIRST_PARAM_RE.finditer(code):
+        line = code.count("\n", 0, m.start(1)) + 1
+        forms.setdefault(m.group(1), {}).setdefault(m.group(2), []).append(
+            line)
+    for name, by_type in sorted(forms.items()):
+        if "CsrGraph" not in by_type:
+            continue
+        for line in by_type.get("Graph", []):
+            findings.append(Finding(
+                relpath, line, "graph-twin",
+                f"'{name}' has both a const Graph& and a const CsrGraph& "
+                "form; delete the Graph form and let callers pack once "
+                "(`const CsrGraph csr(g);`)"))
+
+
 # --- driver ------------------------------------------------------------------
 
 def lint_text(relpath, raw_text):
@@ -467,6 +510,7 @@ def lint_text(relpath, raw_text):
     check_naked_thread(relpath, code_lines, findings)
     check_unguarded_field(relpath, code, findings)
     check_layering(relpath, raw_lines, code_lines, findings)
+    check_graph_twin(relpath, code, findings)
     return [f for f in findings
             if f.rule not in suppressed.get(f.line, set())]
 
@@ -515,6 +559,7 @@ def run_self_test(root):
         print("dmf_lint --self-test: no fixtures found", file=sys.stderr)
         return 2
     failures = 0
+    covered = set()
     for fn in fixtures:
         path = os.path.join(fixture_dir, fn)
         with open(path, encoding="utf-8") as fh:
@@ -534,6 +579,7 @@ def run_self_test(root):
                 expected[target] = em.group(1)
         got = {(f.line, f.rule) for f in lint_text(virtual_path, raw)}
         want = {(line, rule) for line, rule in expected.items()}
+        covered.update(expected.values())
         missing = want - got
         extra = got - want
         if missing or extra:
@@ -547,6 +593,10 @@ def run_self_test(root):
         else:
             label = f"{len(want)} finding(s)" if want else "clean"
             print(f"ok   {fn} (as {virtual_path}): {label}")
+    for rule in RULES:
+        if rule not in covered:
+            failures += 1
+            print(f"FAIL [{rule}]: no fixture expects a finding")
     if failures:
         print(f"dmf_lint --self-test: {failures}/{len(fixtures)} fixtures "
               "failed")

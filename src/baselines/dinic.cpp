@@ -142,17 +142,12 @@ MaxFlowResult dinic_max_flow(const CsrGraph& g, NodeId s, NodeId t) {
   return result;
 }
 
-MaxFlowResult dinic_max_flow(const Graph& g, NodeId s, NodeId t) {
-  const CsrGraph csr(g);
-  return dinic_max_flow(csr, s, t);
-}
-
 double dinic_max_flow_value(const CsrGraph& g, NodeId s, NodeId t) {
   return dinic_max_flow(g, s, t).value;
 }
 
 double dinic_max_flow_value(const Graph& g, NodeId s, NodeId t) {
-  return dinic_max_flow(g, s, t).value;
+  return dinic_max_flow(CsrGraph(g), s, t).value;
 }
 
 MinCutResult dinic_min_cut(const CsrGraph& g, NodeId s, NodeId t) {
@@ -163,11 +158,6 @@ MinCutResult dinic_min_cut(const CsrGraph& g, NodeId s, NodeId t) {
   result.capacity = residual.run(s, t);
   result.source_side = residual.residual_reachable(s);
   return result;
-}
-
-MinCutResult dinic_min_cut(const Graph& g, NodeId s, NodeId t) {
-  const CsrGraph csr(g);
-  return dinic_min_cut(csr, s, t);
 }
 
 }  // namespace dmf

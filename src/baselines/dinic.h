@@ -22,14 +22,12 @@ struct MaxFlowResult {
 
 // Exact max flow. An undirected edge of capacity c admits net flow at most
 // c in either direction (standard antisymmetric residual model). The
-// residual network is laid out flat from the CSR rows; the Graph
-// overloads pack a transient view first, so both forms traverse arcs in
-// the same order and return identical flows.
+// residual network is laid out flat from the CSR rows.
 MaxFlowResult dinic_max_flow(const CsrGraph& g, NodeId s, NodeId t);
-MaxFlowResult dinic_max_flow(const Graph& g, NodeId s, NodeId t);
 
-// The value only (slightly cheaper; no flow extraction).
+// The value only. The Graph form packs a CSR per call.
 double dinic_max_flow_value(const CsrGraph& g, NodeId s, NodeId t);
+// dmf-lint: allow(graph-twin) perfbench's answer oracle calls this form
 double dinic_max_flow_value(const Graph& g, NodeId s, NodeId t);
 
 // Minimum s-t cut capacity and the source-side node set, from the final
@@ -40,6 +38,5 @@ struct MinCutResult {
 };
 
 MinCutResult dinic_min_cut(const CsrGraph& g, NodeId s, NodeId t);
-MinCutResult dinic_min_cut(const Graph& g, NodeId s, NodeId t);
 
 }  // namespace dmf

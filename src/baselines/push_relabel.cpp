@@ -123,9 +123,4 @@ MaxFlowResult push_relabel_max_flow(const CsrGraph& g, NodeId s, NodeId t) {
   return result;
 }
 
-MaxFlowResult push_relabel_max_flow(const Graph& g, NodeId s, NodeId t) {
-  const CsrGraph csr(g);
-  return push_relabel_max_flow(csr, s, t);
-}
-
 }  // namespace dmf

@@ -12,9 +12,7 @@
 
 namespace dmf {
 
-// Arc lists are flattened from the CSR rows exactly as in dinic.cpp;
-// the Graph overload packs a transient view and delegates.
+// Arc lists are flattened from the CSR rows exactly as in dinic.cpp.
 MaxFlowResult push_relabel_max_flow(const CsrGraph& g, NodeId s, NodeId t);
-MaxFlowResult push_relabel_max_flow(const Graph& g, NodeId s, NodeId t);
 
 }  // namespace dmf

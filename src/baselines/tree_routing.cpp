@@ -104,12 +104,8 @@ RootedTree max_weight_spanning_tree(const Graph& g, NodeId root) {
   return tree;
 }
 
-namespace {
-
-// Shared body: GraphT is Graph or CsrGraph (identical endpoint data).
-template <typename GraphT>
-std::vector<double> route_demand_on_spanning_tree_impl(
-    const GraphT& g, const RootedTree& tree, const std::vector<double>& b) {
+std::vector<double> route_demand_on_spanning_tree(
+    const CsrGraph& g, const RootedTree& tree, const std::vector<double>& b) {
   DMF_REQUIRE(b.size() == static_cast<std::size_t>(g.num_nodes()),
               "route_demand_on_spanning_tree: demand size mismatch");
   const double total = std::accumulate(b.begin(), b.end(), 0.0);
@@ -126,18 +122,6 @@ std::vector<double> route_demand_on_spanning_tree_impl(
     flow[static_cast<std::size_t>(e)] += (ep.u == v) ? f : -f;
   }
   return flow;
-}
-
-}  // namespace
-
-std::vector<double> route_demand_on_spanning_tree(
-    const Graph& g, const RootedTree& tree, const std::vector<double>& b) {
-  return route_demand_on_spanning_tree_impl(g, tree, b);
-}
-
-std::vector<double> route_demand_on_spanning_tree(
-    const CsrGraph& g, const RootedTree& tree, const std::vector<double>& b) {
-  return route_demand_on_spanning_tree_impl(g, tree, b);
 }
 
 }  // namespace dmf

@@ -21,10 +21,6 @@ RootedTree max_weight_spanning_tree(const Graph& g, NodeId root = 0);
 // Route demand b through the given spanning tree of g; returns a flow
 // vector over the *graph* edges (non-tree edges carry zero). The tree's
 // parent_edge links must reference real graph edges. sum(b) must be ~0.
-std::vector<double> route_demand_on_spanning_tree(const Graph& g,
-                                                  const RootedTree& tree,
-                                                  const std::vector<double>& b);
-// CSR overload for the per-query rerouting on frozen snapshots.
 std::vector<double> route_demand_on_spanning_tree(const CsrGraph& g,
                                                   const RootedTree& tree,
                                                   const std::vector<double>& b);

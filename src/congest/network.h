@@ -51,7 +51,6 @@
 #include <cstdint>
 #include <exception>
 #include <initializer_list>
-#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -229,14 +228,11 @@ struct TranscriptHash {
 class Network {
  public:
   // Non-owning: the CSR (and the graph behind it) must outlive the
-  // network. The engine hands in the serving snapshot's packed view.
+  // network. The engine hands in the serving snapshot's packed view; a
+  // caller holding a Graph packs one first (`const CsrGraph csr(g);`).
   explicit Network(const CsrGraph& csr) : csr_(&csr) { build(); }
-
-  // Convenience for stack-local graphs: packs a private CSR view.
-  explicit Network(const Graph& g)
-      : owned_csr_(std::make_unique<CsrGraph>(g)), csr_(owned_csr_.get()) {
-    build();
-  }
+  // A temporary CSR would dangle once the constructor returns.
+  explicit Network(const CsrGraph&&) = delete;
 
   // Run one program instance per node. `programs` must have one entry per
   // node (indexed by NodeId); they hold all per-node state and can be
@@ -485,7 +481,6 @@ class Network {
     return arrived;
   }
 
-  std::unique_ptr<CsrGraph> owned_csr_;
   const CsrGraph* csr_ = nullptr;
 
   // Flat per-slot tables (2m entries, CSR half-edge order).

@@ -3,7 +3,8 @@
 namespace dmf::congest {
 
 DistributedBfsResult run_distributed_bfs(const Graph& g, NodeId root) {
-  Network net(g);
+  const CsrGraph csr(g);
+  Network net(csr);
   std::vector<BfsTreeProgram> programs;
   programs.reserve(static_cast<std::size_t>(g.num_nodes()));
   for (NodeId v = 0; v < g.num_nodes(); ++v) {

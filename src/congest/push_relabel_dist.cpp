@@ -58,11 +58,4 @@ DistributedPushRelabelResult run_distributed_push_relabel(
   return result;
 }
 
-DistributedPushRelabelResult run_distributed_push_relabel(const Graph& g,
-                                                          NodeId source,
-                                                          NodeId sink) {
-  const CsrGraph csr(g);
-  return run_distributed_push_relabel(csr, source, sink);
-}
-
 }  // namespace dmf::congest

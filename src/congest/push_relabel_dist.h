@@ -196,14 +196,9 @@ struct DistributedPushRelabelOptions {
     NodeId n, const DistributedPushRelabelOptions& options = {});
 
 // Run the program to completion (global termination oracle) and report
-// the flow value arriving at the sink plus round statistics. The CSR
-// overload runs on a prebuilt snapshot view (the engine's path); the
-// Graph overload packs a transient one.
+// the flow value arriving at the sink plus round statistics.
 DistributedPushRelabelResult run_distributed_push_relabel(
     const CsrGraph& g, NodeId source, NodeId sink,
     const DistributedPushRelabelOptions& options = {});
-DistributedPushRelabelResult run_distributed_push_relabel(const Graph& g,
-                                                          NodeId source,
-                                                          NodeId sink);
 
 }  // namespace dmf::congest

@@ -27,10 +27,6 @@ std::vector<int> bfs_distances(const CsrGraph& g, NodeId src) {
   return dist;
 }
 
-std::vector<int> bfs_distances(const Graph& g, NodeId src) {
-  return bfs_distances(CsrGraph(g), src);
-}
-
 BfsTree build_bfs_tree(const CsrGraph& g, NodeId root) {
   DMF_REQUIRE(g.is_valid_node(root), "build_bfs_tree: bad root");
   const auto n = static_cast<std::size_t>(g.num_nodes());
@@ -62,10 +58,6 @@ BfsTree build_bfs_tree(const CsrGraph& g, NodeId root) {
   return tree;
 }
 
-BfsTree build_bfs_tree(const Graph& g, NodeId root) {
-  return build_bfs_tree(CsrGraph(g), root);
-}
-
 Components connected_components(const CsrGraph& g) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   Components comps;
@@ -92,18 +84,12 @@ Components connected_components(const CsrGraph& g) {
   return comps;
 }
 
-Components connected_components(const Graph& g) {
-  return connected_components(CsrGraph(g));
-}
-
 bool is_connected(const CsrGraph& g) {
   if (g.num_nodes() == 0) return true;
   const std::vector<int> dist = bfs_distances(g, 0);
   return std::all_of(dist.begin(), dist.end(),
                      [](int d) { return d != kUnreached; });
 }
-
-bool is_connected(const Graph& g) { return is_connected(CsrGraph(g)); }
 
 int eccentricity(const CsrGraph& g, NodeId v) {
   const std::vector<int> dist = bfs_distances(g, v);
@@ -115,10 +101,6 @@ int eccentricity(const CsrGraph& g, NodeId v) {
   return ecc;
 }
 
-int eccentricity(const Graph& g, NodeId v) {
-  return eccentricity(CsrGraph(g), v);
-}
-
 int diameter_exact(const CsrGraph& g) {
   DMF_REQUIRE(g.num_nodes() > 0, "diameter_exact: empty graph");
   int diameter = 0;
@@ -127,8 +109,6 @@ int diameter_exact(const CsrGraph& g) {
   }
   return diameter;
 }
-
-int diameter_exact(const Graph& g) { return diameter_exact(CsrGraph(g)); }
 
 int diameter_double_sweep(const CsrGraph& g, NodeId start) {
   DMF_REQUIRE(g.is_valid_node(start), "diameter_double_sweep: bad start");
@@ -143,10 +123,6 @@ int diameter_double_sweep(const CsrGraph& g, NodeId start) {
     }
   }
   return eccentricity(g, far);
-}
-
-int diameter_double_sweep(const Graph& g, NodeId start) {
-  return diameter_double_sweep(CsrGraph(g), start);
 }
 
 }  // namespace dmf

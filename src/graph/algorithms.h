@@ -1,8 +1,8 @@
 // Basic graph algorithms: BFS, connectivity, diameter.
 //
-// Every traversal runs on the CsrGraph view. The Graph overloads pack
-// one stack-local CsrGraph and call the CSR form, so both give the same
-// trees, distances, and component labels.
+// Every traversal runs on the CsrGraph view; a caller holding only a
+// Graph packs one (`const CsrGraph csr(g);`) and keeps it for all its
+// traversals.
 #pragma once
 
 #include <vector>
@@ -15,7 +15,6 @@ namespace dmf {
 inline constexpr int kUnreached = -1;
 
 // Hop distances from src (kUnreached where unreachable).
-std::vector<int> bfs_distances(const Graph& g, NodeId src);
 std::vector<int> bfs_distances(const CsrGraph& g, NodeId src);
 
 // BFS tree rooted at root: parent pointers, the graph edge to the parent,
@@ -28,7 +27,6 @@ struct BfsTree {
   int height = 0;
 };
 
-BfsTree build_bfs_tree(const Graph& g, NodeId root);
 BfsTree build_bfs_tree(const CsrGraph& g, NodeId root);
 
 // Connected components: labels in [0, count), numbered in order of each
@@ -38,23 +36,18 @@ struct Components {
   int count = 0;
 };
 
-Components connected_components(const Graph& g);
 Components connected_components(const CsrGraph& g);
 
-bool is_connected(const Graph& g);
 bool is_connected(const CsrGraph& g);
 
 // Exact hop diameter via BFS from every node. O(n·m); fine up to n ~ few
 // thousand. Requires a connected graph.
-int diameter_exact(const Graph& g);
 int diameter_exact(const CsrGraph& g);
 
 // Double-sweep lower bound on the hop diameter (exact on trees). O(m).
-int diameter_double_sweep(const Graph& g, NodeId start = 0);
 int diameter_double_sweep(const CsrGraph& g, NodeId start = 0);
 
 // Eccentricity of v (max hop distance to any node). Requires connectivity.
-int eccentricity(const Graph& g, NodeId v);
 int eccentricity(const CsrGraph& g, NodeId v);
 
 }  // namespace dmf

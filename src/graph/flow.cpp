@@ -66,10 +66,6 @@ double flow_value(const CsrGraph& g, const std::vector<double>& flow,
   return value;
 }
 
-double flow_value(const Graph& g, const std::vector<double>& flow, NodeId s) {
-  return flow_value(CsrGraph(g), flow, s);
-}
-
 double max_congestion(const Graph& g, const std::vector<double>& flow) {
   DMF_REQUIRE(flow.size() == static_cast<std::size_t>(g.num_edges()),
               "max_congestion: size mismatch");

@@ -21,9 +21,12 @@ namespace dmf {
 //   divergence[v] := outflow(v) - inflow(v)
 // A flow f *routes demand b* iff divergence[v] == b[v] for every v
 // (sources have positive b, sinks negative, sum b == 0).
+//
+// The Graph form scans the edge list without packing a CSR; both forms
+// accumulate in edge-id order, so their results are identical.
+// dmf-lint: allow(graph-twin) scans the edge list, packs no CSR
 std::vector<double> flow_divergence(const Graph& g,
                                     const std::vector<double>& flow);
-// Both overloads accumulate in edge-id order; results are identical.
 std::vector<double> flow_divergence(const CsrGraph& g,
                                     const std::vector<double>& flow);
 // In-place variant for per-iteration reuse (div is resized and zeroed).
@@ -31,11 +34,11 @@ void flow_divergence_into(const CsrGraph& g, const std::vector<double>& flow,
                           std::vector<double>& div);
 
 // Net flow out of s (== into t if f routes an s-t flow).
-double flow_value(const Graph& g, const std::vector<double>& flow, NodeId s);
 double flow_value(const CsrGraph& g, const std::vector<double>& flow,
                   NodeId s);
 
 // max_e |f_e| / cap(e).
+// dmf-lint: allow(graph-twin) scans the edge list, packs no CSR
 double max_congestion(const Graph& g, const std::vector<double>& flow);
 double max_congestion(const CsrGraph& g, const std::vector<double>& flow);
 

@@ -62,7 +62,7 @@ Graph make_gnp_connected(NodeId n, double p, const CapacityRange& caps,
   // every other component, in label order. Labels number components by
   // their smallest node, so this is the same edge sequence as linking
   // node 0 to the smallest node it cannot reach until none is left.
-  const Components comps = connected_components(g);
+  const Components comps = connected_components(CsrGraph(g));
   std::vector<char> linked(static_cast<std::size_t>(comps.count), 0);
   for (NodeId v = 0; v < n; ++v) {
     char& done = linked[static_cast<std::size_t>(
@@ -131,7 +131,7 @@ Graph make_random_regular(NodeId n, int d, const CapacityRange& caps,
     if (!simple) continue;
     Graph g(n);
     for (const auto& [a, b] : pairs) g.add_edge(a, b, draw_capacity(caps, rng));
-    if (is_connected(g)) return g;
+    if (is_connected(CsrGraph(g))) return g;
   }
   DMF_REQUIRE(false, "make_random_regular: failed to generate after retries");
   return Graph();  // unreachable

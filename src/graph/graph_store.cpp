@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -58,45 +58,7 @@ constexpr std::size_t kManifestWords = 7;
   return true;
 }
 
-struct LoadedArrays {
-  SharedArray<std::size_t> offsets;
-  SharedArray<NodeId> neighbors;
-  SharedArray<EdgeId> edge_ids;
-  SharedArray<EdgeEndpoints> endpoints;
-  SharedArray<double> capacities;
-};
-
-// Maps arena files once per open() so versions sharing a file also
-// share the mapping (pointer equality carries the COW lineage over).
-struct ArenaCache {
-  std::map<std::uint64_t, SharedArray<std::size_t>> offsets;
-  std::map<std::uint64_t, SharedArray<NodeId>> neighbors;
-  std::map<std::uint64_t, SharedArray<EdgeId>> edge_ids;
-  std::map<std::uint64_t, SharedArray<EdgeEndpoints>> endpoints;
-  std::map<std::uint64_t, SharedArray<double>> capacities;
-};
-
-template <typename T, typename Map>
-[[nodiscard]] SharedArray<T> cached_open(Map& cache, const std::string& dir,
-                                         const char* name,
-                                         std::uint64_t version,
-                                         std::uint64_t tag, bool verify) {
-  auto it = cache.find(version);
-  if (it != cache.end()) return it->second;
-  SharedArray<T> arr =
-      ArenaVector<T>::open(arena_path(dir, name, version), tag, verify);
-  cache.emplace(version, arr);
-  return arr;
-}
-
 }  // namespace
-
-GraphStore::GraphStore(Graph initial, std::size_t history_limit)
-    : GraphStore(std::move(initial), [&] {
-        GraphStoreOptions opts;
-        opts.history_limit = history_limit;
-        return opts;
-      }()) {}
 
 GraphStore::GraphStore(Graph initial, GraphStoreOptions options)
     : options_(std::move(options)) {
@@ -105,18 +67,16 @@ GraphStore::GraphStore(Graph initial, GraphStoreOptions options)
       "GraphStore: persist policy requires a data_dir");
   auto graph = std::make_shared<const Graph>(std::move(initial));
   auto csr = std::make_shared<const CsrGraph>(graph);
-  history_.push_back(GraphSnapshot{std::move(graph), std::move(csr), 0});
+  latest_ = GraphSnapshot{std::move(graph), std::move(csr), 0};
   if (options_.persist == PersistPolicy::kOnPublish) {
     MutexLock writer(writer_mutex_);
-    persist_snapshot_locked(history_.back());
+    persist_snapshot_locked(latest_);
   }
 }
 
-GraphStore::GraphStore(GraphStoreOptions options,
-                       std::vector<GraphSnapshot> history, PersistedRefs last)
+GraphStore::GraphStore(GraphStoreOptions options, PersistedRefs last)
     : options_(std::move(options)),
-      pruned_below_(history.front().version),
-      history_(std::move(history)),
+      latest_(last.snapshot),
       last_persisted_(std::move(last)) {}
 
 bool GraphStore::can_open(const std::string& data_dir) {
@@ -135,116 +95,76 @@ std::shared_ptr<GraphStore> GraphStore::open(const std::string& data_dir,
          std::isspace(static_cast<unsigned char>(current.back())) != 0) {
     current.pop_back();
   }
-  DMF_REQUIRE(!current.empty() &&
-                  std::all_of(current.begin(), current.end(),
-                              [](char c) {
-                                return std::isdigit(
-                                           static_cast<unsigned char>(c)) != 0;
-                              }),
+  // Unsigned from_chars takes digits only (no sign, no blanks) and
+  // reports a value beyond uint64 instead of wrapping it.
+  GraphVersion v = 0;
+  const char* const end = current.data() + current.size();
+  const auto parsed = std::from_chars(current.data(), end, v);
+  DMF_REQUIRE(parsed.ec == std::errc() && parsed.ptr == end,
               "GraphStore::open: malformed CURRENT in " + data_dir);
-  const auto latest = static_cast<GraphVersion>(std::stoull(current));
 
-  // Collect the retained manifest chain ending at CURRENT (persisted
-  // versions are contiguous; the walk stops at the GC horizon).
-  std::vector<std::uint64_t> versions;
-  const std::size_t max_keep =
-      std::max<std::size_t>(1, options.retain_versions);
-  for (std::uint64_t v = latest;; --v) {
-    if (!file_exists(arena_path(data_dir, "manifest", v))) break;
-    versions.push_back(v);
-    if (versions.size() >= max_keep || v == 0) break;
-  }
-  DMF_REQUIRE(!versions.empty(),
+  const std::string manifest_path = arena_path(data_dir, "manifest", v);
+  DMF_REQUIRE(file_exists(manifest_path),
               "GraphStore::open: CURRENT points at a missing manifest in " +
                   data_dir);
-  std::reverse(versions.begin(), versions.end());
-
-  ArenaCache cache;
   const bool verify = options.verify_checksums;
-  std::vector<GraphSnapshot> history;
+  const SharedArray<std::uint64_t> manifest =
+      ArenaVector<std::uint64_t>::open(manifest_path, kTagManifest, verify);
+  DMF_REQUIRE(manifest.size() == kManifestWords && manifest[0] == v,
+              "GraphStore::open: malformed manifest for version " +
+                  std::to_string(v));
+  const std::uint64_t n = manifest[1];
+  const std::uint64_t m = manifest[2];
   PersistedRefs last;
-  for (const std::uint64_t v : versions) {
-    const SharedArray<std::uint64_t> manifest =
-        ArenaVector<std::uint64_t>::open(arena_path(data_dir, "manifest", v),
-                                         kTagManifest, verify);
-    DMF_REQUIRE(manifest.size() == kManifestWords && manifest[0] == v,
-                "GraphStore::open: malformed manifest for version " +
-                    std::to_string(v));
-    const std::uint64_t n = manifest[1];
-    const std::uint64_t m = manifest[2];
-    const std::uint64_t offsets_from = manifest[3];
-    const std::uint64_t half_from = manifest[4];
-    const std::uint64_t endpoints_from = manifest[5];
-    const std::uint64_t capacities_from = manifest[6];
+  last.valid = true;
+  last.version = v;
+  last.offsets_from = manifest[3];
+  last.half_from = manifest[4];
+  last.endpoints_from = manifest[5];
+  last.capacities_from = manifest[6];
 
-    LoadedArrays arrays;
-    arrays.offsets = cached_open<std::size_t>(
-        cache.offsets, data_dir, "offsets", offsets_from, kTagOffsets, verify);
-    arrays.neighbors =
-        cached_open<NodeId>(cache.neighbors, data_dir, "neighbors", half_from,
-                            kTagNeighbors, verify);
-    arrays.edge_ids =
-        cached_open<EdgeId>(cache.edge_ids, data_dir, "edge_ids", half_from,
-                            kTagEdgeIds, verify);
-    arrays.endpoints = cached_open<EdgeEndpoints>(
-        cache.endpoints, data_dir, "endpoints", endpoints_from, kTagEndpoints,
-        verify);
-    arrays.capacities = cached_open<double>(
-        cache.capacities, data_dir, "capacities", capacities_from,
-        kTagCapacities, verify);
-    DMF_REQUIRE(arrays.endpoints.size() >= m && arrays.capacities.size() >= m,
-                "GraphStore::open: arrays shorter than manifest edge count");
+  CsrArrays arrays{
+      ArenaVector<std::size_t>::open(
+          arena_path(data_dir, "offsets", last.offsets_from), kTagOffsets,
+          verify),
+      ArenaVector<NodeId>::open(
+          arena_path(data_dir, "neighbors", last.half_from), kTagNeighbors,
+          verify),
+      ArenaVector<EdgeId>::open(
+          arena_path(data_dir, "edge_ids", last.half_from), kTagEdgeIds,
+          verify)};
+  const SharedArray<EdgeEndpoints> endpoints = ArenaVector<EdgeEndpoints>::open(
+      arena_path(data_dir, "endpoints", last.endpoints_from), kTagEndpoints,
+      verify);
+  const SharedArray<double> capacities = ArenaVector<double>::open(
+      arena_path(data_dir, "capacities", last.capacities_from),
+      kTagCapacities, verify);
+  DMF_REQUIRE(endpoints.size() >= m && capacities.size() >= m,
+              "GraphStore::open: arrays shorter than manifest edge count");
 
-    // Rebuild the Graph's edge list by replaying the edges in id order
-    // through add_edge, which re-validates every endpoint and capacity;
-    // ids come out as persisted because mutation is append-only.
-    Graph g(static_cast<NodeId>(n));
-    for (std::uint64_t e = 0; e < m; ++e) {
-      const EdgeEndpoints ep = arrays.endpoints[e];
-      g.add_edge(ep.u, ep.v, arrays.capacities[e]);
-    }
-    auto graph = std::make_shared<const Graph>(std::move(g));
-    auto csr = std::make_shared<const CsrGraph>(
-        graph,
-        CsrArrays{arrays.offsets, arrays.neighbors, arrays.edge_ids});
-    history.push_back(GraphSnapshot{std::move(graph), std::move(csr),
-                                    static_cast<GraphVersion>(v)});
-    if (v == latest) {
-      last.valid = true;
-      last.version = v;
-      last.offsets_from = offsets_from;
-      last.half_from = half_from;
-      last.endpoints_from = endpoints_from;
-      last.capacities_from = capacities_from;
-      last.snapshot = history.back();
-    }
+  // Rebuild the Graph's edge list by replaying the edges in id order
+  // through add_edge, which re-validates every endpoint and capacity;
+  // ids come out as persisted because mutation is append-only.
+  Graph g(static_cast<NodeId>(n));
+  for (std::uint64_t e = 0; e < m; ++e) {
+    const EdgeEndpoints ep = endpoints[e];
+    g.add_edge(ep.u, ep.v, capacities[e]);
   }
+  auto graph = std::make_shared<const Graph>(std::move(g));
+  auto csr = std::make_shared<const CsrGraph>(graph, std::move(arrays));
+  last.snapshot = GraphSnapshot{std::move(graph), std::move(csr), v};
   return std::shared_ptr<GraphStore>(
-      new GraphStore(std::move(options), std::move(history), std::move(last)));
+      new GraphStore(std::move(options), std::move(last)));
 }
 
 GraphSnapshot GraphStore::snapshot() const {
   MutexLock lock(mutex_);
-  return history_.back();
-}
-
-GraphSnapshot GraphStore::snapshot(GraphVersion version) const {
-  MutexLock lock(mutex_);
-  DMF_REQUIRE(version >= pruned_below_ &&
-                  version < pruned_below_ + history_.size(),
-              "GraphStore::snapshot: version " + std::to_string(version) +
-                  " not retained");
-  return history_[static_cast<std::size_t>(version - pruned_below_)];
+  return latest_;
 }
 
 GraphVersion GraphStore::latest_version() const {
   MutexLock lock(mutex_);
-  return history_.back().version;
-}
-
-std::size_t GraphStore::num_retained() const {
-  MutexLock lock(mutex_);
-  return history_.size();
+  return latest_.version;
 }
 
 GraphSnapshot GraphStore::apply(const MutationBatch& batch) {
@@ -255,7 +175,7 @@ GraphSnapshot GraphStore::apply(const MutationBatch& batch) {
   GraphSnapshot base;
   {
     MutexLock lock(mutex_);
-    base = history_.back();
+    base = latest_;
   }
   // Copy-on-write: mutate a private copy; any invalid op throws here
   // and the store is left exactly as it was.
@@ -283,14 +203,7 @@ GraphSnapshot GraphStore::apply(const MutationBatch& batch) {
                           base.version + 1};
   {
     MutexLock lock(mutex_);
-    history_.push_back(published);
-    if (options_.history_limit > 0 &&
-        history_.size() > options_.history_limit) {
-      const std::size_t drop = history_.size() - options_.history_limit;
-      history_.erase(history_.begin(),
-                     history_.begin() + static_cast<std::ptrdiff_t>(drop));
-      pruned_below_ += drop;
-    }
+    latest_ = published;
   }
   if (options_.persist == PersistPolicy::kOnPublish) {
     // A throwing persist (disk full, permissions) propagates with the
@@ -305,11 +218,7 @@ GraphVersion GraphStore::persist() {
   DMF_REQUIRE(persistence_enabled(),
               "GraphStore::persist: no data_dir configured");
   MutexLock writer(writer_mutex_);
-  GraphSnapshot latest;
-  {
-    MutexLock lock(mutex_);
-    latest = history_.back();
-  }
+  const GraphSnapshot latest = snapshot();
   if (!(last_persisted_.valid && last_persisted_.version == latest.version)) {
     persist_snapshot_locked(latest);
   }

@@ -1,6 +1,6 @@
 // Versioned graph snapshots with copy-on-write mutation.
 //
-// A GraphStore holds a sequence of immutable snapshots, each a
+// A GraphStore holds the latest immutable snapshot, a
 // `shared_ptr<const Graph>` tagged with a monotonically increasing
 // GraphVersion. Readers take a snapshot and keep computing against it
 // for as long as they like; writers record a MutationBatch and apply()
@@ -16,9 +16,8 @@
 // the store unchanged — no version is consumed. Applies are serialized
 // by a writer lock; snapshot() never waits on a writer's copy.
 //
-// Snapshots are retained (see history_limit) so `snapshot(version)` can
-// answer for past versions and references into old graphs stay valid
-// for the store's lifetime.
+// The store keeps no history: a superseded version lives exactly as
+// long as some reader still holds its GraphSnapshot.
 //
 // Persistence (GraphStoreOptions::persist + data_dir): published
 // snapshots are written to disk as mmap arena files
@@ -136,18 +135,14 @@ enum class PersistPolicy {
 };
 
 struct GraphStoreOptions {
-  // Bounds how many snapshots the store retains in memory (0 = keep
-  // all); the latest is never pruned, and holders of a pruned
-  // snapshot's shared_ptr keep it alive on their own.
-  std::size_t history_limit = 0;
-  // --- persistence ---
   PersistPolicy persist = PersistPolicy::kNone;
   // Directory for the arena files; required when persist != kNone,
   // optional otherwise (enables manual persist()). Created on demand.
   std::string data_dir;
   // How many persisted versions stay on disk; older manifests and the
   // arena files only they reference are garbage-collected after each
-  // publish. The version CURRENT points at is always kept.
+  // publish. The version CURRENT points at is always kept. This bounds
+  // disk use only: open() reads nothing but the CURRENT version.
   std::size_t retain_versions = 4;
   // Verify payload checksums when opening arena files (one sequential
   // read per file). Disable for huge out-of-core graphs where paging
@@ -158,16 +153,16 @@ struct GraphStoreOptions {
 class GraphStore {
  public:
   // The initial graph becomes snapshot version 0.
-  explicit GraphStore(Graph initial, std::size_t history_limit = 0);
-  GraphStore(Graph initial, GraphStoreOptions options);
+  explicit GraphStore(Graph initial, GraphStoreOptions options = {});
 
-  // Reopen a persisted store: CURRENT names the newest durable version;
-  // that snapshot (plus up to retain_versions of persisted history) is
-  // rehydrated with the structure arrays mapped zero-copy from the
-  // arena files. Corrupt or truncated files throw RequirementError
-  // (classified kPreconditionFailed at the engine boundary); stray
-  // files from an interrupted publish are ignored. New versions
-  // continue from the reopened latest.
+  // Reopen a persisted store: CURRENT names the newest durable version,
+  // and only that snapshot is rehydrated, from its manifest and the five
+  // arrays it references, with the structure arrays mapped zero-copy
+  // from the arena files; files of older versions are never read.
+  // Corrupt or truncated files (a malformed CURRENT included) throw
+  // RequirementError (classified kPreconditionFailed at the engine
+  // boundary); stray files from an interrupted publish are ignored. New
+  // versions continue from the reopened latest.
   [[nodiscard]] static std::shared_ptr<GraphStore> open(
       const std::string& data_dir, GraphStoreOptions options = {});
 
@@ -177,12 +172,7 @@ class GraphStore {
   // The latest published snapshot.
   [[nodiscard]] GraphSnapshot snapshot() const;
 
-  // A retained historical snapshot; throws if `version` was never
-  // published or has been pruned.
-  [[nodiscard]] GraphSnapshot snapshot(GraphVersion version) const;
-
   [[nodiscard]] GraphVersion latest_version() const;
-  [[nodiscard]] std::size_t num_retained() const;
 
   // Copy-on-write: copies the latest graph, applies every op of the
   // batch to the copy (throwing — and publishing nothing — if any op is
@@ -221,8 +211,8 @@ class GraphStore {
     GraphSnapshot snapshot;
   };
 
-  GraphStore(GraphStoreOptions options, std::vector<GraphSnapshot> history,
-             PersistedRefs last);
+  // The reopened form: `last.snapshot` becomes the latest snapshot.
+  GraphStore(GraphStoreOptions options, PersistedRefs last);
 
   // Both run under writer_mutex_.
   void persist_snapshot_locked(const GraphSnapshot& snap)
@@ -231,13 +221,11 @@ class GraphStore {
 
   GraphStoreOptions options_;
   // Lock order: writer_mutex_ first, mutex_ inside it (apply/persist
-  // take the writer lock for the whole operation and the history lock
+  // take the writer lock for the whole operation and the snapshot lock
   // only around the snapshot read/publish); never the reverse.
   mutable Mutex mutex_;
   mutable Mutex writer_mutex_ DMF_ACQUIRED_BEFORE(mutex_);
-  GraphVersion pruned_below_ DMF_GUARDED_BY(mutex_) = 0;
-  // history_[i].version == pruned_below_ + i
-  std::vector<GraphSnapshot> history_ DMF_GUARDED_BY(mutex_);
+  GraphSnapshot latest_ DMF_GUARDED_BY(mutex_);
   PersistedRefs last_persisted_ DMF_GUARDED_BY(writer_mutex_);
 };
 

@@ -247,7 +247,7 @@ TreeDecomposition decompose_tree_random(const RootedTree& tree,
 }
 
 RootedTree bfs_spanning_tree(const Graph& g, NodeId root) {
-  const BfsTree bfs = build_bfs_tree(g, root);
+  const BfsTree bfs = build_bfs_tree(CsrGraph(g), root);
   const auto n = static_cast<std::size_t>(g.num_nodes());
   RootedTree tree;
   tree.root = root;

@@ -208,12 +208,4 @@ AlmostRouteResult almost_route(const CsrGraph& g,
   return result;
 }
 
-AlmostRouteResult almost_route(const Graph& g,
-                               const CongestionApproximator& approximator,
-                               const std::vector<double>& demand,
-                               const AlmostRouteOptions& options) {
-  const CsrGraph csr(g);  // non-owning transient view
-  return almost_route(csr, approximator, demand, options);
-}
-
 }  // namespace dmf

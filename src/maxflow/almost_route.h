@@ -72,13 +72,6 @@ AlmostRouteResult almost_route(const CsrGraph& g,
                                const std::vector<double>& demand,
                                const AlmostRouteOptions& options);
 
-// Convenience shim for callers holding only a Graph: packs a transient
-// CSR view (O(n + m), dwarfed by the descent) and delegates.
-AlmostRouteResult almost_route(const Graph& g,
-                               const CongestionApproximator& approximator,
-                               const std::vector<double>& demand,
-                               const AlmostRouteOptions& options);
-
 namespace detail {
 
 // The symmetric soft-max smax(x) = log sum_i (e^{x_i} + e^{-x_i}) over

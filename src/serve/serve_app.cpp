@@ -157,14 +157,18 @@ template <typename Ticket>
 void ServeApp::arm_deadline(std::uint64_t request_id, double deadline_seconds,
                             Ticket&& ticket) {
   if (deadline_seconds <= 0.0) return;
+  // A deadline too far out for the clock to hold is no deadline, as in
+  // FlowEngine::wait_for_version; converting it to ticks would overflow.
+  const Clock::time_point now = Clock::now();
+  const std::chrono::duration<double> timeout(deadline_seconds);
+  if (timeout >= (Clock::time_point::max() - now) / 2) return;
   auto shared = std::make_shared<Ticket>(std::move(ticket));
   {
     MutexLock lock(mu_);
     // The callback may already have fired and erased nothing; a stale
     // entry is harmless — cancel() on a resolved ticket returns false.
     deadlines_[request_id] = DeadlineEntry{
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(deadline_seconds)),
+        now + std::chrono::duration_cast<Clock::duration>(timeout),
         [shared] { return shared->cancel(); }};
   }
   cv_.notify_all();

@@ -20,7 +20,7 @@ namespace {
 TEST(Dinic, SingleEdge) {
   Graph g(2);
   g.add_edge(0, 1, 5.0);
-  const MaxFlowResult r = dinic_max_flow(g, 0, 1);
+  const MaxFlowResult r = dinic_max_flow(CsrGraph(g), 0, 1);
   EXPECT_DOUBLE_EQ(r.value, 5.0);
   EXPECT_DOUBLE_EQ(r.edge_flow[0], 5.0);
 }
@@ -55,17 +55,18 @@ TEST(Dinic, UndirectedEdgeBidirectional) {
 TEST(Dinic, FlowIsConservedAndFeasible) {
   Rng rng(31);
   const Graph g = make_gnp_connected(40, 0.15, {1, 9}, rng);
-  const MaxFlowResult r = dinic_max_flow(g, 0, 39);
+  const CsrGraph csr(g);
+  const MaxFlowResult r = dinic_max_flow(csr, 0, 39);
   EXPECT_TRUE(is_feasible(g, r.edge_flow));
   EXPECT_NEAR(max_conservation_violation(g, r.edge_flow, 0, 39), 0.0, 1e-9);
-  EXPECT_NEAR(flow_value(g, r.edge_flow, 0), r.value, 1e-9);
+  EXPECT_NEAR(flow_value(csr, r.edge_flow, 0), r.value, 1e-9);
 }
 
 TEST(Dinic, MinCutMatchesFlow) {
   Rng rng(37);
   for (int trial = 0; trial < 10; ++trial) {
     const Graph g = make_gnp_connected(30, 0.2, {1, 7}, rng);
-    const MinCutResult cut = dinic_min_cut(g, 0, 29);
+    const MinCutResult cut = dinic_min_cut(CsrGraph(g), 0, 29);
     EXPECT_TRUE(cut.source_side[0]);
     EXPECT_FALSE(cut.source_side[29]);
     // Capacity of edges crossing the cut equals the flow value.
@@ -102,7 +103,7 @@ TEST(PushRelabel, AgreesWithDinicOnRandomGraphs) {
     const NodeId s = 0;
     const NodeId t = g.num_nodes() - 1;
     const double dinic = dinic_max_flow_value(g, s, t);
-    const MaxFlowResult pr = push_relabel_max_flow(g, s, t);
+    const MaxFlowResult pr = push_relabel_max_flow(CsrGraph(g), s, t);
     EXPECT_NEAR(pr.value, dinic, 1e-6) << "trial " << trial;
     EXPECT_TRUE(is_feasible(g, pr.edge_flow, 1e-9));
     EXPECT_NEAR(max_conservation_violation(g, pr.edge_flow, s, t), 0.0, 1e-9);
@@ -112,10 +113,10 @@ TEST(PushRelabel, AgreesWithDinicOnRandomGraphs) {
 TEST(PushRelabel, AgreesOnGridAndRegular) {
   Rng rng(53);
   const Graph grid = make_grid(6, 6, {1, 5}, rng);
-  EXPECT_NEAR(push_relabel_max_flow(grid, 0, 35).value,
+  EXPECT_NEAR(push_relabel_max_flow(CsrGraph(grid), 0, 35).value,
               dinic_max_flow_value(grid, 0, 35), 1e-6);
   const Graph reg = make_random_regular(24, 3, {1, 6}, rng);
-  EXPECT_NEAR(push_relabel_max_flow(reg, 0, 23).value,
+  EXPECT_NEAR(push_relabel_max_flow(CsrGraph(reg), 0, 23).value,
               dinic_max_flow_value(reg, 0, 23), 1e-6);
 }
 
@@ -152,7 +153,7 @@ TEST(FlowUtils, DivergenceSignsAndValue) {
   EXPECT_DOUBLE_EQ(div[0], 2.0);   // source sends 2
   EXPECT_DOUBLE_EQ(div[1], 0.0);   // conserved
   EXPECT_DOUBLE_EQ(div[2], -2.0);  // sink receives 2
-  EXPECT_DOUBLE_EQ(flow_value(g, f, 0), 2.0);
+  EXPECT_DOUBLE_EQ(flow_value(CsrGraph(g), f, 0), 2.0);
 }
 
 TEST(FlowUtils, CongestionAndScaling) {
@@ -192,7 +193,7 @@ TEST(TreeRouting, RoutesDemandExactly) {
     b[17] = -2.0;
     b[29] = -3.0;
     const std::vector<double> flow =
-        route_demand_on_spanning_tree(g, tree, b);
+        route_demand_on_spanning_tree(CsrGraph(g), tree, b);
     const std::vector<double> div = flow_divergence(g, flow);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       EXPECT_NEAR(div[static_cast<std::size_t>(v)],
@@ -208,7 +209,8 @@ TEST(TreeRouting, NonTreeEdgesCarryNoFlow) {
   std::vector<double> b(8, 0.0);
   b[1] = 1.0;
   b[6] = -1.0;
-  const std::vector<double> flow = route_demand_on_spanning_tree(g, tree, b);
+  const std::vector<double> flow =
+      route_demand_on_spanning_tree(CsrGraph(g), tree, b);
   std::vector<char> is_tree_edge(static_cast<std::size_t>(g.num_edges()), 0);
   for (NodeId v = 0; v < 8; ++v) {
     const EdgeId e = tree.parent_edge[static_cast<std::size_t>(v)];
@@ -235,7 +237,7 @@ TEST_P(ExactSolverAgreement, ValuesMatch) {
   }
   const NodeId s = 0;
   const NodeId t = g.num_nodes() - 1;
-  EXPECT_NEAR(push_relabel_max_flow(g, s, t).value,
+  EXPECT_NEAR(push_relabel_max_flow(CsrGraph(g), s, t).value,
               dinic_max_flow_value(g, s, t), 1e-6);
 }
 

@@ -91,7 +91,8 @@ TEST(Boruvka, RootedTreeUsableForRouting) {
   std::vector<double> b(30, 0.0);
   b[4] = 2.0;
   b[22] = -2.0;
-  const std::vector<double> flow = route_demand_on_spanning_tree(g, tree, b);
+  const std::vector<double> flow =
+      route_demand_on_spanning_tree(CsrGraph(g), tree, b);
   const std::vector<double> div = flow_divergence(g, flow);
   EXPECT_NEAR(div[4], 2.0, 1e-9);
   EXPECT_NEAR(div[22], -2.0, 1e-9);

@@ -33,7 +33,8 @@ TEST(Network, BandwidthBudgetEnforced) {
     }
     void round(NodeContext&) {}
   };
-  Network net(g);
+  const CsrGraph csr(g);
+  Network net(csr);
   std::vector<Oversender> programs(2);
   EXPECT_THROW(net.run(programs), RequirementError);
 }
@@ -51,7 +52,8 @@ TEST(Network, OneMessagePerEdgePerRound) {
     }
     void round(NodeContext&) {}
   };
-  Network net(g);
+  const CsrGraph csr(g);
+  Network net(csr);
   std::vector<DoubleSender> programs(2);
   EXPECT_THROW(net.run(programs), RequirementError);
 }
@@ -63,7 +65,8 @@ TEST(Network, QuiescenceStopsRun) {
     void start(NodeContext&) {}
     void round(NodeContext&) {}
   };
-  Network net(g);
+  const CsrGraph csr(g);
+  Network net(csr);
   std::vector<Silent> programs(2);
   const RunStats stats = net.run(programs);
   // The two quiet rounds ARE stepped (programs observe their empty
@@ -88,7 +91,7 @@ TEST(DistributedBfs, DepthsMatchCentralizedBfs) {
     const Graph g = make_gnp_connected(50, 0.08, {1, 3}, rng);
     const NodeId root = static_cast<NodeId>(rng.next_below(50));
     const DistributedBfsResult dist = run_distributed_bfs(g, root);
-    const std::vector<int> expected = bfs_distances(g, root);
+    const std::vector<int> expected = bfs_distances(CsrGraph(g), root);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       EXPECT_EQ(dist.depth[static_cast<std::size_t>(v)],
                 expected[static_cast<std::size_t>(v)]);
@@ -132,7 +135,8 @@ TEST(DistributedBfs, ParentPortsFormTree) {
 TEST(FloodMax, ElectsMaximumId) {
   Rng rng(113);
   const Graph g = make_gnp_connected(30, 0.1, {1, 1}, rng);
-  Network net(g);
+  const CsrGraph csr(g);
+  Network net(csr);
   std::vector<FloodMaxProgram> programs(30);
   net.run(programs);
   for (const auto& p : programs) EXPECT_EQ(p.leader(), 29);
@@ -142,7 +146,8 @@ TEST(ConvergecastSum, ComputesGlobalSum) {
   Rng rng(127);
   const Graph g = make_gnp_connected(40, 0.1, {1, 4}, rng);
   const DistributedBfsResult bfs = run_distributed_bfs(g, 5);
-  Network net(g);
+  const CsrGraph csr(g);
+  Network net(csr);
   std::vector<ConvergecastSumProgram> programs;
   double expected = 0.0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -160,7 +165,8 @@ TEST(ConvergecastSum, RoundsProportionalToDepth) {
   Rng rng(131);
   const Graph g = make_path(50, {1, 1}, rng);
   const DistributedBfsResult bfs = run_distributed_bfs(g, 0);
-  Network net(g);
+  const CsrGraph csr(g);
+  Network net(csr);
   std::vector<ConvergecastSumProgram> programs;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     programs.emplace_back(ConvergecastSumProgram::Config{
@@ -183,7 +189,8 @@ TEST(PipelinedBroadcast, AllTokensReachAllNodes) {
   std::vector<std::int64_t> tokens(k);
   std::iota(tokens.begin(), tokens.end(), 100);
 
-  Network net(g);
+  const CsrGraph csr(g);
+  Network net(csr);
   std::vector<PipelinedBroadcastProgram> programs;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     PipelinedBroadcastProgram::Config config;
@@ -217,7 +224,8 @@ TEST(PipelinedBroadcast, PathPipelineBound) {
   const int k = 30;
   std::vector<std::int64_t> tokens(k);
   std::iota(tokens.begin(), tokens.end(), 0);
-  Network net(g);
+  const CsrGraph csr(g);
+  Network net(csr);
   std::vector<PipelinedBroadcastProgram> programs;
   for (NodeId v = 0; v < n; ++v) {
     PipelinedBroadcastProgram::Config config;
@@ -243,7 +251,7 @@ TEST(DistributedPushRelabel, MatchesDinicOnSmallGraphs) {
     const NodeId t = g.num_nodes() - 1;
     const double exact = dinic_max_flow_value(g, s, t);
     const DistributedPushRelabelResult result =
-        run_distributed_push_relabel(g, s, t);
+        run_distributed_push_relabel(CsrGraph(g), s, t);
     EXPECT_NEAR(result.flow_value, exact, 1e-4) << "trial " << trial;
   }
 }
@@ -256,7 +264,7 @@ TEST(DistributedPushRelabel, PathInstance) {
   g.add_edge(2, 3, 9.0);
   g.add_edge(3, 4, 6.0);
   const DistributedPushRelabelResult result =
-      run_distributed_push_relabel(g, 0, 4);
+      run_distributed_push_relabel(CsrGraph(g), 0, 4);
   EXPECT_NEAR(result.flow_value, 4.0, 1e-6);
   (void)rng;
 }
@@ -268,12 +276,13 @@ TEST(DistributedPushRelabel, BarbellNeedsManyRounds) {
   const Graph g = make_barbell(6, {10, 10}, 2.0, rng);
   const NodeId s = 0;
   const NodeId t = g.num_nodes() - 1;
+  const CsrGraph csr(g);
   const DistributedPushRelabelResult result =
-      run_distributed_push_relabel(g, s, t);
+      run_distributed_push_relabel(csr, s, t);
   EXPECT_NEAR(result.flow_value, 2.0, 1e-4);
   // Far more rounds than the diameter (3): this is the phenomenon from
   // §1.2 that motivates the paper.
-  EXPECT_GT(result.stats.rounds, 10 * diameter_exact(g));
+  EXPECT_GT(result.stats.rounds, 10 * diameter_exact(csr));
 }
 
 
@@ -291,7 +300,8 @@ TEST(Network, CountsMessagesDroppedAtHaltedNodes) {
     }
     void round(NodeContext&) {}
   };
-  Network net(g);
+  const CsrGraph csr(g);
+  Network net(csr);
   std::vector<SendAndHalt> programs(2);
   const RunStats stats = net.run(programs);
   EXPECT_TRUE(stats.all_halted);
@@ -309,7 +319,8 @@ TEST(Network, RequireDeliveryFailsLoudlyOnDrop) {
     }
     void round(NodeContext&) {}
   };
-  Network net(g);
+  const CsrGraph csr(g);
+  Network net(csr);
   std::vector<SendAndHalt> programs(2);
   RunOptions options;
   options.require_delivery = true;
@@ -338,7 +349,8 @@ TEST(Network, QuietRoundsAreSteppedBeforeQuiescenceStop) {
       if (!any) ++empty_rounds_seen;
     }
   };
-  Network net(g);
+  const CsrGraph csr(g);
+  Network net(csr);
   std::vector<EmptyRoundObserver> programs(3);
   RunOptions options;
   options.quiet_rounds_to_stop = 2;
@@ -362,7 +374,8 @@ TEST(Network, StopPredicateConsultedOnIntervalBoundariesOnly) {
       if (ctx.id() == 0) ctx.send(0, Message{ctx.round()});
     }
   };
-  Network net(g);
+  const CsrGraph csr(g);
+  Network net(csr);
   std::vector<Chatter> programs(2);
   RunOptions options;
   options.max_rounds = 12;
@@ -395,7 +408,8 @@ TEST(DistributedPushRelabel, FlowConservationAtEarlyPulseBoundaryStop) {
   const Graph g = make_gnp_connected(24, 0.18, {1, 6}, rng);
   const NodeId source = 0;
   const NodeId sink = g.num_nodes() - 1;
-  Network net(g);
+  const CsrGraph csr(g);
+  Network net(csr);
   std::vector<PushRelabelProgram> programs;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     programs.emplace_back(PushRelabelProgram::Config{source, sink});
@@ -415,7 +429,6 @@ TEST(DistributedPushRelabel, FlowConservationAtEarlyPulseBoundaryStop) {
   EXPECT_GT(stats.rounds, 0);
   EXPECT_EQ(stats.rounds % 3, 0);  // a pulse boundary
   // Edge antisymmetry: both endpoints agree on every edge's flow.
-  const CsrGraph csr(g);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const EdgeEndpoints ep = g.endpoints(e);
     const auto port_of = [&csr](NodeId v, EdgeId edge) {
@@ -446,7 +459,8 @@ TEST(Network, TranscriptsIdenticalAcrossThreadCounts) {
   Rng rng(167);
   const Graph g = make_gnp_connected(120, 0.05, {1, 8}, rng);
   const auto run_flood = [&g](int threads) {
-    Network net(g);
+    const CsrGraph csr(g);
+    Network net(csr);
     std::vector<FloodMaxProgram> programs(
         static_cast<std::size_t>(g.num_nodes()));
     RunOptions options;
@@ -475,7 +489,8 @@ TEST(Network, PushRelabelBitwiseIdenticalAcrossThreadCounts) {
   const NodeId source = 0;
   const NodeId sink = g.num_nodes() - 1;
   const auto run_once = [&](int threads) {
-    Network net(g);
+    const CsrGraph csr(g);
+    Network net(csr);
     std::vector<PushRelabelProgram> programs;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       programs.emplace_back(PushRelabelProgram::Config{source, sink});
@@ -504,7 +519,8 @@ TEST(Network, RepeatedRunsOnOneNetworkAreIdentical) {
   // identical to a run on a fresh Network.
   Rng rng(179);
   const Graph g = make_gnp_connected(40, 0.1, {1, 5}, rng);
-  Network net(g);
+  const CsrGraph csr(g);
+  Network net(csr);
   RunStats first;
   for (int iteration = 0; iteration < 3; ++iteration) {
     std::vector<BfsTreeProgram> programs;
@@ -522,7 +538,7 @@ TEST(Network, RepeatedRunsOnOneNetworkAreIdentical) {
       EXPECT_EQ(stats.transcript_hash, first.transcript_hash);
     }
   }
-  Network fresh(g);
+  Network fresh(csr);
   std::vector<BfsTreeProgram> programs;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     programs.emplace_back(BfsTreeProgram::Config{7});
@@ -537,9 +553,10 @@ TEST(Network, MatchesSequentialReferenceBitwise) {
   Rng rng(181);
   for (int trial = 0; trial < 4; ++trial) {
     const Graph g = make_gnp_connected(40, 0.12, {1, 6}, rng);
+    const CsrGraph csr(g);
 
     {  // BFS (halting, drops)
-      Network flat(g);
+      Network flat(csr);
       ReferenceNetwork ragged(g);
       std::vector<BfsTreeProgram> a;
       std::vector<BfsTreeProgram> b;
@@ -562,7 +579,7 @@ TEST(Network, MatchesSequentialReferenceBitwise) {
     }
 
     {  // flood-max (sleep/wake, permanent quiescence)
-      Network flat(g);
+      Network flat(csr);
       ReferenceNetwork ragged(g);
       std::vector<FloodMaxProgram> a(static_cast<std::size_t>(g.num_nodes()));
       std::vector<FloodMaxProgram> b(static_cast<std::size_t>(g.num_nodes()));
@@ -575,7 +592,7 @@ TEST(Network, MatchesSequentialReferenceBitwise) {
     {  // push-relabel (pulse phases, worklist churn)
       const NodeId source = 0;
       const NodeId sink = g.num_nodes() - 1;
-      Network flat(g);
+      Network flat(csr);
       ReferenceNetwork ragged(g);
       std::vector<PushRelabelProgram> a;
       std::vector<PushRelabelProgram> b;

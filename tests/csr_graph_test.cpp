@@ -8,8 +8,6 @@
 #include <vector>
 
 #include "baselines/dinic.h"
-#include "baselines/push_relabel.h"
-#include "graph/algorithms.h"
 #include "graph/csr_graph.h"
 #include "graph/flow.h"
 #include "graph/generators.h"
@@ -87,43 +85,14 @@ TEST(CsrGraph, MatchesAdjacencyOnRandomMultigraphs) {
   }
 }
 
-TEST(CsrGraph, TraversalsMatchGraphTraversals) {
-  Rng rng(0xbf5);
-  const Graph g = random_multigraph(60, 140, rng);
-  const CsrGraph csr(g);
-
-  const BfsTree via_graph = build_bfs_tree(g, 0);
-  const BfsTree via_csr = build_bfs_tree(csr, 0);
-  EXPECT_EQ(via_csr.height, via_graph.height);
-  EXPECT_EQ(via_csr.parent, via_graph.parent);
-  EXPECT_EQ(via_csr.parent_edge, via_graph.parent_edge);
-  EXPECT_EQ(via_csr.depth, via_graph.depth);
-
-  EXPECT_EQ(bfs_distances(csr, 3), bfs_distances(g, 3));
-  EXPECT_EQ(is_connected(csr), is_connected(g));
-}
-
 TEST(CsrGraph, ExactBaselinesMatchGraphOverloads) {
   Rng rng(0xd1);
   const Graph g = make_gnp_connected(48, 0.12, {1, 8}, rng);
   const CsrGraph csr(g);
   const NodeId s = 0;
   const NodeId t = g.num_nodes() - 1;
-
-  const MaxFlowResult dg = dinic_max_flow(g, s, t);
-  const MaxFlowResult dc = dinic_max_flow(csr, s, t);
-  EXPECT_EQ(dc.value, dg.value);  // bitwise: identical arc order
-  EXPECT_EQ(dc.edge_flow, dg.edge_flow);
-
-  const MaxFlowResult pg = push_relabel_max_flow(g, s, t);
-  const MaxFlowResult pc = push_relabel_max_flow(csr, s, t);
-  EXPECT_EQ(pc.value, pg.value);
-  EXPECT_EQ(pc.edge_flow, pg.edge_flow);
-
-  const MinCutResult cut_g = dinic_min_cut(g, s, t);
-  const MinCutResult cut_c = dinic_min_cut(csr, s, t);
-  EXPECT_EQ(cut_c.capacity, cut_g.capacity);
-  EXPECT_EQ(cut_c.source_side, cut_g.source_side);
+  // bitwise: the Graph form packs the same CSR and runs the same arcs
+  EXPECT_EQ(dinic_max_flow_value(g, s, t), dinic_max_flow_value(csr, s, t));
 }
 
 TEST(CsrGraph, FlowHelpersMatchGraphOverloads) {
@@ -135,7 +104,6 @@ TEST(CsrGraph, FlowHelpersMatchGraphOverloads) {
 
   EXPECT_EQ(flow_divergence(csr, flow), flow_divergence(g, flow));
   EXPECT_EQ(max_congestion(csr, flow), max_congestion(g, flow));
-  EXPECT_EQ(flow_value(csr, flow, 4), flow_value(g, flow, 4));
 }
 
 TEST(CsrGraph, MultiAdjacencyMatchesPerNodeVectors) {
@@ -276,18 +244,20 @@ TEST(CsrGraphStore, EdgeBatchRebuildsWithoutDisturbingOldVersions) {
 
 TEST(CsrGraphStore, ChainedBatchesKeepEveryVersionConsistent) {
   GraphStore store(square());
+  std::vector<GraphSnapshot> versions{store.snapshot()};
   MutationBatch caps;
   caps.set_capacity(0, 7.0);
-  store.apply(caps);
+  versions.push_back(store.apply(caps));
   MutationBatch nodes;
   nodes.add_nodes(1);
-  store.apply(nodes);
+  versions.push_back(store.apply(nodes));
   MutationBatch edges;
   edges.add_edge(4, 0, 2.0);
-  store.apply(edges);
+  versions.push_back(store.apply(edges));
 
   for (GraphVersion v = 0; v <= 3; ++v) {
-    const GraphSnapshot snap = store.snapshot(v);
+    const GraphSnapshot& snap = versions[static_cast<std::size_t>(v)];
+    ASSERT_EQ(snap.version, v);
     ASSERT_NE(snap.csr, nullptr) << "version " << v;
     const CsrGraph fresh(*snap.graph);
     EXPECT_EQ(snap.csr->offsets(), fresh.offsets()) << "version " << v;

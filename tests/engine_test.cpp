@@ -226,7 +226,7 @@ TEST(FlowEngine, ExactRoundsAreCollectAndBroadcastOnTheSolvedGraph) {
 
   // A new leaf hung off the farthest node from 0 deepens the BFS tree,
   // so a height left over from the previous snapshot would show.
-  const BfsTree bfs = build_bfs_tree(g, 0);
+  const BfsTree bfs = build_bfs_tree(CsrGraph(g), 0);
   const auto far = static_cast<NodeId>(
       std::max_element(bfs.depth.begin(), bfs.depth.end()) -
       bfs.depth.begin());
@@ -234,7 +234,7 @@ TEST(FlowEngine, ExactRoundsAreCollectAndBroadcastOnTheSolvedGraph) {
   topology.add_nodes(1);
   topology.add_edge(far, g.num_nodes(), 3.0);
   check_version(engine.apply(topology).version);
-  EXPECT_EQ(build_bfs_tree(*engine.snapshot().graph, 0).height,
+  EXPECT_EQ(build_bfs_tree(*engine.snapshot().csr, 0).height,
             bfs.height + 1);
 }
 

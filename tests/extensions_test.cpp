@@ -86,14 +86,16 @@ TEST(Acceleration, ConvergesAndRoutesComparably) {
   const std::vector<double> b =
       st_demand(g.num_nodes(), 0, g.num_nodes() - 1, 1.0);
 
+  const CsrGraph csr(g);
+
   AlmostRouteOptions plain;
   plain.epsilon = 0.25;
   plain.alpha = 2.0;
-  const AlmostRouteResult slow = almost_route(g, approx, b, plain);
+  const AlmostRouteResult slow = almost_route(csr, approx, b, plain);
 
   AlmostRouteOptions fast = plain;
   fast.accelerate = true;
-  const AlmostRouteResult quick = almost_route(g, approx, b, fast);
+  const AlmostRouteResult quick = almost_route(csr, approx, b, fast);
 
   EXPECT_TRUE(slow.converged);
   EXPECT_TRUE(quick.converged);

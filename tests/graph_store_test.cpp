@@ -1,6 +1,6 @@
 // Tests for GraphStore / MutationBatch: copy-on-write snapshot
 // isolation, monotone versioning, atomic (all-or-nothing) batches,
-// deterministic id assignment, history retention and pruning.
+// deterministic id assignment, and release of superseded snapshots.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -27,7 +27,6 @@ TEST(GraphStore, InitialGraphIsVersionZero) {
   EXPECT_EQ(snap.version, 0u);
   EXPECT_EQ(store.latest_version(), 0u);
   EXPECT_EQ(snap.graph->num_nodes(), 3);
-  EXPECT_EQ(store.num_retained(), 1u);
 }
 
 TEST(GraphStore, CopyOnWriteLeavesReadersUntouched) {
@@ -57,7 +56,6 @@ TEST(GraphStore, VersionsIncreaseMonotonically) {
     EXPECT_EQ(store.apply(batch).version, expected);
   }
   EXPECT_EQ(store.latest_version(), 5u);
-  EXPECT_EQ(store.num_retained(), 6u);
 }
 
 TEST(GraphStore, EmptyBatchPublishesIdenticalSnapshot) {
@@ -115,35 +113,23 @@ TEST(MutationBatch, RejectsNonFiniteCapacityAtRecordTime) {
   EXPECT_TRUE(batch.empty());  // every rejected op left no trace
 }
 
-TEST(GraphStore, HistoricalSnapshotsRetained) {
+// The store holds only the latest snapshot: once no reader holds v0,
+// a single apply releases its graph and its CSR.
+TEST(GraphStore, SupersededSnapshotIsReleased) {
   GraphStore store(triangle());
-  MutationBatch batch;
-  batch.set_capacity(1, 5.0);
-  store.apply(batch);
-  store.apply(batch);
-
-  EXPECT_DOUBLE_EQ(store.snapshot(0).graph->capacity(1), 2.0);
-  EXPECT_DOUBLE_EQ(store.snapshot(1).graph->capacity(1), 5.0);
-  EXPECT_EQ(store.snapshot(2).version, 2u);
-  EXPECT_THROW((void)store.snapshot(3), RequirementError);
-}
-
-TEST(GraphStore, HistoryLimitPrunesOldestButNeverLatest) {
-  GraphStore store(triangle(), /*history_limit=*/2);
-  const GraphSnapshot v0 = store.snapshot(0);  // hold it across pruning
+  std::weak_ptr<const Graph> v0_graph;
+  std::weak_ptr<const CsrGraph> v0_csr;
+  {
+    const GraphSnapshot v0 = store.snapshot();
+    v0_graph = v0.graph;
+    v0_csr = v0.csr;
+  }
   MutationBatch batch;
   batch.set_capacity(0, 2.0);
-  store.apply(batch);
-  store.apply(batch);
-  store.apply(batch);
-
-  EXPECT_EQ(store.num_retained(), 2u);
-  EXPECT_THROW((void)store.snapshot(0), RequirementError);
-  EXPECT_THROW((void)store.snapshot(1), RequirementError);
-  EXPECT_EQ(store.snapshot(2).version, 2u);
-  EXPECT_EQ(store.snapshot(3).version, 3u);
-  // A pruned snapshot stays alive for whoever still holds it.
-  EXPECT_DOUBLE_EQ(v0.graph->capacity(0), 1.0);
+  const GraphSnapshot v1 = store.apply(batch);
+  EXPECT_TRUE(v0_graph.expired());
+  EXPECT_TRUE(v0_csr.expired());
+  EXPECT_EQ(store.snapshot().graph, v1.graph);
 }
 
 TEST(GraphStore, ConcurrentAppliesNeverLoseAnUpdate) {

@@ -108,21 +108,21 @@ TEST(Graph, SetCapacity) {
 TEST(BfsDistances, Path) {
   Rng rng(1);
   const Graph g = make_path(5, {1, 1}, rng);
-  const std::vector<int> d = bfs_distances(g, 0);
+  const std::vector<int> d = bfs_distances(CsrGraph(g), 0);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(d[static_cast<std::size_t>(i)], i);
 }
 
 TEST(BfsDistances, Disconnected) {
   Graph g(3);
   g.add_edge(0, 1, 1.0);
-  const std::vector<int> d = bfs_distances(g, 0);
+  const std::vector<int> d = bfs_distances(CsrGraph(g), 0);
   EXPECT_EQ(d[2], kUnreached);
 }
 
 TEST(BfsTree, ParentsAndHeight) {
   Rng rng(1);
   const Graph g = make_grid(4, 4, {1, 1}, rng);
-  const BfsTree tree = build_bfs_tree(g, 0);
+  const BfsTree tree = build_bfs_tree(CsrGraph(g), 0);
   EXPECT_EQ(tree.parent[0], kInvalidNode);
   EXPECT_EQ(tree.height, 6);  // corner-to-corner in a 4x4 grid
   for (NodeId v = 1; v < g.num_nodes(); ++v) {
@@ -140,7 +140,7 @@ TEST(Components, CountsComponents) {
   Graph g(5);
   g.add_edge(0, 1, 1.0);
   g.add_edge(2, 3, 1.0);
-  const Components c = connected_components(g);
+  const Components c = connected_components(CsrGraph(g));
   EXPECT_EQ(c.count, 3);
   EXPECT_EQ(c.label[0], c.label[1]);
   EXPECT_EQ(c.label[2], c.label[3]);
@@ -151,14 +151,15 @@ TEST(Components, CountsComponents) {
 TEST(Diameter, GridExact) {
   Rng rng(7);
   const Graph g = make_grid(5, 3, {1, 1}, rng);
-  EXPECT_EQ(diameter_exact(g), 4 + 2);
+  EXPECT_EQ(diameter_exact(CsrGraph(g)), 4 + 2);
 }
 
 TEST(Diameter, DoubleSweepOnTreeIsExact) {
   Rng rng(3);
   for (int trial = 0; trial < 10; ++trial) {
     const Graph g = make_random_tree(40, {1, 1}, rng);
-    EXPECT_EQ(diameter_double_sweep(g), diameter_exact(g));
+    const CsrGraph csr(g);
+    EXPECT_EQ(diameter_double_sweep(csr), diameter_exact(csr));
   }
 }
 
@@ -212,7 +213,7 @@ TEST(Generators, GridShape) {
   const Graph g = make_grid(7, 5, {1, 4}, rng);
   EXPECT_EQ(g.num_nodes(), 35);
   EXPECT_EQ(g.num_edges(), 7 * 4 + 6 * 5);
-  EXPECT_TRUE(is_connected(g));
+  EXPECT_TRUE(is_connected(CsrGraph(g)));
   EXPECT_GE(g.min_capacity(), 1.0);
   EXPECT_LE(g.max_capacity(), 4.0);
 }
@@ -223,14 +224,14 @@ TEST(Generators, TorusIsRegular) {
   EXPECT_EQ(g.num_nodes(), 20);
   const CsrGraph csr(g);
   for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_EQ(csr.degree(v), 4u);
-  EXPECT_TRUE(is_connected(g));
+  EXPECT_TRUE(is_connected(csr));
 }
 
 TEST(Generators, GnpAlwaysConnected) {
   Rng rng(11);
   for (int trial = 0; trial < 5; ++trial) {
     const Graph g = make_gnp_connected(60, 0.02, {1, 8}, rng);
-    EXPECT_TRUE(is_connected(g));
+    EXPECT_TRUE(is_connected(CsrGraph(g)));
     EXPECT_EQ(g.num_nodes(), 60);
   }
 }
@@ -238,8 +239,8 @@ TEST(Generators, GnpAlwaysConnected) {
 TEST(Generators, RandomRegularDegrees) {
   Rng rng(13);
   const Graph g = make_random_regular(30, 4, {1, 1}, rng);
-  EXPECT_TRUE(is_connected(g));
   const CsrGraph csr(g);
+  EXPECT_TRUE(is_connected(csr));
   for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_EQ(csr.degree(v), 4u);
 }
 
@@ -247,7 +248,7 @@ TEST(Generators, BarbellHasBridge) {
   Rng rng(17);
   const Graph g = make_barbell(6, {1, 1}, 3.0, rng);
   EXPECT_EQ(g.num_nodes(), 12);
-  EXPECT_TRUE(is_connected(g));
+  EXPECT_TRUE(is_connected(CsrGraph(g)));
   // Exactly one edge crosses between the halves.
   int crossing = 0;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -261,7 +262,7 @@ TEST(Generators, RandomTreeIsTree) {
   Rng rng(19);
   const Graph g = make_random_tree(25, {1, 1}, rng);
   EXPECT_EQ(g.num_edges(), 24);
-  EXPECT_TRUE(is_connected(g));
+  EXPECT_TRUE(is_connected(CsrGraph(g)));
 }
 
 TEST(Generators, CaterpillarShape) {
@@ -269,7 +270,7 @@ TEST(Generators, CaterpillarShape) {
   const Graph g = make_caterpillar(5, 3, {1, 1}, rng);
   EXPECT_EQ(g.num_nodes(), 20);
   EXPECT_EQ(g.num_edges(), 4 + 15);
-  EXPECT_TRUE(is_connected(g));
+  EXPECT_TRUE(is_connected(CsrGraph(g)));
 }
 
 TEST(Generators, LayeredBottleneckTerminals) {
@@ -277,7 +278,7 @@ TEST(Generators, LayeredBottleneckTerminals) {
   NodeId s = kInvalidNode;
   NodeId t = kInvalidNode;
   const Graph g = make_layered_bottleneck(5, 4, 100.0, 8.0, rng, &s, &t);
-  EXPECT_TRUE(is_connected(g));
+  EXPECT_TRUE(is_connected(CsrGraph(g)));
   EXPECT_EQ(s, 0);
   EXPECT_EQ(t, g.num_nodes() - 1);
 }

@@ -32,8 +32,9 @@ TEST(AlmostRoute, ZeroDemandReturnsZeroFlow) {
   Rng rng(601);
   const Graph g = make_grid(4, 4, {1, 4}, rng);
   const CongestionApproximator approx = racke_approximator(g, 3, rng);
-  const AlmostRouteResult result = almost_route(
-      g, approx, std::vector<double>(16, 0.0), AlmostRouteOptions{});
+  const AlmostRouteResult result =
+      almost_route(CsrGraph(g), approx, std::vector<double>(16, 0.0),
+                   AlmostRouteOptions{});
   EXPECT_TRUE(result.converged);
   for (const double f : result.flow) EXPECT_DOUBLE_EQ(f, 0.0);
 }
@@ -46,7 +47,8 @@ TEST(AlmostRoute, RoutesMostOfTheDemand) {
   AlmostRouteOptions options;
   options.epsilon = 0.5;
   options.alpha = 3.0;
-  const AlmostRouteResult result = almost_route(g, approx, b, options);
+  const AlmostRouteResult result =
+      almost_route(CsrGraph(g), approx, b, options);
   EXPECT_TRUE(result.converged);
   // The returned flow must have routed a significant fraction of b:
   // residual well below the original demand.
@@ -71,7 +73,8 @@ TEST(AlmostRoute, CongestionNearOptimal) {
   const std::vector<double> b = st_demand(2, 0, 1, 1.0);
   AlmostRouteOptions options;
   options.epsilon = 0.3;
-  const AlmostRouteResult result = almost_route(g, approx, b, options);
+  const AlmostRouteResult result =
+      almost_route(CsrGraph(g), approx, b, options);
   EXPECT_TRUE(result.converged);
   // Flow should be close to 1.0 on the single edge.
   EXPECT_NEAR(result.flow[0], 1.0, 0.4);
@@ -150,8 +153,9 @@ TEST(AlmostRoute, IterationCountIsThatOfTheFourExpForm) {
   const CongestionApproximator approx = CongestionApproximator::from_samples(
       sample_virtual_trees(g, 24, HierarchyOptions{}, rng));
   const std::vector<double> b = st_demand(256, 0, 255, 1.0);
+  const CsrGraph csr(g);
   const AlmostRouteResult first =
-      almost_route(g, approx, b, AlmostRouteOptions{});
+      almost_route(csr, approx, b, AlmostRouteOptions{});
   constexpr double kFourExpIterations = 709;
   constexpr double kFourExpPotential = 187.63655072045398;
   EXPECT_TRUE(first.converged);
@@ -159,7 +163,7 @@ TEST(AlmostRoute, IterationCountIsThatOfTheFourExpForm) {
   EXPECT_NEAR(first.potential, kFourExpPotential, 0.01 * kFourExpPotential);
 
   const AlmostRouteResult second =
-      almost_route(g, approx, b, AlmostRouteOptions{});
+      almost_route(csr, approx, b, AlmostRouteOptions{});
   EXPECT_EQ(second.iterations, first.iterations);
   ASSERT_EQ(second.flow.size(), first.flow.size());
   EXPECT_EQ(std::memcmp(second.flow.data(), first.flow.data(),
@@ -207,7 +211,7 @@ TEST(ShermanMaxFlow, FeasibleConservedAndNearOptimal) {
     const MaxFlowApproxResult approx = approx_max_flow(g, s, t, 0.25, rng);
     EXPECT_TRUE(is_feasible(g, approx.flow, 1e-6)) << "trial " << trial;
     EXPECT_NEAR(max_conservation_violation(g, approx.flow, s, t), 0.0, 1e-6);
-    EXPECT_NEAR(flow_value(g, approx.flow, s), approx.value, 1e-6);
+    EXPECT_NEAR(flow_value(CsrGraph(g), approx.flow, s), approx.value, 1e-6);
     EXPECT_GE(approx.value, 0.6 * exact) << "trial " << trial;
     EXPECT_LE(approx.value, exact * (1.0 + 1e-6)) << "trial " << trial;
   }

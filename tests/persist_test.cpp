@@ -265,8 +265,6 @@ TEST(GraphStorePersist, RoundTripAcrossReopen) {
   ASSERT_TRUE(GraphStore::can_open(dir.path()));
   const std::shared_ptr<GraphStore> reopened = GraphStore::open(dir.path());
   EXPECT_EQ(reopened->latest_version(), published.back());
-  // retain_versions (default 4) covers every published version here.
-  EXPECT_EQ(reopened->num_retained(), published.size());
 
   // The reopened latest is bitwise identical to what was persisted:
   // same shape, same endpoints, same capacities, same packed CSR.
@@ -282,6 +280,7 @@ TEST(GraphStorePersist, RoundTripAcrossReopen) {
   fresh = fresh_store.apply(topo);
 
   const GraphSnapshot got = reopened->snapshot();
+  EXPECT_EQ(got.version, published.back());
   ASSERT_EQ(got.graph->num_nodes(), fresh.graph->num_nodes());
   ASSERT_EQ(got.graph->num_edges(), fresh.graph->num_edges());
   EXPECT_EQ(got.graph->capacities(), fresh.graph->capacities());
@@ -293,11 +292,7 @@ TEST(GraphStorePersist, RoundTripAcrossReopen) {
   EXPECT_EQ(got.csr->neighbor_array(), fresh.csr->neighbor_array());
   EXPECT_EQ(got.csr->edge_id_array(), fresh.csr->edge_id_array());
 
-  // Historical snapshots reopened too, with the right version tags.
-  for (const GraphVersion v : published) {
-    EXPECT_EQ(reopened->snapshot(v).version, v);
-  }
-  // And the reopened store continues publishing from where it stopped.
+  // The reopened store continues publishing from where it stopped.
   const GraphSnapshot next = reopened->apply(MutationBatch{});
   EXPECT_EQ(next.version, published.back() + 1);
 }
@@ -314,15 +309,24 @@ TEST(GraphStorePersist, OnDiskCowLadderSharesUnchangedFiles) {
     return fs::exists(dir.path() + "/" + name + ".v" + std::to_string(v) +
                       ".arena");
   };
+  // A store reopened at each rung of the ladder agrees with the live
+  // snapshot of that version.
+  const auto expect_reopens_as = [&](const GraphSnapshot& a) {
+    const GraphSnapshot b = GraphStore::open(dir.path())->snapshot();
+    EXPECT_EQ(b.version, a.version);
+    EXPECT_EQ(b.graph->capacities(), a.graph->capacities());
+    EXPECT_EQ(b.csr->offsets(), a.csr->offsets());
+  };
   // v0: everything materialized.
   for (const char* f :
        {"manifest", "offsets", "neighbors", "edge_ids", "endpoints",
         "capacities"}) {
     EXPECT_TRUE(has(f, 0)) << f;
   }
+  expect_reopens_as(store.snapshot());
 
   // Capacity-only: only a new capacities array (plus the manifest).
-  store.apply(capacity_batch(*store.snapshot().graph));
+  expect_reopens_as(store.apply(capacity_batch(*store.snapshot().graph)));
   EXPECT_TRUE(has("manifest", 1));
   EXPECT_TRUE(has("capacities", 1));
   EXPECT_FALSE(has("offsets", 1));
@@ -333,7 +337,7 @@ TEST(GraphStorePersist, OnDiskCowLadderSharesUnchangedFiles) {
   // Node-only: new offsets, everything else shared.
   MutationBatch nodes;
   nodes.add_nodes(2);
-  store.apply(nodes);
+  expect_reopens_as(store.apply(nodes));
   EXPECT_TRUE(has("manifest", 2));
   EXPECT_TRUE(has("offsets", 2));
   EXPECT_FALSE(has("neighbors", 2));
@@ -344,20 +348,11 @@ TEST(GraphStorePersist, OnDiskCowLadderSharesUnchangedFiles) {
   // Topology: full repack on disk as in memory.
   MutationBatch topo;
   topo.add_edge(0, n, 5.0);
-  store.apply(topo);
+  expect_reopens_as(store.apply(topo));
   for (const char* f :
        {"manifest", "offsets", "neighbors", "edge_ids", "endpoints",
         "capacities"}) {
     EXPECT_TRUE(has(f, 3)) << f;
-  }
-
-  // A reopened store agrees with the live one across the whole ladder.
-  const std::shared_ptr<GraphStore> reopened = GraphStore::open(dir.path());
-  for (GraphVersion v = 0; v <= 3; ++v) {
-    const GraphSnapshot a = store.snapshot(v);
-    const GraphSnapshot b = reopened->snapshot(v);
-    EXPECT_EQ(a.graph->capacities(), b.graph->capacities()) << "v" << v;
-    EXPECT_EQ(b.csr->offsets(), a.csr->offsets()) << "v" << v;
   }
 }
 
@@ -380,11 +375,38 @@ TEST(GraphStorePersist, GcBoundsRetainedVersionsOnDisk) {
     EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
   }
   EXPECT_EQ(manifests, 2);
-  // The reopened history is exactly the kept tail.
+  // The kept tail reopens at its newest version.
   const std::shared_ptr<GraphStore> reopened = GraphStore::open(dir.path(),
                                                                gopts);
   EXPECT_EQ(reopened->latest_version(), 5u);
-  EXPECT_EQ(reopened->num_retained(), 2u);
+}
+
+// open() reads CURRENT's manifest and the five arrays it references,
+// nothing older: a file only a superseded version references can go
+// missing without making the complete CURRENT version unopenable.
+TEST(GraphStorePersist, ReopenReadsOnlyTheCurrentVersion) {
+  TempDir dir;
+  GraphStoreOptions gopts;
+  gopts.persist = PersistPolicy::kOnPublish;
+  gopts.data_dir = dir.path();
+  GraphSnapshot live;
+  {
+    GraphStore store(test_grid(), gopts);
+    for (int i = 0; i < 5; ++i) {
+      MutationBatch batch;
+      batch.set_capacity(i, 2.0 + i);
+      live = store.apply(batch);
+    }
+  }
+  ASSERT_EQ(live.version, 5u);
+  // Capacity-only batches write a capacities array per version, so
+  // capacities.v4 is referenced by v4's manifest alone.
+  fs::remove(dir.path() + "/capacities.v4.arena");
+  const std::shared_ptr<GraphStore> reopened = GraphStore::open(dir.path());
+  const GraphSnapshot got = reopened->snapshot();
+  EXPECT_EQ(got.version, 5u);
+  EXPECT_EQ(got.graph->capacities(), live.graph->capacities());
+  EXPECT_EQ(got.csr->offsets(), live.csr->offsets());
 }
 
 TEST(GraphStorePersist, ManualPersistAndOpenRejectsCorruption) {
@@ -408,6 +430,24 @@ TEST(GraphStorePersist, ManualPersistAndOpenRejectsCorruption) {
   // A flipped payload byte in a referenced array fails the reopen.
   overwrite_byte(dir.path() + "/capacities.v0.arena", 64 + 5, 'X');
   EXPECT_THROW((void)GraphStore::open(dir.path()), RequirementError);
+}
+
+// A CURRENT of digits only, but beyond uint64, is a corrupt file like
+// any other: RequirementError, not std::out_of_range.
+TEST(GraphStorePersist, CurrentBeyondUint64IsARequirementError) {
+  TempDir dir;
+  GraphStoreOptions gopts;
+  gopts.data_dir = dir.path();
+  GraphStore store(test_grid(), gopts);
+  (void)store.persist();
+  for (const char* current :
+       {"99999999999999999999999\n", "18446744073709551616\n"}) {
+    write_file_atomic(dir.path() + "/CURRENT", current);
+    EXPECT_THROW((void)GraphStore::open(dir.path()), RequirementError)
+        << current;
+  }
+  write_file_atomic(dir.path() + "/CURRENT", "0\n");
+  EXPECT_EQ(GraphStore::open(dir.path())->latest_version(), 0u);
 }
 
 // --- engine cold start -------------------------------------------------------

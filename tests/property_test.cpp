@@ -182,12 +182,13 @@ TEST(FailureInjection, AlmostRouteBadEpsilon) {
   const VirtualTreeSample sample =
       sample_virtual_tree(g, HierarchyOptions{}, rng);
   const CongestionApproximator approx({sample.tree});
+  const CsrGraph csr(g);
   AlmostRouteOptions options;
   options.epsilon = 0.0;
-  EXPECT_THROW(almost_route(g, approx, {1.0, 0.0, -1.0}, options),
+  EXPECT_THROW(almost_route(csr, approx, {1.0, 0.0, -1.0}, options),
                RequirementError);
   options.epsilon = 2.0;
-  EXPECT_THROW(almost_route(g, approx, {1.0, 0.0, -1.0}, options),
+  EXPECT_THROW(almost_route(csr, approx, {1.0, 0.0, -1.0}, options),
                RequirementError);
 }
 
@@ -200,11 +201,12 @@ TEST(FailureInjection, AlmostRouteNonFiniteAlpha) {
   const VirtualTreeSample sample =
       sample_virtual_tree(g, HierarchyOptions{}, rng);
   const CongestionApproximator approx({sample.tree});
+  const CsrGraph csr(g);
   for (const double alpha : {std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::infinity()}) {
     AlmostRouteOptions options;
     options.alpha = alpha;
-    EXPECT_THROW(almost_route(g, approx, {1.0, 0.0, -1.0}, options),
+    EXPECT_THROW(almost_route(csr, approx, {1.0, 0.0, -1.0}, options),
                  RequirementError);
     ShermanOptions sherman;
     sherman.alpha = alpha;

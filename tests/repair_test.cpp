@@ -150,8 +150,9 @@ TEST(HierarchyRepair, RepairChainsMatchFullRebuildBitwise) {
     ASSERT_TRUE(serial.wait_for_version(rs.version, 120.0));
     ASSERT_TRUE(parallel.wait_for_version(rp.version, 120.0));
 
-    FlowEngine fresh(*serial.store()->snapshot(rs.version).graph,
-                     repair_options(1));
+    const GraphSnapshot served = serial.snapshot();
+    ASSERT_EQ(served.version, rs.version);
+    FlowEngine fresh(*served.graph, repair_options(1));
     expect_bitwise_equal(serial.hierarchy(), fresh.hierarchy());
     expect_bitwise_equal(parallel.hierarchy(), fresh.hierarchy());
 
@@ -266,8 +267,9 @@ TEST(HierarchyRepair, TopologyBatchesFallBackToFullRebuild) {
   EXPECT_EQ(stats.rebuild.repairs_started, 0);
   EXPECT_EQ(stats.rebuild.completed, 1);
 
-  FlowEngine fresh(*engine.store()->snapshot(r.version).graph,
-                   repair_options(1));
+  const GraphSnapshot served = engine.snapshot();
+  ASSERT_EQ(served.version, r.version);
+  FlowEngine fresh(*served.graph, repair_options(1));
   expect_bitwise_equal(engine.hierarchy(), fresh.hierarchy());
 
   // A capacity-only batch on the growed graph repairs again as usual.

@@ -636,6 +636,39 @@ TEST(ServeApp, DeadlineCancelsParkedQueryAs504) {
   app.drain();
 }
 
+// A deadline too far out for the clock (from the header or from
+// ServeAppOptions::default_deadline_seconds) parks without one. The
+// overflowing conversion used to land it in the past, so the timer
+// cancelled the parked query at once (504).
+TEST(ServeApp, DeadlineBeyondTheClockParksWithoutOne) {
+  FlowEngine engine(serve_graph(), serve_engine_options());
+  ServeApp app(engine, ServeAppOptions{});
+  std::string error;
+  ASSERT_TRUE(app.start(&error)) << error;
+
+  TestClient c;
+  ASSERT_TRUE(c.connect_to(app.http_port()));
+  ASSERT_TRUE(c.send_all(http_request("POST", "/v1/query",
+                                      query_json(0, 35, 1),
+                                      {{"X-DMF-Deadline-Ms", "1e300"}})));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (app.in_flight() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(app.counters().deadline_cancelled, 0);
+
+  // Publishing version 1 releases the parked query.
+  engine.apply(MutationBatch{}.set_capacity(0, 2.0));
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(c.read_response(&status, &body));
+  EXPECT_EQ(status, 200) << body;
+  EXPECT_EQ(app.counters().deadline_cancelled, 0);
+  app.drain();
+}
+
 TEST(ServeApp, DrainCompletesInFlightQueries) {
   FlowEngine engine(serve_graph(), serve_engine_options());
   ServeApp app(engine, ServeAppOptions{});

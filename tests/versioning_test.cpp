@@ -147,8 +147,9 @@ TEST(FlowEngineVersioning, PerVersionDeterminismRegardlessOfRebuildTiming) {
 
   const GraphVersion v1 = engine_b.apply(capacity_batch(g)).version;
   ASSERT_EQ(v1, 1u);
-  const Reference r1 =
-      reference_on(*engine_b.store()->snapshot(1).graph, 1);
+  const GraphSnapshot s1 = engine_b.store()->snapshot();
+  ASSERT_EQ(s1.version, v1);
+  const Reference r1 = reference_on(*s1.graph, 1);
 
   // Rebuild possibly in flight: every result must match the reference
   // of whichever snapshot served it — there is no third possibility.
@@ -210,12 +211,11 @@ TEST(FlowEngineVersioning, PerVersionDeterminismRegardlessOfRebuildTiming) {
   EXPECT_EQ(post_multi.value().flow, r1.multi.value().flow);
 }
 
-// dmf-serve's store keeps only the latest snapshot. The engine never
-// reads a past version, so after each swap, capacity-only and topology
-// alike, it still answers bitwise like a fresh engine on that graph.
-TEST(FlowEngineVersioning, HistoryLimitOneServesLikeAFreshEngine) {
-  auto store = std::make_shared<GraphStore>(test_graph(),
-                                            /*history_limit=*/1);
+// The store keeps only the latest snapshot. The engine never reads a
+// past version, so after each swap, capacity-only and topology alike,
+// it still answers bitwise like a fresh engine on that graph.
+TEST(FlowEngineVersioning, LatestOnlyStoreServesLikeAFreshEngine) {
+  auto store = std::make_shared<GraphStore>(test_graph());
   FlowEngine engine(store, version_options(2));
   MutationBatch topology;
   topology.add_nodes(1).add_edge(72, 0, 2.0).add_edge(72, 71, 3.0);
@@ -224,8 +224,8 @@ TEST(FlowEngineVersioning, HistoryLimitOneServesLikeAFreshEngine) {
   for (const MutationBatch& batch : batches) {
     const GraphVersion v = engine.apply(batch).version;
     ASSERT_TRUE(engine.wait_for_version(v, 120.0));
-    EXPECT_EQ(store->num_retained(), 1u);
-    const Graph& g = *store->snapshot().graph;
+    const GraphSnapshot snap = store->snapshot();
+    const Graph& g = *snap.graph;
     const Reference got = answers_of(engine, g);
     const Reference want = reference_on(g, 1);
     EXPECT_EQ(got.max_flow.served_version, v);
@@ -387,7 +387,9 @@ TEST(FlowEngineVersioning, MultiTerminalCacheNeverMixesGenerations) {
 
   // And the post-swap answer equals a fresh engine's on the mutated
   // graph, bitwise.
-  FlowEngine fresh(*engine.store()->snapshot(1).graph, version_options(1));
+  const GraphSnapshot served = engine.snapshot();
+  ASSERT_EQ(served.version, 1u);
+  FlowEngine fresh(*served.graph, version_options(1));
   const Result<MultiTerminalMaxFlowResult> want = fresh.submit(query).get();
   ASSERT_TRUE(want.ok()) << want.message;
   EXPECT_EQ(after.value().value, want.value().value);
@@ -436,7 +438,9 @@ TEST(FlowEngineVersioning, RollingAppliesConverge) {
   const Result<MaxFlowApproxResult> got =
       engine.submit(MaxFlowQuery{0, 71}).get();
   ASSERT_TRUE(got.ok()) << got.message;
-  FlowEngine fresh(*engine.store()->snapshot(5).graph, version_options(1));
+  const GraphSnapshot served = engine.snapshot();
+  ASSERT_EQ(served.version, 5u);
+  FlowEngine fresh(*served.graph, version_options(1));
   const Result<MaxFlowApproxResult> want =
       fresh.submit(MaxFlowQuery{0, 71}).get();
   ASSERT_TRUE(want.ok()) << want.message;
