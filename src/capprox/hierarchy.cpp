@@ -272,69 +272,74 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
   out.tree.root = rep[0];
   out.tree.validate();
 
-  // Recapacitate every link with the exact load of the canonical
-  // embedding of G into the tree (the |f'| of §8.1, computed on the final
-  // tree by the Lemma 8.3 aggregation in Õ(sqrt n + D) rounds). The
+  // Recapacitate every link with the exact loads, computed on the final
+  // tree by the Lemma 8.3 aggregation in Õ(sqrt n + D) rounds. The
   // level-wise capacities drift by the compounded sparsifier slack; the
   // exact loads restore the Räcke property precisely: every tree cut has
   // capacity >= the corresponding G cut, so ||Rb|| never overestimates
   // congestion.
-  const std::vector<double> exact_loads = tree_edge_loads(g, out.tree);
-  for (NodeId v = 0; v < n; ++v) {
-    if (v == out.tree.root) continue;
-    out.tree.parent_cap[static_cast<std::size_t>(v)] =
-        std::max(exact_loads[static_cast<std::size_t>(v)], 1e-12);
-  }
+  recapacitate(g, out.tree);
   out.rounds += (cost.diameter + 2.0 * sqrt_n) * log_n;
   return out;
 }
 
-std::vector<VirtualTreeSample> sample_virtual_trees(
-    const Graph& g, int count, const HierarchyOptions& options, Rng& rng,
-    std::vector<std::uint64_t>* seeds_out) {
-  if (count <= 0) {
-    count = static_cast<int>(
-        std::ceil(2.0 * std::log2(static_cast<double>(
-                            std::max<NodeId>(2, g.num_nodes())))));
+void recapacitate(const Graph& g, RootedTree& tree) {
+  const std::vector<double> exact_loads = tree_edge_loads(g, tree);
+  tree.parent_cap.assign(exact_loads.size(), 0.0);
+  for (std::size_t v = 0; v < exact_loads.size(); ++v) {
+    if (static_cast<NodeId>(v) == tree.root) continue;
+    tree.parent_cap[v] = std::max(exact_loads[v], 1e-12);
   }
-  // Derive one independent RNG stream per tree from the caller's
-  // generator BEFORE any sampling happens. The samples are then a pure
-  // function of the seed list, so the loop below may run on any number of
-  // threads and still produce bit-identical trees in the same order.
+}
+
+std::vector<std::uint64_t> tree_stream_seeds(int count, Rng& rng) {
   std::vector<std::uint64_t> seeds(static_cast<std::size_t>(count));
   for (std::uint64_t& s : seeds) s = rng() ^ 0x9e3779b97f4a7c15ULL;
-  if (seeds_out != nullptr) *seeds_out = seeds;
+  return seeds;
+}
 
-  std::vector<VirtualTreeSample> samples(static_cast<std::size_t>(count));
-  int threads = options.threads;
+void for_each_tree(int count, int threads, int max_workers,
+                   const std::function<void(int)>& fill) {
 #ifdef DMF_HAVE_OPENMP
   if (threads <= 0) threads = omp_get_max_threads();
+  threads = std::min(threads, max_workers);
   if (threads > 1 && count > 1) {
-    // Sampling may throw (DMF_REQUIRE); OpenMP must not let an exception
+    // fill may throw (DMF_REQUIRE); OpenMP must not let an exception
     // escape a parallel region, so capture the first one and rethrow.
     std::exception_ptr error;
 #pragma omp parallel for schedule(dynamic) num_threads(threads)
     for (int i = 0; i < count; ++i) {
       try {
-        Rng tree_rng(seeds[static_cast<std::size_t>(i)]);
-        samples[static_cast<std::size_t>(i)] =
-            sample_virtual_tree(g, options, tree_rng);
+        fill(i);
       } catch (...) {
 #pragma omp critical
         if (!error) error = std::current_exception();
       }
     }
     if (error) std::rethrow_exception(error);
-    return samples;
+    return;
   }
 #else
   (void)threads;
+  (void)max_workers;
 #endif
-  for (int i = 0; i < count; ++i) {
-    Rng tree_rng(seeds[static_cast<std::size_t>(i)]);
-    samples[static_cast<std::size_t>(i)] =
-        sample_virtual_tree(g, options, tree_rng);
+  for (int i = 0; i < count; ++i) fill(i);
+}
+
+std::vector<VirtualTreeSample> sample_virtual_trees(
+    const Graph& g, int count, const HierarchyOptions& options, Rng& rng) {
+  if (count <= 0) {
+    count = static_cast<int>(
+        std::ceil(2.0 * std::log2(static_cast<double>(
+                            std::max<NodeId>(2, g.num_nodes())))));
   }
+  const std::vector<std::uint64_t> seeds = tree_stream_seeds(count, rng);
+  std::vector<VirtualTreeSample> samples(static_cast<std::size_t>(count));
+  for_each_tree(count, options.threads, count, [&](int i) {
+    const auto t = static_cast<std::size_t>(i);
+    Rng tree_rng(seeds[t]);
+    samples[t] = sample_virtual_tree(g, options, tree_rng);
+  });
   return samples;
 }
 

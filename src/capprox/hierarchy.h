@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "graph/graph.h"
@@ -61,7 +62,7 @@ struct HierarchyOptions {
   // pure function of (seed, topology, capacity buckets), so a capacity
   // change invalidates a tree only when it crosses one of that tree's
   // bucket boundaries — probability min(1, |log2(new/old)| / width)
-  // under the uniform dither (see ShermanHierarchy::repair).
+  // under the uniform dither (see the ShermanHierarchy constructor).
   double capacity_bucket_octaves = 0.0;
   // Worker threads for sample_virtual_trees (trees are independent).
   // 1 = sequential, 0 = all hardware threads. Any value produces
@@ -115,15 +116,30 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
                                       const HierarchyOptions& options,
                                       Rng& rng);
 
+// Set every link of `tree` to the exact load of g's canonical embedding
+// into it (the |f'| of §8.1): the last step of every sample, and all a
+// reused tree needs. The full pass (not an incremental update, which
+// drifts by FP association) keeps a reused tree bitwise equal to a
+// resample.
+void recapacitate(const Graph& g, RootedTree& tree);
+
+// The per-tree RNG stream seeds of a `count`-tree build: exactly
+// `count` draws, taken before any sampling, so every tree is a pure
+// function of its seed.
+std::vector<std::uint64_t> tree_stream_seeds(int count, Rng& rng);
+
+// Runs fill(i) once per tree index i in [0, count) on `threads` workers
+// (OpenMP when available; 0 = all hardware threads), but on no more than
+// `max_workers`; fill may touch only index i's state. The first
+// exception thrown is rethrown after.
+void for_each_tree(int count, int threads, int max_workers,
+                   const std::function<void(int)>& fill);
+
 // O(log n) independent samples (Lemma 3.3); count <= 0 selects
-// ceil(2 * log2 n). Trees are sampled on options.threads workers (OpenMP
-// when available); per-tree RNG streams are seeded from `rng` up front, so
-// the result is identical at every thread count and `rng` advances by
-// exactly `count` draws either way. When `seeds_out` is non-null it
-// receives the per-tree stream seeds, the provenance an incremental
-// repair needs to resample individual trees later.
+// ceil(2 * log2 n). Trees are sampled on options.threads workers from
+// per-tree streams (tree_stream_seeds), so the result is identical at
+// every thread count and `rng` advances by exactly `count` draws.
 std::vector<VirtualTreeSample> sample_virtual_trees(
-    const Graph& g, int count, const HierarchyOptions& options, Rng& rng,
-    std::vector<std::uint64_t>* seeds_out = nullptr);
+    const Graph& g, int count, const HierarchyOptions& options, Rng& rng);
 
 }  // namespace dmf

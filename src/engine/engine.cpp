@@ -442,19 +442,28 @@ struct FlowEngine::Core {
   }
 
   // One hierarchy build, shared by the constructor and every background
-  // rebuild: seeded purely from the engine seed, so the result for a
-  // snapshot is independent of when (or whether) earlier rebuilds ran —
+  // refresh: seeded purely from the engine seed, so the result for a
+  // snapshot is independent of when (or whether) earlier refreshes ran —
   // and bitwise identical to a fresh engine built on that snapshot.
+  // A refresh passes the serving generation as `prev`; the build reuses
+  // whichever of its trees it would reproduce (see ShermanHierarchy) and
+  // reports that in `report`. When it repairs, the topology is
+  // unchanged, so prev's shard assignment carries over too: the plan
+  // depends on nothing else.
   [[nodiscard]] std::shared_ptr<const Serving> build_serving(
-      const GraphSnapshot& snap) const {
+      const GraphSnapshot& snap, const Serving* prev = nullptr,
+      HierarchyRepairReport* report = nullptr) const {
     Rng rng(options.seed);
+    HierarchyRepairReport local_report;
+    if (report == nullptr) report = &local_report;
     // The hierarchy rides the snapshot's packed CSR view (built once at
     // publish time); every query traversal of this generation shares it.
     auto hierarchy = std::make_shared<const ShermanHierarchy>(
-        snap.graph, build_sherman, rng, snap.version, snap.csr);
-    return std::make_shared<const Serving>(snap, std::move(hierarchy),
-                                           options.sherman,
-                                           assign_shards(snap));
+        snap.graph, build_sherman, rng, snap.version, snap.csr,
+        prev != nullptr ? prev->hierarchy.get() : nullptr, report);
+    return std::make_shared<const Serving>(
+        snap, std::move(hierarchy), options.sherman,
+        report->attempted ? prev->assignment : assign_shards(snap));
   }
 
   // The sharded backend's placement of `snap`'s nodes (null when
@@ -496,29 +505,11 @@ struct FlowEngine::Core {
     --pending_rebuilds;
   }
 
-  // Attempt an incremental repair of `prev`'s hierarchy onto `snap`
-  // (capacity-only transitions). Null when repair does not apply —
-  // the caller falls back to a full build. The repaired hierarchy is
-  // bitwise identical to what build_serving(snap) would construct. The
-  // shard assignment carries over: repair only succeeds when the
-  // topology is unchanged, and the plan depends on nothing else.
-  [[nodiscard]] std::shared_ptr<const Serving> repair_serving(
-      const Serving& prev, const GraphSnapshot& snap,
-      HierarchyRepairReport* report) const {
-    Rng rng(options.seed);
-    std::shared_ptr<const ShermanHierarchy> hierarchy =
-        ShermanHierarchy::repair(*prev.hierarchy, snap.graph, build_sherman,
-                                 rng, snap.version, snap.csr, report);
-    if (hierarchy == nullptr) return nullptr;
-    return std::make_shared<const Serving>(snap, std::move(hierarchy),
-                                           options.sherman, prev.assignment);
-  }
-
-  // The background refresh task body. Repairs or rebuilds the hierarchy
-  // for the store's newest snapshot (coalescing any intermediate
-  // versions) and swaps it in atomically; queries keep running against
-  // the previous Serving throughout. Never throws — the pool requires
-  // it.
+  // The background refresh task body. Builds the hierarchy for the
+  // store's newest snapshot (coalescing any intermediate versions),
+  // reusing the serving hierarchy's clean trees, and swaps it in
+  // atomically; queries keep running against the previous Serving
+  // throughout. Never throws — the pool requires it.
   void run_rebuild() {
     GraphSnapshot target;
     std::shared_ptr<const Serving> prev;
@@ -541,24 +532,19 @@ struct FlowEngine::Core {
     const auto start = std::chrono::steady_clock::now();
     std::shared_ptr<const Serving> next;
     HierarchyRepairReport report;
-    // The repair decision compares the serving snapshot to the target
-    // directly (not the batch), so coalesced applies and
-    // repair-after-repair chains fall out naturally. A throwing repair
-    // falls back to a full rebuild inside this same refresh.
+    // The build compares the serving snapshot to the target directly
+    // (not the batch), so coalesced applies and repair-after-repair
+    // chains fall out naturally.
     try {
-      next = repair_serving(*prev, target, &report);
+      next = build_serving(target, prev.get(), &report);
     } catch (...) {
       next = nullptr;
     }
-    const bool repaired = next != nullptr;
     if (report.attempted) {
       MutexLock lock(stats_mutex);
       ++stats.rebuild.repairs_started;
-      if (!repaired) ++stats.rebuild.repairs_failed;
     }
-    try {
-      if (!repaired) next = build_serving(target);
-    } catch (...) {
+    if (next == nullptr) {
       // The snapshot cannot be served (e.g. the batch disconnected the
       // graph). Keep serving the previous snapshot. Queries parked for
       // a version this build was meant to satisfy are resolved — but
@@ -611,7 +597,7 @@ struct FlowEngine::Core {
       MutexLock stats_lock(stats_mutex);
       ++stats.rebuild.completed;
       stats.rebuild.seconds_total += build_seconds;
-      if (repaired) {
+      if (report.attempted) {
         ++stats.rebuild.repairs_completed;
         stats.rebuild.trees_repaired += report.trees_repaired;
         stats.rebuild.trees_reused += report.trees_reused;

@@ -130,7 +130,8 @@ using MultiTerminalTicket = Ticket<MultiTerminalMaxFlowResult>;
 using CongestTicket = Ticket<CongestRunResult>;
 
 // How background hierarchy refreshes behaved, grouped (one refresh =
-// one full rebuild OR one incremental repair; see FlowEngine::apply).
+// one hierarchy build, which may reuse the serving hierarchy's trees;
+// see FlowEngine::apply).
 struct RebuildStats {
   // A refresh "starts" when a worker begins building toward a newer
   // snapshot and "completes" when its hierarchy is swapped in.
@@ -142,16 +143,15 @@ struct RebuildStats {
   std::int64_t completed = 0;
   std::int64_t failed = 0;
   double seconds_total = 0.0;  // wall time of all refreshes, repairs incl.
-  // The incremental-repair subset: capacity-only transitions resample
-  // only the trees whose structural capacity view changed and splice
-  // the rest in (bitwise identical to a full rebuild). A repair that
-  // throws is counted failed and falls back to a full rebuild within
-  // the same refresh.
+  // The incremental-repair subset: refreshes whose build could reuse the
+  // serving hierarchy (capacity-only transitions) resample only the
+  // trees whose structural capacity view changed and reuse the rest
+  // (bitwise identical to a full rebuild). A repair that throws is a
+  // failed refresh: started, never completed.
   std::int64_t repairs_started = 0;
   std::int64_t repairs_completed = 0;
-  std::int64_t repairs_failed = 0;
   std::int64_t trees_repaired = 0;  // dirty trees resampled from seeds
-  std::int64_t trees_reused = 0;    // clean trees spliced in
+  std::int64_t trees_reused = 0;    // clean trees reused, recapacitated
   double repair_seconds_total = 0.0;
 };
 
@@ -241,14 +241,14 @@ struct EngineStats {
 // The refresh strategy the engine projects for a published batch.
 enum class RebuildPlan {
   kFullRebuild,  // topology changed (or repair is not applicable)
-  kTreeRepair,   // capacity-only: resample dirty trees, splice the rest
+  kTreeRepair,   // capacity-only: resample dirty trees, reuse the rest
   kNoOp,         // no observable change; previous hierarchy is re-tagged
 };
 
 // What apply() published and what the background refresh toward it is
 // expected to do. The plan is a projection against the serving
 // hierarchy at apply time: the refresh re-decides against whatever is
-// serving when it runs (coalesced batches, repair fallbacks), so treat
+// serving when it runs (coalesced batches), so treat
 // plan/trees_dirty as advisory and the stats counters as ground truth.
 struct ApplyResult {
   GraphVersion version = 0;
@@ -374,12 +374,12 @@ class FlowEngine {
   // snapshot's version plus the projected refresh plan (see
   // ApplyResult) — queries keep being served from the previous
   // snapshot until the refreshed hierarchy is swapped in atomically.
-  // Capacity-only batches take the incremental repair path: only trees
-  // whose structural capacity view changed are resampled (from their
-  // recorded per-tree seeds), the rest are spliced in, and the result
-  // is bitwise identical to a full rebuild at the same version.
-  // Topology batches — and any repair that fails — take the full
-  // rebuild. Consecutive applies coalesce: a refresh always targets
+  // The refresh is one hierarchy build that reuses what it can: after
+  // a capacity-only batch only trees whose structural capacity view
+  // changed are resampled (from their recorded per-tree seeds), the
+  // rest are reused, and the result is bitwise identical to a full
+  // rebuild at the same version. After a topology batch every tree is
+  // resampled. Consecutive applies coalesce: a refresh always targets
   // the newest snapshot, so intermediate versions may never be served
   // (min_version waiters are satisfied by any version >= theirs).
   ApplyResult apply(const MutationBatch& batch);

@@ -1,5 +1,6 @@
 #include "maxflow/hierarchy_io.h"
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -223,10 +224,31 @@ std::shared_ptr<const ShermanHierarchy> load_hierarchy(
   parts.approximator =
       std::make_shared<const CongestionApproximator>(std::move(trees));
   parts.mwst = slice_tree(num_trees);
+  // Queries route leftover demand over the MWST's links unchecked, so
+  // each must be the snapshot edge joining its node to its parent.
+  const Graph& g = *snap.graph;
+  for (NodeId v = 0; v < n; ++v) {
+    const EdgeId e = parts.mwst.parent_edge[static_cast<std::size_t>(v)];
+    if (v == parts.mwst.root) {
+      DMF_REQUIRE(e == kInvalidEdge, "load_hierarchy: mwst root has an edge");
+      continue;
+    }
+    DMF_REQUIRE(e >= 0 && e < g.num_edges(),
+                "load_hierarchy: mwst edge out of range");
+    const EdgeEndpoints ep = g.endpoints(e);
+    const NodeId p = parts.mwst.parent[static_cast<std::size_t>(v)];
+    DMF_REQUIRE((ep.u == v && ep.v == p) || (ep.u == p && ep.v == v),
+                "load_hierarchy: mwst edge does not join a node to its "
+                "parent");
+  }
   parts.tree_records.assign(records.data(), records.data() + records.size());
   parts.bucket_octaves = bits_double(meta[kMetaBucketOctaves]);
   parts.alpha = bits_double(meta[kMetaAlpha]);
+  DMF_REQUIRE(std::isfinite(parts.alpha) && parts.alpha > 0.0,
+              "load_hierarchy: alpha must be finite and > 0");
   parts.build_rounds = bits_double(meta[kMetaBuildRounds]);
+  DMF_REQUIRE(meta[kMetaBfsHeight] < nn,
+              "load_hierarchy: bfs height out of range");
   parts.bfs_height = static_cast<int>(meta[kMetaBfsHeight]);
   return ShermanHierarchy::from_parts(snap.graph, snap.csr, version,
                                       std::move(parts));

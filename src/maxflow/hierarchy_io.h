@@ -12,8 +12,11 @@
 // option is stored alongside; load_hierarchy returns null (engine falls
 // back to a normal build) when the fingerprint, graph version, or node
 // count disagree, or when no hierarchy was saved for the snapshot.
-// Corrupt files throw RequirementError (kPreconditionFailed at the
-// engine boundary); the engine treats that like a miss and rebuilds.
+// Corrupt files — a bad checksum or shape, a MWST link that is not the
+// snapshot edge joining its endpoints, an alpha that is not finite and
+// positive, a BFS height outside [0, n) — throw RequirementError
+// (kPreconditionFailed at the engine boundary); the engine counts a
+// load failure and rebuilds.
 #pragma once
 
 #include <cstdint>

@@ -2,12 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <numeric>
-
-#ifdef DMF_HAVE_OPENMP
-#include <omp.h>
-#endif
 
 #include "baselines/tree_routing.h"
 #include "cluster/boruvka.h"
@@ -20,9 +15,7 @@ namespace dmf {
 
 namespace {
 
-// The tree count a build resolves for n nodes (shared with repair,
-// which must re-derive the identical count to line the seed streams
-// up).
+// The tree count a build resolves for n nodes.
 int resolved_num_trees(const ShermanOptions& options, NodeId n) {
   return options.num_trees > 0
              ? options.num_trees
@@ -31,7 +24,7 @@ int resolved_num_trees(const ShermanOptions& options, NodeId n) {
 }
 
 // The alpha a build resolves: the pinned value, or the padded sampled
-// estimate (shared with repair, which must draw the same rng values).
+// estimate.
 double resolved_alpha(const ShermanOptions& options, const Graph& g,
                       const CongestionApproximator& approximator, Rng& rng) {
   DMF_REQUIRE(std::isfinite(options.alpha),
@@ -47,6 +40,37 @@ double resolved_alpha(const ShermanOptions& options, const Graph& g,
   return std::clamp(1.25 * est.alpha, 1.5, 12.0);
 }
 
+// The packed view a hierarchy keeps its graph through: the caller's
+// `csr` when it has one, else packed here.
+std::shared_ptr<const CsrGraph> attach_csr(
+    std::shared_ptr<const Graph> graph, std::shared_ptr<const CsrGraph> csr) {
+  DMF_REQUIRE(graph != nullptr, "ShermanHierarchy: null graph");
+  if (csr == nullptr) return std::make_shared<const CsrGraph>(std::move(graph));
+  DMF_REQUIRE(&csr->graph() == graph.get(),
+              "ShermanHierarchy: csr does not view this graph");
+  return csr;
+}
+
+// Whether `previous` was built on this topology with this quantization
+// width and the stream `seeds` came from: only then is each of its
+// trees what this build would sample, wherever the tree's structural
+// view is unchanged.
+bool reusable(const ShermanHierarchy& previous, const Graph& g,
+              double bucket_octaves, const std::vector<std::uint64_t>& seeds,
+              HierarchyDirtySet& diff) {
+  const Span<const TreeBuildRecord> records = previous.tree_records();
+  const auto same_seed = [](std::uint64_t seed, const TreeBuildRecord& r) {
+    return seed == r.seed;
+  };
+  if (previous.capacity_bucket_octaves() != bucket_octaves ||
+      records.size() != seeds.size() ||
+      !std::equal(seeds.begin(), seeds.end(), records.begin(), same_seed)) {
+    return false;
+  }
+  diff = hierarchy_dirty_set(previous, g);
+  return !diff.topology_changed;
+}
+
 }  // namespace
 
 ShermanHierarchy::ShermanHierarchy(const Graph& g,
@@ -59,25 +83,60 @@ ShermanHierarchy::ShermanHierarchy(const Graph& g,
 ShermanHierarchy::ShermanHierarchy(std::shared_ptr<const Graph> graph,
                                    const ShermanOptions& options, Rng& rng,
                                    GraphVersion graph_version,
-                                   std::shared_ptr<const CsrGraph> csr)
-    : graph_(std::move(graph)),
-      csr_(std::move(csr)),
+                                   std::shared_ptr<const CsrGraph> csr,
+                                   const ShermanHierarchy* previous,
+                                   HierarchyRepairReport* report)
+    : csr_(attach_csr(std::move(graph), std::move(csr))),
+      bucket_octaves_(options.hierarchy.capacity_bucket_octaves),
       graph_version_(graph_version) {
-  DMF_REQUIRE(graph_ != nullptr, "ShermanHierarchy: null graph");
-  if (csr_ == nullptr) {
-    csr_ = std::make_shared<const CsrGraph>(graph_);
-  } else {
-    DMF_REQUIRE(&csr_->graph() == graph_.get(),
-                "ShermanHierarchy: csr does not view this graph");
-  }
-  const Graph& g = *graph_;
+  const Graph& g = csr_->graph();
   DMF_REQUIRE(g.num_nodes() >= 2, "ShermanHierarchy: need >= 2 nodes");
   DMF_REQUIRE(is_connected(*csr_), "ShermanHierarchy: graph must be connected");
   const int num_trees = resolved_num_trees(options, g.num_nodes());
-  bucket_octaves_ = options.hierarchy.capacity_bucket_octaves;
-  std::vector<std::uint64_t> seeds;
-  std::vector<VirtualTreeSample> samples =
-      sample_virtual_trees(g, num_trees, options.hierarchy, rng, &seeds);
+  const std::vector<std::uint64_t> seeds = tree_stream_seeds(num_trees, rng);
+  HierarchyDirtySet diff;
+  const bool reuse = previous != nullptr &&
+                     reusable(*previous, g, bucket_octaves_, seeds, diff);
+  if (report != nullptr) {
+    report->attempted = reuse;
+    report->trees_total = num_trees;
+    report->trees_repaired = reuse ? diff.num_dirty : 0;
+    report->trees_reused = reuse ? num_trees - diff.num_dirty : 0;
+  }
+  if (reuse && diff.num_changed_edges == 0) {
+    // Identical capacities (an empty or no-op batch): every derived
+    // structure of a from-scratch build would come out identical, so
+    // share the previous one outright and only re-tag the snapshot.
+    approximator_ = previous->approximator_;
+    mwst_ = previous->mwst_;
+    tree_records_ = previous->tree_records_;
+    alpha_ = previous->alpha_;
+    build_rounds_ = previous->build_rounds_;
+    bfs_height_ = previous->bfs_height_;
+    return;
+  }
+
+  // A dirty (or unreusable) tree is sampled from its stream seed. A clean
+  // tree's structural phase would see bitwise-identical inputs (same
+  // stream, same quantized capacities), so its structure is taken from
+  // `previous` and only the exact recapacitation is re-run on the new
+  // capacities. Rounds are structural-phase state: the recorded value is
+  // exact for a clean tree. Recapacitating costs a few percent of
+  // sampling, so a repair takes no more workers than it has trees to
+  // sample: more would only take cores from queries served meanwhile.
+  std::vector<VirtualTreeSample> samples(seeds.size());
+  const int workers = reuse ? std::max(1, diff.num_dirty) : num_trees;
+  for_each_tree(num_trees, options.hierarchy.threads, workers, [&](int i) {
+    const auto t = static_cast<std::size_t>(i);
+    if (reuse && diff.dirty[t] == 0) {
+      samples[t].tree = previous->approximator().tree(i);
+      recapacitate(g, samples[t].tree);
+      samples[t].rounds = previous->tree_records_[t].rounds;
+      return;
+    }
+    Rng tree_rng(seeds[t]);
+    samples[t] = sample_virtual_tree(g, options.hierarchy, tree_rng);
+  });
   tree_records_.resize(samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
     build_rounds_ += samples[i].rounds;
@@ -137,162 +196,21 @@ HierarchyDirtySet hierarchy_dirty_set(const ShermanHierarchy& prev,
   return out;
 }
 
-std::shared_ptr<const ShermanHierarchy> ShermanHierarchy::repair(
-    const ShermanHierarchy& prev, std::shared_ptr<const Graph> graph,
-    const ShermanOptions& options, Rng& rng, GraphVersion graph_version,
-    std::shared_ptr<const CsrGraph> csr, HierarchyRepairReport* report) {
-  DMF_REQUIRE(graph != nullptr, "ShermanHierarchy::repair: null graph");
-  const Graph& g = *graph;
-  HierarchyRepairReport local_report;
-  if (report == nullptr) report = &local_report;
-  report->trees_total = static_cast<int>(prev.tree_records().size());
-
-  // Applicability: same topology, same quantization width, and a seed
-  // stream identical to the one a from-scratch build on `rng` would
-  // derive (otherwise the repaired result could not be bitwise equal to
-  // that build).
-  const HierarchyDirtySet diff = hierarchy_dirty_set(prev, g);
-  if (diff.topology_changed) return nullptr;
-  if (options.hierarchy.capacity_bucket_octaves !=
-      prev.capacity_bucket_octaves()) {
-    return nullptr;
-  }
-  const auto count = static_cast<std::size_t>(
-      resolved_num_trees(options, g.num_nodes()));
-  if (count != prev.tree_records().size()) return nullptr;
-  std::vector<std::uint64_t> seeds(count);
-  for (std::uint64_t& s : seeds) s = rng() ^ 0x9e3779b97f4a7c15ULL;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (seeds[i] != prev.tree_records()[i].seed) return nullptr;
-  }
-  report->attempted = true;
-  report->trees_repaired = diff.num_dirty;
-  report->trees_reused = static_cast<int>(count) - diff.num_dirty;
-
-  std::shared_ptr<ShermanHierarchy> out(new ShermanHierarchy());
-  out->graph_ = std::move(graph);
-  out->csr_ = std::move(csr);
-  if (out->csr_ == nullptr) {
-    out->csr_ = std::make_shared<const CsrGraph>(out->graph_);
-  } else {
-    DMF_REQUIRE(&out->csr_->graph() == out->graph_.get(),
-                "ShermanHierarchy::repair: csr does not view this graph");
-  }
-  out->graph_version_ = graph_version;
-  out->bucket_octaves_ = prev.capacity_bucket_octaves();
-  out->tree_records_ = prev.tree_records_;
-
-  if (diff.num_changed_edges == 0) {
-    // Identical capacities (an empty or no-op batch): every derived
-    // structure of a from-scratch build would come out identical, so
-    // share the previous one outright and only re-tag the snapshot.
-    out->approximator_ = prev.approximator_;
-    out->mwst_ = prev.mwst_;
-    out->alpha_ = prev.alpha_;
-    out->build_rounds_ = prev.build_rounds_;
-    out->bfs_height_ = prev.bfs_height_;
-    return out;
-  }
-
-  // Dirty trees: full per-tree resample from the recorded stream seed —
-  // exactly what sample_virtual_trees would run for that index. Clean
-  // trees: the structural phase would see bitwise-identical inputs
-  // (same quantized capacities, same stream), so copy its structure and
-  // re-run only the final exact recapacitation on the new capacities
-  // (an incremental parent_cap update would drift by FP association —
-  // the full tree_edge_loads pass is what keeps clean trees bitwise
-  // equal to a from-scratch build). Rounds are structural-phase state:
-  // recorded values are exact for clean trees.
-  const NodeId n = g.num_nodes();
-  std::vector<VirtualTreeSample> samples(count);
-  std::vector<int> dirty_indices;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (diff.dirty[i]) {
-      dirty_indices.push_back(static_cast<int>(i));
-      continue;
-    }
-    VirtualTreeSample& s = samples[i];
-    const RootedTree& prev_tree = prev.approximator().tree(static_cast<int>(i));
-    s.tree.root = prev_tree.root;
-    s.tree.parent = prev_tree.parent;
-    s.tree.parent_edge = prev_tree.parent_edge;
-    s.tree.parent_cap.assign(static_cast<std::size_t>(n), 0.0);
-    const std::vector<double> exact_loads = tree_edge_loads(g, s.tree);
-    for (NodeId v = 0; v < n; ++v) {
-      if (v == s.tree.root) continue;
-      s.tree.parent_cap[static_cast<std::size_t>(v)] =
-          std::max(exact_loads[static_cast<std::size_t>(v)], 1e-12);
-    }
-    s.rounds = prev.tree_records()[i].rounds;
-  }
-  const auto resample = [&](int i) {
-    Rng tree_rng(seeds[static_cast<std::size_t>(i)]);
-    samples[static_cast<std::size_t>(i)] =
-        sample_virtual_tree(g, options.hierarchy, tree_rng);
-  };
-  int threads = options.hierarchy.threads;
-#ifdef DMF_HAVE_OPENMP
-  if (threads <= 0) threads = omp_get_max_threads();
-  if (threads > 1 && dirty_indices.size() > 1) {
-    std::exception_ptr error;
-    const int dirty_count = static_cast<int>(dirty_indices.size());
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-    for (int k = 0; k < dirty_count; ++k) {
-      try {
-        resample(dirty_indices[static_cast<std::size_t>(k)]);
-      } catch (...) {
-#pragma omp critical
-        if (!error) error = std::current_exception();
-      }
-    }
-    if (error) std::rethrow_exception(error);
-    dirty_indices.clear();
-  }
-#else
-  (void)threads;
-#endif
-  for (const int i : dirty_indices) resample(i);
-
-  // From here the reconstruction mirrors the constructor line by line
-  // (same order, same rng position after the `count` seed draws), so
-  // every member matches a from-scratch build bitwise.
-  out->build_rounds_ = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    out->build_rounds_ += samples[i].rounds;
-    out->tree_records_[i].rounds = samples[i].rounds;
-  }
-  out->approximator_ = std::make_shared<const CongestionApproximator>(
-      CongestionApproximator::from_samples(std::move(samples)));
-  out->alpha_ = resolved_alpha(options, g, *out->approximator_, rng);
-  double mst_rounds = 0.0;
-  out->mwst_ = boruvka_max_weight_tree(g, 0, &mst_rounds);
-  out->build_rounds_ += mst_rounds;
-  out->bfs_height_ = build_bfs_tree(*out->csr_, 0).height;
-  return out;
-}
-
 std::shared_ptr<const ShermanHierarchy> ShermanHierarchy::from_parts(
     std::shared_ptr<const Graph> graph, std::shared_ptr<const CsrGraph> csr,
     GraphVersion graph_version, Parts parts) {
-  DMF_REQUIRE(graph != nullptr, "ShermanHierarchy::from_parts: null graph");
+  std::shared_ptr<ShermanHierarchy> out(new ShermanHierarchy());
+  out->csr_ = attach_csr(std::move(graph), std::move(csr));
+  const NodeId n = out->csr_->num_nodes();
   DMF_REQUIRE(parts.approximator != nullptr,
               "ShermanHierarchy::from_parts: null approximator");
-  DMF_REQUIRE(parts.approximator->num_nodes() == graph->num_nodes(),
+  DMF_REQUIRE(parts.approximator->num_nodes() == n,
               "ShermanHierarchy::from_parts: approximator size mismatch");
   DMF_REQUIRE(static_cast<std::size_t>(parts.approximator->num_trees()) ==
                   parts.tree_records.size(),
               "ShermanHierarchy::from_parts: tree record count mismatch");
-  DMF_REQUIRE(parts.mwst.num_nodes() == graph->num_nodes(),
+  DMF_REQUIRE(parts.mwst.num_nodes() == n,
               "ShermanHierarchy::from_parts: mwst size mismatch");
-  std::shared_ptr<ShermanHierarchy> out(new ShermanHierarchy());
-  out->graph_ = std::move(graph);
-  out->csr_ = std::move(csr);
-  if (out->csr_ == nullptr) {
-    out->csr_ = std::make_shared<const CsrGraph>(out->graph_);
-  } else {
-    DMF_REQUIRE(&out->csr_->graph() == out->graph_.get(),
-                "ShermanHierarchy::from_parts: csr does not view this graph");
-  }
   out->graph_version_ = graph_version;
   out->approximator_ = std::move(parts.approximator);
   out->mwst_ = std::move(parts.mwst);
@@ -307,14 +225,12 @@ std::shared_ptr<const ShermanHierarchy> ShermanHierarchy::from_parts(
 ShermanSolver::ShermanSolver(const Graph& g, const ShermanOptions& options,
                              Rng& rng)
     : hierarchy_(std::make_shared<const ShermanHierarchy>(g, options, rng)),
-      graph_(&g),
       options_(options) {}
 
 ShermanSolver::ShermanSolver(std::shared_ptr<const ShermanHierarchy> hierarchy,
                              const ShermanOptions& options)
-    : hierarchy_(std::move(hierarchy)), graph_(nullptr), options_(options) {
+    : hierarchy_(std::move(hierarchy)), options_(options) {
   DMF_REQUIRE(hierarchy_ != nullptr, "ShermanSolver: null hierarchy");
-  graph_ = &hierarchy_->graph();
 }
 
 RouteResult ShermanSolver::route(const std::vector<double>& demand) const {
@@ -374,7 +290,7 @@ RouteResult ShermanSolver::route(const std::vector<double>& demand) const {
 }
 
 MaxFlowApproxResult ShermanSolver::max_flow(NodeId s, NodeId t) const {
-  const Graph& g = *graph_;
+  const CsrGraph& g = hierarchy_->csr();
   DMF_REQUIRE(g.is_valid_node(s) && g.is_valid_node(t) && s != t,
               "max_flow: bad terminals");
   MaxFlowApproxResult out;
@@ -400,7 +316,7 @@ MaxFlowApproxResult ShermanSolver::max_flow(NodeId s, NodeId t) const {
 
 MaxFlowApproxResult ShermanSolver::max_flow_binary_search(NodeId s,
                                                           NodeId t) const {
-  const Graph& g = *graph_;
+  const CsrGraph& g = hierarchy_->csr();
   DMF_REQUIRE(g.is_valid_node(s) && g.is_valid_node(t) && s != t,
               "max_flow_binary_search: bad terminals");
   MaxFlowApproxResult out;
@@ -455,7 +371,7 @@ MaxFlowApproxResult ShermanSolver::max_flow_binary_search(NodeId s,
 
 ShermanSolver::ApproxMinCut ShermanSolver::approx_min_cut(NodeId s,
                                                           NodeId t) const {
-  const Graph& g = *graph_;
+  const CsrGraph& g = hierarchy_->csr();
   DMF_REQUIRE(g.is_valid_node(s) && g.is_valid_node(t) && s != t,
               "approx_min_cut: bad terminals");
   const std::vector<double> b = st_demand(g.num_nodes(), s, t, 1.0);
@@ -501,10 +417,9 @@ ShermanSolver::ApproxMinCut ShermanSolver::approx_min_cut(NodeId s,
     const bool in = inside[static_cast<std::size_t>(v)] != 0;
     cut.source_side[static_cast<std::size_t>(v)] = (in == s_inside) ? 1 : 0;
   }
-  const CsrGraph& csr = hierarchy_->csr();
-  const EdgeEndpoints* eps = csr.endpoints_data();
-  const double* cap = csr.capacities_data();
-  const auto m = static_cast<std::size_t>(csr.num_edges());
+  const EdgeEndpoints* eps = g.endpoints_data();
+  const double* cap = g.capacities_data();
+  const auto m = static_cast<std::size_t>(g.num_edges());
   for (std::size_t e = 0; e < m; ++e) {
     if (cut.source_side[static_cast<std::size_t>(eps[e].u)] !=
         cut.source_side[static_cast<std::size_t>(eps[e].v)]) {

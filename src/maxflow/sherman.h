@@ -64,28 +64,30 @@ struct MaxFlowApproxResult {
 };
 
 // Per-tree build provenance, recorded at construction time so a later
-// incremental repair can reconstruct any tree without replaying the
-// whole build: the tree's RNG stream seed, the capacity-bucket dither
-// that seed fixes (its stream's first draw), and the CONGEST rounds
-// the sample accounted.
+// build can reuse or resample any tree without replaying the whole
+// build: the tree's RNG stream seed, the capacity-bucket dither that
+// seed fixes (its stream's first draw), and the CONGEST rounds the
+// sample accounted.
 struct TreeBuildRecord {
   std::uint64_t seed = 0;
   double dither = 0.0;
   double rounds = 0.0;
 };
 
-// What a ShermanHierarchy::repair call did. attempted flips to true
-// once the applicability checks pass (so a subsequent exception counts
-// as a failed repair, not an inapplicable one).
+// How a ShermanHierarchy build used its `previous` hierarchy. attempted
+// is true when `previous` applied (same topology, quantization width and
+// seed stream), i.e. the build was an incremental repair; it is set
+// before any tree is built, so a build that then throws still counts as
+// an attempted repair.
 struct HierarchyRepairReport {
   bool attempted = false;
   int trees_total = 0;
   int trees_repaired = 0;  // dirty: resampled from their recorded seeds
-  int trees_reused = 0;    // clean: structure spliced, loads recomputed
+  int trees_reused = 0;    // clean: previous structure, loads recomputed
 };
 
 // Which trees of `prev` a transition to graph `next` invalidates.
-// topology_changed covers node/edge additions (repair never applies);
+// topology_changed covers node/edge additions (no tree is reused);
 // otherwise a tree is dirty iff some changed capacity crossed one of
 // that tree's structural bucket boundaries (always, when the hierarchy
 // was built without quantization).
@@ -117,35 +119,27 @@ class ShermanHierarchy {
   // queries and derived caches from ever mixing graph generations.
   // `csr` is the snapshot's packed view when the caller already has one
   // (GraphStore attaches it at publish time); pass null to pack here.
+  //
+  // `previous` makes the build an incremental repair with the same
+  // result: each tree is a pure function of its stream seed and the
+  // graph's structural capacity view, so if `previous` has this
+  // topology, quantization width and seed stream, its trees whose view
+  // is unchanged are reused (only their exact recapacitation re-runs)
+  // and only the dirty ones are resampled — bitwise identical to a build
+  // without it, `rng` included. If no capacity changed at all, its
+  // approximator, alpha and MWST are shared outright (the kNoOp path;
+  // `rng` then stops after the seed draws). `report` receives the reuse.
   ShermanHierarchy(std::shared_ptr<const Graph> graph,
                    const ShermanOptions& options, Rng& rng,
                    GraphVersion graph_version = 0,
-                   std::shared_ptr<const CsrGraph> csr = nullptr);
+                   std::shared_ptr<const CsrGraph> csr = nullptr,
+                   const ShermanHierarchy* previous = nullptr,
+                   HierarchyRepairReport* report = nullptr);
 
   // Non-owning view for stack-local graphs; the caller guarantees the
   // graph outlives the hierarchy.
   ShermanHierarchy(const Graph& g, const ShermanOptions& options, Rng& rng,
                    GraphVersion graph_version = 0);
-
-  // Incremental repair: reconstruct the hierarchy a from-scratch build
-  // on `graph` would produce — bitwise — by resampling only the trees
-  // whose structural capacity view changed relative to `prev`, and
-  // splicing the untouched trees' structure in (their exact
-  // recapacitation is re-run on the new capacities; their recorded
-  // rounds are reused). `options` must equal the options `prev` was
-  // built with and `rng` must be positioned exactly as a from-scratch
-  // build's would be (the engine passes a fresh engine-seeded
-  // generator). Returns null — with the generator partially advanced,
-  // so the caller must fall back to a full rebuild with a fresh rng —
-  // when repair does not apply: topology changed, tree count changed
-  // with n, a different seed stream, or a different quantization
-  // width. When every capacity is unchanged, the previous
-  // approximator/alpha/MWST are shared outright (the kNoOp fast path).
-  static std::shared_ptr<const ShermanHierarchy> repair(
-      const ShermanHierarchy& prev, std::shared_ptr<const Graph> graph,
-      const ShermanOptions& options, Rng& rng, GraphVersion graph_version,
-      std::shared_ptr<const CsrGraph> csr = nullptr,
-      HierarchyRepairReport* report = nullptr);
 
   // Persisted-state members a loader (maxflow/hierarchy_io.h) hands back
   // to from_parts. The caller guarantees the parts were saved from a
@@ -169,15 +163,12 @@ class ShermanHierarchy {
       std::shared_ptr<const Graph> graph, std::shared_ptr<const CsrGraph> csr,
       GraphVersion graph_version, Parts parts);
 
-  [[nodiscard]] const Graph& graph() const { return *graph_; }
+  [[nodiscard]] const Graph& graph() const { return csr_->graph(); }
   // The flat CSR view every query traversal runs on.
   [[nodiscard]] const CsrGraph& csr() const { return *csr_; }
   // The snapshot version this hierarchy answers for; a version tag only,
   // it never influences the sampled state.
   [[nodiscard]] GraphVersion graph_version() const { return graph_version_; }
-  [[nodiscard]] const std::shared_ptr<const Graph>& shared_graph() const {
-    return graph_;
-  }
   [[nodiscard]] const CongestionApproximator& approximator() const {
     return *approximator_;
   }
@@ -199,12 +190,12 @@ class ShermanHierarchy {
   }
 
  private:
-  ShermanHierarchy() = default;  // repair() assembles members directly
+  ShermanHierarchy() = default;  // from_parts() assembles members directly
 
-  std::shared_ptr<const Graph> graph_;  // null deleter in the view form
+  // Holds the graph too (null deleter in the view form).
   std::shared_ptr<const CsrGraph> csr_;
-  // shared (not unique): the kNoOp repair path re-tags a hierarchy for
-  // a new snapshot with identical content and shares the approximator.
+  // shared (not unique): the kNoOp path re-tags a hierarchy for a new
+  // snapshot with identical content and shares the approximator.
   std::shared_ptr<const CongestionApproximator> approximator_;
   RootedTree mwst_;  // max-weight spanning tree for residual rerouting
   std::vector<TreeBuildRecord> tree_records_;
@@ -270,7 +261,6 @@ class ShermanSolver {
 
  private:
   std::shared_ptr<const ShermanHierarchy> hierarchy_;
-  const Graph* graph_;  // == &hierarchy_->graph()
   ShermanOptions options_;
 };
 

@@ -687,7 +687,6 @@ Json to_json(const EngineStats& s) {
   rebuild.emplace_back("repairs_started", Json(s.rebuild.repairs_started));
   rebuild.emplace_back("repairs_completed",
                        Json(s.rebuild.repairs_completed));
-  rebuild.emplace_back("repairs_failed", Json(s.rebuild.repairs_failed));
   rebuild.emplace_back("trees_repaired", Json(s.rebuild.trees_repaired));
   rebuild.emplace_back("trees_reused", Json(s.rebuild.trees_reused));
   rebuild.emplace_back("repair_seconds_total",

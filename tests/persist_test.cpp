@@ -6,9 +6,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <unistd.h>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -577,6 +579,92 @@ TEST(EngineColdStart, CorruptHierarchyFallsBackToBuild) {
   EXPECT_EQ(stats.hierarchy_load_failures, 1);
   // The rebuilt hierarchy still answers identically.
   EXPECT_EQ(cold.submit(MaxFlowQuery{0, 63}).get().value().value, warm.value);
+}
+
+// Checksum-valid but inconsistent hierarchy files must be rejected at
+// load (counted as a failure, then rebuilt), never served: a MWST link
+// naming an edge outside the snapshot would make the first Sherman
+// query index past the edge arrays.
+TEST(EngineColdStart, MwstEdgesOutsideTheSnapshotFallBackToBuild) {
+  TempDir dir;
+  GraphStoreOptions gopts;
+  gopts.persist = PersistPolicy::kOnPublish;
+  gopts.data_dir = dir.path();
+  const EngineOptions eopts = small_engine_options();
+  {
+    auto store = std::make_shared<GraphStore>(test_grid(), gopts);
+    FlowEngine engine(store, eopts);
+  }
+  // The edges arena holds one n-entry slice per sampled tree, then the
+  // MWST's slice last. Rewrite the MWST's edge ids out of range, with a
+  // valid checksum.
+  constexpr std::uint64_t kTagHierEdges = 21;  // maxflow/hierarchy_io.cpp
+  const std::string path = dir.path() + "/hier.v0.edges.arena";
+  const SharedArray<EdgeId> saved =
+      ArenaVector<EdgeId>::open(path, kTagHierEdges);
+  std::vector<EdgeId> edges(saved.data(), saved.data() + saved.size());
+  ASSERT_GE(edges.size(), 64u);
+  for (std::size_t i = edges.size() - 64; i < edges.size(); ++i) {
+    if (edges[i] != kInvalidEdge) edges[i] += 1000000;
+  }
+  ArenaVector<EdgeId>::write(path, kTagHierEdges,
+                             {edges.data(), edges.size()});
+
+  FlowEngine cold(GraphStore::open(dir.path(), gopts), eopts);
+  const EngineStats stats = cold.stats();
+  EXPECT_EQ(stats.hierarchy_load_failures, 1);
+  EXPECT_EQ(stats.hierarchy_cold_loads, 0);
+  FlowEngine fresh(test_grid(), eopts);
+  const MaxFlowApproxResult got =
+      cold.submit(MaxFlowQuery{0, 63}).get().value();
+  const MaxFlowApproxResult want =
+      fresh.submit(MaxFlowQuery{0, 63}).get().value();
+  EXPECT_EQ(got.value, want.value);
+  EXPECT_EQ(got.flow, want.flow);
+}
+
+// The same for the scalar summary: an alpha that is not finite and > 0,
+// or a BFS height outside [0, n), fails the load.
+TEST(EngineColdStart, BadAlphaOrBfsHeightFallsBackToBuild) {
+  constexpr std::uint64_t kTagHierMeta = 16;  // maxflow/hierarchy_io.cpp
+  constexpr std::size_t kMetaAlpha = 4;
+  constexpr std::size_t kMetaBfsHeight = 6;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t nan_bits = 0;
+  std::memcpy(&nan_bits, &nan, sizeof(nan));
+  const struct {
+    std::size_t word;
+    std::uint64_t value;
+  } tampers[] = {{kMetaAlpha, nan_bits},
+                 {kMetaAlpha, 0},  // +0.0
+                 {kMetaBfsHeight, 64},
+                 {kMetaBfsHeight, (std::uint64_t{1} << 32) + 3}};
+  for (const auto& tamper : tampers) {
+    TempDir dir;
+    GraphStoreOptions gopts;
+    gopts.persist = PersistPolicy::kOnPublish;
+    gopts.data_dir = dir.path();
+    const EngineOptions eopts = small_engine_options();
+    {
+      auto store = std::make_shared<GraphStore>(test_grid(), gopts);
+      FlowEngine engine(store, eopts);
+    }
+    const std::string path = dir.path() + "/hier.v0.meta.arena";
+    const SharedArray<std::uint64_t> saved =
+        ArenaVector<std::uint64_t>::open(path, kTagHierMeta);
+    std::vector<std::uint64_t> meta(saved.data(),
+                                    saved.data() + saved.size());
+    ASSERT_GT(meta.size(), kMetaBfsHeight);
+    meta[tamper.word] = tamper.value;
+    ArenaVector<std::uint64_t>::write(path, kTagHierMeta,
+                                      {meta.data(), meta.size()});
+
+    FlowEngine cold(GraphStore::open(dir.path(), gopts), eopts);
+    const EngineStats stats = cold.stats();
+    EXPECT_EQ(stats.hierarchy_load_failures, 1) << tamper.word;
+    EXPECT_EQ(stats.hierarchy_cold_loads, 0) << tamper.word;
+    EXPECT_TRUE(cold.submit(MaxFlowQuery{0, 63}).get().ok());
+  }
 }
 
 TEST(EngineColdStart, ManualEnginePersistEnablesColdOpen) {

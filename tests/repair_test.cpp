@@ -1,10 +1,10 @@
 // Tests for incremental hierarchy repair on capacity-only mutations:
 // MutationBatch::classify(), the ApplyResult plan the engine reports,
-// and the core contract — a repaired hierarchy is BITWISE identical to
-// the hierarchy a from-scratch build on the same snapshot produces, at
-// any thread count and across repair-then-repair chains. Batches that
-// change the topology must take the full-rebuild path (and say so in
-// the stats).
+// and the core contract — a hierarchy built with a `previous` one to
+// reuse trees from (a repair) is BITWISE identical to the hierarchy a
+// from-scratch build on the same snapshot produces, at any thread count
+// and across repair-then-repair chains. Batches that change the
+// topology must take the full-rebuild path (and say so in the stats).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -171,13 +171,13 @@ TEST(HierarchyRepair, RepairChainsMatchFullRebuildBitwise) {
   const EngineStats stats = parallel.stats();
   EXPECT_GT(stats.rebuild.repairs_started, 0);
   EXPECT_GT(stats.rebuild.repairs_completed, 0);
-  EXPECT_EQ(stats.rebuild.repairs_failed, 0);
+  EXPECT_EQ(stats.rebuild.repairs_started, stats.rebuild.repairs_completed);
   EXPECT_GT(stats.rebuild.trees_reused, 0);
 }
 
-// Direct unit coverage of the ShermanHierarchy::repair factory,
+// Direct unit coverage of a build given a `previous` hierarchy,
 // including the report accounting and the kNoOp content-sharing path.
-TEST(HierarchyRepair, FactoryReportsAndSharesOnNoOp) {
+TEST(HierarchyRepair, BuildWithPreviousReportsAndSharesOnNoOp) {
   const auto graph = std::make_shared<Graph>(repair_graph());
   ShermanOptions options;
   options.num_trees = 6;
@@ -193,16 +193,14 @@ TEST(HierarchyRepair, FactoryReportsAndSharesOnNoOp) {
     const auto same = std::make_shared<Graph>(*graph);
     Rng rng(555);
     HierarchyRepairReport report;
-    const auto repaired =
-        ShermanHierarchy::repair(*prev, same, options, rng, 1, nullptr,
-                                 &report);
-    ASSERT_NE(repaired, nullptr);
+    const ShermanHierarchy repaired(same, options, rng, 1, nullptr,
+                                    prev.get(), &report);
     EXPECT_TRUE(report.attempted);
     EXPECT_EQ(report.trees_total, total);
     EXPECT_EQ(report.trees_repaired, 0);
     EXPECT_EQ(report.trees_reused, total);
-    EXPECT_EQ(&repaired->approximator(), &prev->approximator());
-    EXPECT_EQ(repaired->graph_version(), 1u);
+    EXPECT_EQ(&repaired.approximator(), &prev->approximator());
+    EXPECT_EQ(repaired.graph_version(), 1u);
   }
 
   // A capacity change: the result must match a from-scratch build and
@@ -213,39 +211,43 @@ TEST(HierarchyRepair, FactoryReportsAndSharesOnNoOp) {
     next->set_capacity(5, next->capacity(5) * 16.0);
     Rng repair_rng(555);
     HierarchyRepairReport report;
-    const auto repaired = ShermanHierarchy::repair(
-        *prev, next, options, repair_rng, 2, nullptr, &report);
-    ASSERT_NE(repaired, nullptr);
+    const ShermanHierarchy repaired(next, options, repair_rng, 2, nullptr,
+                                    prev.get(), &report);
     EXPECT_TRUE(report.attempted);
     EXPECT_EQ(report.trees_repaired + report.trees_reused, total);
     EXPECT_GT(report.trees_repaired, 0);  // the x16 edge dirties all trees
 
     Rng scratch_rng(555);
     const ShermanHierarchy scratch(next, options, scratch_rng, 2);
-    expect_bitwise_equal(*repaired, scratch);
+    expect_bitwise_equal(repaired, scratch);
+    EXPECT_EQ(repair_rng(), scratch_rng());
   }
 
-  // Inapplicable inputs return null without claiming an attempt.
-  {
-    Rng local(7);
-    auto bigger = std::make_shared<Graph>(
-        make_gnp_connected(80, 0.08, {1, 9}, local));
+  // Inapplicable inputs (another topology, another quantization width)
+  // reuse nothing: the build is a from-scratch build in every bit, and
+  // leaves the caller's rng where that build does.
+  const auto expect_from_scratch = [&](const std::shared_ptr<Graph>& g,
+                                       const ShermanOptions& opts) {
     Rng rng(555);
     HierarchyRepairReport report;
-    EXPECT_EQ(ShermanHierarchy::repair(*prev, bigger, options, rng, 3,
-                                       nullptr, &report),
-              nullptr);
+    const ShermanHierarchy built(g, opts, rng, 3, nullptr, prev.get(),
+                                 &report);
     EXPECT_FALSE(report.attempted);
+    Rng scratch_rng(555);
+    const ShermanHierarchy scratch(g, opts, scratch_rng, 3);
+    expect_bitwise_equal(built, scratch);
+    EXPECT_EQ(rng(), scratch_rng());
+  };
+  {
+    Rng local(7);
+    expect_from_scratch(std::make_shared<Graph>(make_gnp_connected(
+                            80, 0.08, {1, 9}, local)),
+                        options);
   }
   {
     ShermanOptions wrong = options;
     wrong.hierarchy.capacity_bucket_octaves = 2.0;
-    Rng rng(555);
-    HierarchyRepairReport report;
-    EXPECT_EQ(ShermanHierarchy::repair(*prev, graph, wrong, rng, 3, nullptr,
-                                       &report),
-              nullptr);
-    EXPECT_FALSE(report.attempted);
+    expect_from_scratch(graph, wrong);
   }
 }
 
@@ -297,8 +299,7 @@ TEST(HierarchyRepair, StatsSnapshotIsCoherent) {
   EXPECT_EQ(stats.rebuild.failed, 0);
   EXPECT_EQ(stats.rebuild.started,
             stats.rebuild.completed + stats.rebuild.failed);
-  EXPECT_EQ(stats.rebuild.repairs_started,
-            stats.rebuild.repairs_completed + stats.rebuild.repairs_failed);
+  EXPECT_EQ(stats.rebuild.repairs_started, stats.rebuild.repairs_completed);
   EXPECT_EQ(stats.serving_version, 1u);
   EXPECT_EQ(stats.latest_version, 1u);
   EXPECT_GE(stats.rebuild.seconds_total, 0.0);
