@@ -88,7 +88,7 @@ int main() {
         }
         Multigraph mg = Multigraph::from_graph(g);
         const LowStretchTreeResult lsst =
-            akpw_low_stretch_tree(mg, AkpwOptions{}, rng);
+            akpw_low_stretch_tree(mg, PartitionOptions{}, rng);
         const RootedTree tree = build_rooted_tree_mg(mg, lsst.tree_edges, 0);
         const std::vector<double> sizes(
             static_cast<std::size_t>(mg.num_nodes()), 1.0);

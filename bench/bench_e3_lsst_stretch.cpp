@@ -24,7 +24,7 @@ int main() {
         const Graph g = make_family(family, n, rng);
         const Multigraph mg = Multigraph::from_graph(g);
         const LowStretchTreeResult tree =
-            akpw_low_stretch_tree(mg, AkpwOptions{}, rng);
+            akpw_low_stretch_tree(mg, PartitionOptions{}, rng);
         stretches.add(average_stretch(mg, tree.tree_edges));
         iters.add(static_cast<double>(tree.iterations));
       }

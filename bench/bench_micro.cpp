@@ -85,7 +85,7 @@ void BM_AkpwLsst(benchmark::State& state) {
   Rng rng(7);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        akpw_low_stretch_tree(mg, AkpwOptions{}, rng).tree_edges.size());
+        akpw_low_stretch_tree(mg, PartitionOptions{}, rng).tree_edges.size());
   }
 }
 BENCHMARK(BM_AkpwLsst)->Arg(256)->Arg(1024);

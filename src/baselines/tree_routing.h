@@ -20,7 +20,9 @@ RootedTree max_weight_spanning_tree(const Graph& g, NodeId root = 0);
 
 // Route demand b through the given spanning tree of g; returns a flow
 // vector over the *graph* edges (non-tree edges carry zero). The tree's
-// parent_edge links must reference real graph edges. sum(b) must be ~0.
+// parent_edge links must reference real graph edges. Balance is the
+// caller's rule (demand_is_balanced): any excess sum(b) ends at the tree
+// root, as in route_demand_on_tree.
 std::vector<double> route_demand_on_spanning_tree(const CsrGraph& g,
                                                   const RootedTree& tree,
                                                   const std::vector<double>& b);

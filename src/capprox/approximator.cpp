@@ -63,55 +63,6 @@ double CongestionApproximator::congestion_norm(
   return worst;
 }
 
-std::vector<std::vector<double>> CongestionApproximator::apply(
-    const std::vector<double>& b, double scale) const {
-  DMF_REQUIRE(b.size() == static_cast<std::size_t>(n_),
-              "apply: demand size mismatch");
-  std::vector<std::vector<double>> y(trees_.size());
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    std::vector<double> sums = b;
-    const auto& order = orders_[t].topdown;
-    const RootedTree& tree = trees_[t];
-    y[t].assign(static_cast<std::size_t>(n_), 0.0);
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const NodeId v = *it;
-      const NodeId p = tree.parent[static_cast<std::size_t>(v)];
-      if (p != kInvalidNode) {
-        sums[static_cast<std::size_t>(p)] += sums[static_cast<std::size_t>(v)];
-        y[t][static_cast<std::size_t>(v)] =
-            scale * sums[static_cast<std::size_t>(v)] *
-            inv_cap_[t][static_cast<std::size_t>(v)];
-      }
-    }
-  }
-  return y;
-}
-
-std::vector<double> CongestionApproximator::potentials(
-    const std::vector<std::vector<double>>& link_price) const {
-  DMF_REQUIRE(link_price.size() == trees_.size(),
-              "potentials: tree count mismatch");
-  std::vector<double> pi(static_cast<std::size_t>(n_), 0.0);
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    DMF_REQUIRE(link_price[t].size() == static_cast<std::size_t>(n_),
-                "potentials: price size mismatch");
-    const RootedTree& tree = trees_[t];
-    std::vector<double> acc(static_cast<std::size_t>(n_), 0.0);
-    for (const NodeId v : orders_[t].topdown) {
-      const NodeId p = tree.parent[static_cast<std::size_t>(v)];
-      if (p != kInvalidNode) {
-        acc[static_cast<std::size_t>(v)] =
-            acc[static_cast<std::size_t>(p)] +
-            link_price[t][static_cast<std::size_t>(v)];
-      }
-    }
-    for (NodeId v = 0; v < n_; ++v) {
-      pi[static_cast<std::size_t>(v)] += acc[static_cast<std::size_t>(v)];
-    }
-  }
-  return pi;
-}
-
 void CongestionApproximator::apply_into(
     const std::vector<double>& b, double scale, std::vector<double>& y_flat,
     std::vector<double>& sums_workspace) const {

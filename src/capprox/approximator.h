@@ -43,21 +43,15 @@ class CongestionApproximator {
   // ||R b||_inf: the most congested tree cut when routing b.
   [[nodiscard]] double congestion_norm(const std::vector<double>& b) const;
 
-  // y[t][v] = scale * (subtree sum of b at v) / cap(v -> parent); entries
-  // at roots are 0.
-  [[nodiscard]] std::vector<std::vector<double>> apply(
-      const std::vector<double>& b, double scale) const;
-
-  // pi[v] = sum over trees of the sum of link_price[t][w] over links
-  // (w -> parent) on v's root path.
-  [[nodiscard]] std::vector<double> potentials(
-      const std::vector<std::vector<double>>& link_price) const;
-
-  // Allocation-free variants for the gradient-descent inner loop: the
-  // per-tree vectors are flattened into one num_trees*n array indexed
-  // [t*n + v], and every output/workspace buffer is caller-owned so an
-  // iteration reuses its allocations. Arithmetic and accumulation order
-  // match apply()/potentials() exactly — results are bitwise identical.
+  // The two gradient-descent sweeps, flattened over the trees into one
+  // num_trees*n array indexed [t*n + v]; every output/workspace buffer is
+  // caller-owned, so an iteration reuses its allocations.
+  //
+  // apply_into:      y_flat[t*n + v] = scale * (subtree sum of b at v) /
+  //                  cap(v -> parent) in tree t; entries at roots are 0.
+  // potentials_into: pi[v] = sum over trees t of the sum of
+  //                  price_flat[t*n + w] over links (w -> parent) on v's
+  //                  root path.
   void apply_into(const std::vector<double>& b, double scale,
                   std::vector<double>& y_flat,
                   std::vector<double>& sums_workspace) const;

@@ -12,13 +12,39 @@
 #include "congest/ledger.h"
 #include "graph/algorithms.h"
 #include "jtree/jtree.h"
+#include "lsst/akpw.h"
+#include "sparsify/sparsifier.h"
 
 namespace dmf {
 
-double paper_beta(NodeId n) {
-  const double log_n = std::log2(static_cast<double>(std::max<NodeId>(2, n)));
-  return std::pow(2.0, std::pow(log_n, 0.75));
-}
+namespace {
+
+// The build's fixed parameters. hierarchy_fingerprint
+// (maxflow/hierarchy_io.cpp) mixes the values of kBeta, kSparsifyDegree,
+// kSparsifierUpscale and kMwuEta as literals: a change here needs the
+// same change there, or hierarchies saved under the old values would
+// still load. maxflow_test's GoldenBuild tests pin both.
+
+// Core shrink factor per level: j = N / (4 * beta) per level. The paper's
+// beta = 2^(log2 n)^(3/4) degenerates to a single level at the scales
+// this library runs at, so a fixed 4 keeps a real hierarchy.
+constexpr double kBeta = 4.0;
+// Size of the per-level j-tree distribution (Lemma 8.4's Õ(beta)):
+// max(3, beta).
+constexpr int kTreesPerLevel = 4;
+// Sparsify the core when it has more than kSparsifyDegree * N edges.
+constexpr double kSparsifyDegree = 16.0;
+// Capacity up-scaling after sparsification (stands in for the paper's
+// 1/(1-eps) with the (1+o(1)) sparsifier).
+constexpr double kSparsifierUpscale = 1.25;
+// Multiplicative-weights step for the per-level length updates.
+constexpr double kMwuEta = 0.5;
+// Looser AKPW partition acceptance than the default (40 retries, slack
+// 4): the hierarchy builds many trees, and per-tree restart storms would
+// dominate runtime.
+constexpr PartitionOptions kAkpwPartition{.max_retries = 6, .slack = 6.0};
+
+}  // namespace
 
 double tree_capacity_dither(std::uint64_t seed) {
   Rng rng(seed);
@@ -55,7 +81,6 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
   const CsrGraph csr(g);
   DMF_REQUIRE(is_connected(csr),
               "sample_virtual_tree: graph must be connected");
-  DMF_REQUIRE(options.beta >= 2.0, "sample_virtual_tree: beta must be >= 2");
 
   VirtualTreeSample out;
   out.tree.parent.assign(nn, kInvalidNode);
@@ -64,13 +89,7 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
 
   const double sqrt_n = std::sqrt(static_cast<double>(n));
   const int finish_threshold =
-      options.finish_threshold > 0
-          ? options.finish_threshold
-          : std::max(8, static_cast<int>(std::ceil(2.0 * sqrt_n)));
-  const int trees_per_level =
-      options.trees_per_level > 0
-          ? options.trees_per_level
-          : std::max(3, static_cast<int>(std::lround(options.beta)));
+      std::max(8, static_cast<int>(std::ceil(2.0 * sqrt_n)));
 
   // Measured diameter bound for the round accounting.
   const congest::CostModel cost{
@@ -121,11 +140,11 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
 
     // --- (1) Sparsify a dense core. ---
     if (static_cast<double>(core.num_edges()) >
-        options.sparsify_degree * static_cast<double>(level_n)) {
-      SparsifyResult sp = sparsify(core, options.sparsifier, rng);
+        kSparsifyDegree * static_cast<double>(level_n)) {
+      SparsifyResult sp = sparsify(core, SparsifierOptions{}, rng);
       for (std::size_t i = 0; i < sp.graph.num_edges(); ++i) {
         MultiEdge& e = sp.graph.edge_mutable(i);
-        e.cap *= options.sparsifier_upscale;
+        e.cap *= kSparsifierUpscale;
         e.length = 1.0 / e.cap;
       }
       core = std::move(sp.graph);
@@ -135,7 +154,7 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
     // --- (2) Build the per-level j-tree distribution via MWU. ---
     const int j =
         std::max(1, static_cast<int>(static_cast<double>(level_n) /
-                                     (4.0 * options.beta)));
+                                     (4.0 * kBeta)));
     JTreeOptions jopt;
     jopt.j = j;
     jopt.sqrt_target = local ? 0.0 : sqrt_n;
@@ -143,17 +162,17 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
     std::vector<double> weight(core.num_edges(), 1.0);
     std::vector<JTree> distribution;
     std::vector<double> lambda;  // sampling weight per tree
-    distribution.reserve(static_cast<std::size_t>(trees_per_level));
+    distribution.reserve(static_cast<std::size_t>(kTreesPerLevel));
     std::vector<double> sizes(cluster_size.begin(),
                               cluster_size.begin() +
                                   static_cast<std::ptrdiff_t>(level_n));
-    for (int t = 0; t < trees_per_level; ++t) {
+    for (int t = 0; t < kTreesPerLevel; ++t) {
       for (std::size_t i = 0; i < core.num_edges(); ++i) {
         MultiEdge& e = core.edge_mutable(i);
         e.length = weight[i] / e.cap;
       }
       const LowStretchTreeResult lsst =
-          akpw_low_stretch_tree(core, options.akpw, rng);
+          akpw_low_stretch_tree(core, kAkpwPartition, rng);
       const RootedTree tree = build_rooted_tree_mg(core, lsst.tree_edges, 0);
       JTree jt = build_jtree(core, tree, sizes, jopt, rng);
       if (jt.portal_count >= level_n && level_n > 1) {
@@ -170,7 +189,7 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
       if (max_rload > 0.0) {
         for (std::size_t i = 0; i < core.num_edges(); ++i) {
           if (jt.tree_rload[i] > 0.0) {
-            weight[i] *= 1.0 + options.mwu_eta * jt.tree_rload[i] / max_rload;
+            weight[i] *= 1.0 + kMwuEta * jt.tree_rload[i] / max_rload;
           }
         }
       }

@@ -10,10 +10,11 @@
 // links into the virtual tree under construction (cluster representative
 // -> representative of forest parent, capacity = tree load), and (5)
 // recurse on the portal core. Once the core size drops below
-// n^(1/2+o(1)) (finish_threshold) the construction "goes local" exactly as
-// in the paper: the same code path continues, the Lemma 8.2 random cut
-// set is disabled, and the round accounting switches to a single
-// make-it-global broadcast.
+// n^(1/2+o(1)) (the local-finish threshold max(8, 2*sqrt(n))) the
+// construction "goes local" exactly as in the paper: the same code path
+// continues, the Lemma 8.2 random cut set is disabled, and the round
+// accounting switches to a single make-it-global broadcast. beta and the
+// other per-level parameters are constants of hierarchy.cpp.
 //
 // The returned virtual rooted tree over V has the two Theorem 8.10
 // properties (checked empirically by E5): cuts in the tree are never
@@ -27,30 +28,11 @@
 
 #include "graph/graph.h"
 #include "graph/tree.h"
-#include "lsst/akpw.h"
-#include "sparsify/sparsifier.h"
 #include "util/rng.h"
 
 namespace dmf {
 
 struct HierarchyOptions {
-  // Core shrink factor per level (paper: beta = 2^(log^(3/4) n); at
-  // laptop scale that degenerates to one level, so the default 4 keeps a
-  // real hierarchy — see paper_beta()).
-  double beta = 4.0;
-  // Size of the per-level j-tree distribution (Lemma 8.4's Õ(beta));
-  // 0 selects max(3, beta).
-  int trees_per_level = 0;
-  // Core size below which the construction runs "locally"; 0 selects
-  // max(8, 2*sqrt(n)).
-  int finish_threshold = 0;
-  // Sparsify the core when it has more than sparsify_degree * N edges.
-  double sparsify_degree = 16.0;
-  // Capacity up-scaling after sparsification (stands in for the paper's
-  // 1/(1-eps) with the (1+o(1)) sparsifier).
-  double sparsifier_upscale = 1.25;
-  // Multiplicative-weights step for the per-level length updates.
-  double mwu_eta = 0.5;
   // Structural capacity quantization width, in octaves (0 = off). When
   // positive, the *structural* phase of a sample (sparsifier, AKPW
   // lengths, j-tree loads, MWU) observes each capacity rounded down to
@@ -69,21 +51,7 @@ struct HierarchyOptions {
   // bit-identical samples: each tree draws from its own RNG stream whose
   // seed is derived from the caller's Rng before the parallel region.
   int threads = 1;
-  SparsifierOptions sparsifier;
-  AkpwOptions akpw = default_akpw();
-
-  static AkpwOptions default_akpw() {
-    AkpwOptions opt;
-    // Looser partition acceptance: the hierarchy builds many trees, and
-    // per-tree restart storms would dominate runtime.
-    opt.partition.max_retries = 6;
-    opt.partition.slack = 6.0;
-    return opt;
-  }
 };
-
-// The paper's beta for a given n (2^(log2 n)^(3/4)).
-double paper_beta(NodeId n);
 
 // --- structural capacity quantization (incremental repair support) ---
 // The dither a tree's RNG stream fixes for its capacity buckets: the

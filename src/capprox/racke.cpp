@@ -5,8 +5,15 @@
 
 #include "congest/ledger.h"
 #include "graph/algorithms.h"
+#include "lsst/akpw.h"
 
 namespace dmf {
+namespace {
+
+// Multiplicative-weights step for the per-tree length updates.
+constexpr double kMwuEta = 0.5;
+
+}  // namespace
 
 RackeDistribution build_racke_trees(const Graph& g, const RackeOptions& options,
                                     Rng& rng) {
@@ -31,7 +38,7 @@ RackeDistribution build_racke_trees(const Graph& g, const RackeOptions& options,
       e.length = weight[i] / e.cap;
     }
     const LowStretchTreeResult lsst =
-        akpw_low_stretch_tree(mg, options.akpw, rng);
+        akpw_low_stretch_tree(mg, PartitionOptions{}, rng);
     RootedTree tree = tree_from_multigraph_edges(mg, lsst.tree_edges, 0);
     const std::vector<double> loads = tree_edge_loads(g, tree);
     double max_rload = 0.0;
@@ -53,7 +60,7 @@ RackeDistribution build_racke_trees(const Graph& g, const RackeOptions& options,
         // parent_edge is a base-graph edge; the multigraph was built with
         // one edge per base edge, same index.
         const auto idx = static_cast<std::size_t>(tree.parent_edge[vi]);
-        weight[idx] *= 1.0 + options.mwu_eta * rload[vi] / max_rload;
+        weight[idx] *= 1.0 + kMwuEta * rload[vi] / max_rload;
       }
     }
     // Cost: one LSST (Theorem 3.1) plus the load aggregation (Lemma 8.3).

@@ -17,15 +17,12 @@
 
 #include "graph/graph.h"
 #include "graph/tree.h"
-#include "lsst/akpw.h"
 #include "util/rng.h"
 
 namespace dmf {
 
 struct RackeOptions {
   int num_trees = 8;
-  double mwu_eta = 0.5;
-  AkpwOptions akpw;
 };
 
 struct RackeDistribution {

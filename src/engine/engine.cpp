@@ -404,8 +404,7 @@ struct FlowEngine::Core {
     if (store->persistence_enabled()) {
       try {
         std::shared_ptr<const ShermanHierarchy> loaded =
-            load_hierarchy(store->data_dir(), snap, hier_fingerprint,
-                           store->options().verify_checksums);
+            load_hierarchy(store->data_dir(), snap, hier_fingerprint);
         if (loaded != nullptr) {
           serving = std::make_shared<const Serving>(
               snap, std::move(loaded), options.sherman, assign_shards(snap));
@@ -732,17 +731,13 @@ struct FlowEngine::Core {
       return R::failure(ErrorCode::kInvalidQuery,
                         "route query: demand size does not match node count");
     }
-    double total = 0.0;
-    double scale_hint = 0.0;
     for (const double d : q.demand) {
       if (!std::isfinite(d)) {
         return R::failure(ErrorCode::kInvalidQuery,
                           "route query: demand entries must be finite");
       }
-      total += d;
-      scale_hint = std::max(scale_hint, std::abs(d));
     }
-    if (std::abs(total) > 1e-6 * (1.0 + scale_hint)) {
+    if (!demand_is_balanced(q.demand)) {
       return R::failure(ErrorCode::kInvalidQuery,
                         "route query: demand must sum to zero");
     }

@@ -170,9 +170,6 @@ class CsrGraph {
 
   // The Graph this CSR was packed from (null deleter in the view form).
   [[nodiscard]] const Graph& graph() const { return *graph_; }
-  [[nodiscard]] const std::shared_ptr<const Graph>& shared_graph() const {
-    return graph_;
-  }
 
  private:
   void build(const CsrGraph* previous);

@@ -111,4 +111,14 @@ std::vector<double> st_demand(NodeId n, NodeId s, NodeId t, double value) {
   return b;
 }
 
+bool demand_is_balanced(const std::vector<double>& demand) {
+  double total = 0.0;
+  double scale = 0.0;
+  for (const double d : demand) {
+    total += d;
+    scale = std::max(scale, std::abs(d));
+  }
+  return std::abs(total) <= 1e-6 * (1.0 + scale);
+}
+
 }  // namespace dmf

@@ -57,4 +57,9 @@ double scale_to_feasible(const Graph& g, std::vector<double>& flow);
 // b with b[s]=+value, b[t]=-value, zero elsewhere.
 std::vector<double> st_demand(NodeId n, NodeId s, NodeId t, double value);
 
+// The one balance rule for demands from outside: |sum b| <=
+// 1e-6 * (1 + max |b_v|). A demand that passes is routed as given; its
+// nonzero sum, if any, ends at a tree root (route_demand_on_tree).
+bool demand_is_balanced(const std::vector<double>& demand);
+
 }  // namespace dmf

@@ -107,9 +107,8 @@ std::shared_ptr<GraphStore> GraphStore::open(const std::string& data_dir,
   DMF_REQUIRE(file_exists(manifest_path),
               "GraphStore::open: CURRENT points at a missing manifest in " +
                   data_dir);
-  const bool verify = options.verify_checksums;
   const SharedArray<std::uint64_t> manifest =
-      ArenaVector<std::uint64_t>::open(manifest_path, kTagManifest, verify);
+      ArenaVector<std::uint64_t>::open(manifest_path, kTagManifest);
   DMF_REQUIRE(manifest.size() == kManifestWords && manifest[0] == v,
               "GraphStore::open: malformed manifest for version " +
                   std::to_string(v));
@@ -125,20 +124,16 @@ std::shared_ptr<GraphStore> GraphStore::open(const std::string& data_dir,
 
   CsrArrays arrays{
       ArenaVector<std::size_t>::open(
-          arena_path(data_dir, "offsets", last.offsets_from), kTagOffsets,
-          verify),
+          arena_path(data_dir, "offsets", last.offsets_from), kTagOffsets),
       ArenaVector<NodeId>::open(
-          arena_path(data_dir, "neighbors", last.half_from), kTagNeighbors,
-          verify),
+          arena_path(data_dir, "neighbors", last.half_from), kTagNeighbors),
       ArenaVector<EdgeId>::open(
-          arena_path(data_dir, "edge_ids", last.half_from), kTagEdgeIds,
-          verify)};
+          arena_path(data_dir, "edge_ids", last.half_from), kTagEdgeIds)};
   const SharedArray<EdgeEndpoints> endpoints = ArenaVector<EdgeEndpoints>::open(
-      arena_path(data_dir, "endpoints", last.endpoints_from), kTagEndpoints,
-      verify);
+      arena_path(data_dir, "endpoints", last.endpoints_from), kTagEndpoints);
   const SharedArray<double> capacities = ArenaVector<double>::open(
       arena_path(data_dir, "capacities", last.capacities_from),
-      kTagCapacities, verify);
+      kTagCapacities);
   DMF_REQUIRE(endpoints.size() >= m && capacities.size() >= m,
               "GraphStore::open: arrays shorter than manifest edge count");
 

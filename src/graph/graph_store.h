@@ -144,10 +144,6 @@ struct GraphStoreOptions {
   // publish. The version CURRENT points at is always kept. This bounds
   // disk use only: open() reads nothing but the CURRENT version.
   std::size_t retain_versions = 4;
-  // Verify payload checksums when opening arena files (one sequential
-  // read per file). Disable for huge out-of-core graphs where paging
-  // everything in at open defeats the point; headers are always checked.
-  bool verify_checksums = true;
 };
 
 class GraphStore {

@@ -152,11 +152,7 @@ NodeId LcaIndex::lca(NodeId u, NodeId v) const {
   return up_[0][static_cast<std::size_t>(u)];
 }
 
-namespace {
-
-std::vector<double> loads_from_contributions(const Graph& g,
-                                             const RootedTree& tree,
-                                             const std::vector<char>* mask) {
+std::vector<double> tree_edge_loads(const Graph& g, const RootedTree& tree) {
   const auto n = static_cast<std::size_t>(tree.num_nodes());
   DMF_REQUIRE(static_cast<std::size_t>(g.num_nodes()) == n,
               "tree_edge_loads: node count mismatch");
@@ -166,7 +162,6 @@ std::vector<double> loads_from_contributions(const Graph& g,
   // with exactly one endpoint inside subtree(w).
   std::vector<double> contribution(n, 0.0);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (mask != nullptr && !(*mask)[static_cast<std::size_t>(e)]) continue;
     const EdgeEndpoints ep = g.endpoints(e);
     const double c = g.capacity(e);
     contribution[static_cast<std::size_t>(ep.u)] += c;
@@ -180,20 +175,6 @@ std::vector<double> loads_from_contributions(const Graph& g,
     if (x < 0.0 && x > -1e-9) x = 0.0;
   }
   return loads;
-}
-
-}  // namespace
-
-std::vector<double> tree_edge_loads(const Graph& g, const RootedTree& tree) {
-  return loads_from_contributions(g, tree, nullptr);
-}
-
-std::vector<double> tree_edge_loads_masked(
-    const Graph& g, const RootedTree& tree,
-    const std::vector<char>& edge_mask) {
-  DMF_REQUIRE(edge_mask.size() == static_cast<std::size_t>(g.num_edges()),
-              "tree_edge_loads_masked: mask size mismatch");
-  return loads_from_contributions(g, tree, &edge_mask);
 }
 
 double tree_path_length(const RootedTree& tree, const LcaIndex& lca,

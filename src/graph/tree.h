@@ -87,11 +87,6 @@ class LcaIndex {
 // the canonical embedding of g into the tree. loads[root] == 0.
 std::vector<double> tree_edge_loads(const Graph& g, const RootedTree& tree);
 
-// Same, restricted to a subset of graph edges (mask[e] selects e).
-std::vector<double> tree_edge_loads_masked(const Graph& g,
-                                           const RootedTree& tree,
-                                           const std::vector<char>& edge_mask);
-
 // Distance between u and v in the tree when link v->parent(v) has length
 // `length[v]` (unused at root). Uses the LCA index.
 double tree_path_length(const RootedTree& tree, const LcaIndex& lca,

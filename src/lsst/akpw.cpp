@@ -17,6 +17,12 @@ double akpw_default_z(NodeId num_nodes) {
 
 namespace {
 
+// Target radius as a fraction of z (the paper uses rho = z/4).
+constexpr double kRhoFactor = 0.25;
+// Safety valve: abort after this many iterations (never hit in practice;
+// the class ladder plus radius doubling forces progress).
+constexpr int kMaxIterations = 300;
+
 // Weight class of an edge: floor(log_z(length / min_length)).
 std::vector<int> edge_classes(const Multigraph& g, double z, int* num_classes) {
   double min_len = std::numeric_limits<double>::infinity();
@@ -40,14 +46,14 @@ std::vector<int> edge_classes(const Multigraph& g, double z, int* num_classes) {
 }  // namespace
 
 LowStretchTreeResult akpw_low_stretch_tree(const Multigraph& g,
-                                           const AkpwOptions& options,
+                                           const PartitionOptions& retries,
                                            Rng& rng) {
   LowStretchTreeResult result;
   if (g.num_nodes() <= 1) return result;
   DMF_REQUIRE(g.is_connected(), "akpw: input multigraph must be connected");
 
-  const double z = options.z > 0.0 ? options.z : akpw_default_z(g.num_nodes());
-  double rho = std::max(1.0, options.rho_factor * z);
+  const double z = akpw_default_z(g.num_nodes());
+  double rho = std::max(1.0, kRhoFactor * z);
 
   // Working copy with tags pointing at input edge indices.
   Multigraph current(g.num_nodes());
@@ -62,7 +68,7 @@ LowStretchTreeResult akpw_low_stretch_tree(const Multigraph& g,
   int stagnation = 0;
 
   while (current.num_nodes() > 1) {
-    DMF_REQUIRE(result.iterations < options.max_iterations,
+    DMF_REQUIRE(result.iterations < kMaxIterations,
                 "akpw: iteration limit exceeded");
     ++result.iterations;
 
@@ -82,7 +88,7 @@ LowStretchTreeResult akpw_low_stretch_tree(const Multigraph& g,
       continue;
     }
 
-    PartitionOptions popt = options.partition;
+    PartitionOptions popt = retries;
     popt.rho = rho;
     const PartitionResult part =
         partition(current, allowed, cls, num_classes, popt, rng);

@@ -26,18 +26,6 @@
 
 namespace dmf {
 
-struct AkpwOptions {
-  // Weight-class base z; 0 selects the paper's formula
-  // 2^sqrt(6 log N log log N), clamped to [4, 2^16].
-  double z = 0.0;
-  // Target radius as a fraction of z (the paper uses rho = z/4).
-  double rho_factor = 0.25;
-  PartitionOptions partition;
-  // Safety valve: abort after this many iterations (never hit in
-  // practice; the class ladder plus radius doubling forces progress).
-  int max_iterations = 300;
-};
-
 struct LowStretchTreeResult {
   // Edge indices into the *input* multigraph forming a spanning tree.
   std::vector<std::size_t> tree_edges;
@@ -50,12 +38,16 @@ struct LowStretchTreeResult {
   double bfs_rounds = 0.0;
 };
 
-// Compute the effective z for a graph of N nodes (paper formula, clamped).
+// The weight-class base z for a graph of N nodes: the paper's formula
+// 2^sqrt(6 log N log log N), clamped to [4, 2^16].
 double akpw_default_z(NodeId num_nodes);
 
 // Requires g connected (w.r.t. all edges). Lengths must be positive.
+// Every Partition call runs with the retry budget `retries` (max_retries,
+// slack); its rho is replaced by the AKPW radius (z/4, doubled whenever
+// contraction stalls).
 LowStretchTreeResult akpw_low_stretch_tree(const Multigraph& g,
-                                           const AkpwOptions& options,
+                                           const PartitionOptions& retries,
                                            Rng& rng);
 
 // Build a rooted tree over g's node space from tree edge indices.

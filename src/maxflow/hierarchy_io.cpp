@@ -63,8 +63,7 @@ std::uint64_t hierarchy_fingerprint(const ShermanOptions& options,
                                     std::uint64_t engine_seed) {
   // Every option that influences the sampled state, in a fixed order.
   // Thread counts are deliberately absent (builds are thread-count
-  // invariant); the nested sparsifier/akpw sub-options are engine
-  // constants and not varied per deployment, so they are not hashed.
+  // invariant).
   std::uint64_t h = 14695981039346656037ull;
   h = fnv1a_mix(h, engine_seed);
   h = fnv1a_mix(h, double_bits(options.epsilon));
@@ -78,14 +77,17 @@ std::uint64_t hierarchy_fingerprint(const ShermanOptions& options,
   h = fnv1a_mix(
       h, static_cast<std::uint64_t>(options.almost_route.max_iterations));
   h = fnv1a_mix(h, options.almost_route.accelerate ? 1u : 0u);
-  h = fnv1a_mix(h, double_bits(options.hierarchy.beta));
-  h = fnv1a_mix(
-      h, static_cast<std::uint64_t>(options.hierarchy.trees_per_level));
-  h = fnv1a_mix(h,
-                static_cast<std::uint64_t>(options.hierarchy.finish_threshold));
-  h = fnv1a_mix(h, double_bits(options.hierarchy.sparsify_degree));
-  h = fnv1a_mix(h, double_bits(options.hierarchy.sparsifier_upscale));
-  h = fnv1a_mix(h, double_bits(options.hierarchy.mwu_eta));
+  // The virtual-tree build's constants (capprox/hierarchy.cpp), mixed as
+  // the options they once were so existing fingerprints stay valid: beta,
+  // trees per level and finish threshold (0: derived from beta and n),
+  // sparsify degree, sparsifier upscale, MWU step. Change them together
+  // with the build.
+  h = fnv1a_mix(h, double_bits(4.0));
+  h = fnv1a_mix(h, 0);
+  h = fnv1a_mix(h, 0);
+  h = fnv1a_mix(h, double_bits(16.0));
+  h = fnv1a_mix(h, double_bits(1.25));
+  h = fnv1a_mix(h, double_bits(0.5));
   h = fnv1a_mix(h, double_bits(options.hierarchy.capacity_bucket_octaves));
   return h;
 }
@@ -155,7 +157,7 @@ void save_hierarchy(const std::string& dir, const ShermanHierarchy& hierarchy,
 
 std::shared_ptr<const ShermanHierarchy> load_hierarchy(
     const std::string& dir, const GraphSnapshot& snap,
-    std::uint64_t fingerprint, bool verify_checksums) {
+    std::uint64_t fingerprint) {
   DMF_REQUIRE(snap.graph != nullptr, "load_hierarchy: null snapshot graph");
   const GraphVersion version = snap.version;
   const std::string meta_path = hier_path(dir, version, "meta");
@@ -170,8 +172,8 @@ std::shared_ptr<const ShermanHierarchy> load_hierarchy(
     return nullptr;
   }
 
-  SharedArray<std::uint64_t> meta = ArenaVector<std::uint64_t>::open(
-      meta_path, kTagHierMeta, verify_checksums);
+  SharedArray<std::uint64_t> meta =
+      ArenaVector<std::uint64_t>::open(meta_path, kTagHierMeta);
   DMF_REQUIRE(meta.size() == kMetaWords,
               "load_hierarchy: meta arena has wrong word count");
   const NodeId n = snap.graph->num_nodes();
@@ -186,15 +188,15 @@ std::shared_ptr<const ShermanHierarchy> load_hierarchy(
   const std::size_t nn = static_cast<std::size_t>(n);
 
   SharedArray<TreeBuildRecord> records = ArenaVector<TreeBuildRecord>::open(
-      hier_path(dir, version, "records"), kTagHierRecords, verify_checksums);
+      hier_path(dir, version, "records"), kTagHierRecords);
   SharedArray<NodeId> roots = ArenaVector<NodeId>::open(
-      hier_path(dir, version, "roots"), kTagHierRoots, verify_checksums);
+      hier_path(dir, version, "roots"), kTagHierRoots);
   SharedArray<NodeId> parents = ArenaVector<NodeId>::open(
-      hier_path(dir, version, "parents"), kTagHierParents, verify_checksums);
+      hier_path(dir, version, "parents"), kTagHierParents);
   SharedArray<double> caps = ArenaVector<double>::open(
-      hier_path(dir, version, "caps"), kTagHierCaps, verify_checksums);
+      hier_path(dir, version, "caps"), kTagHierCaps);
   SharedArray<EdgeId> edges = ArenaVector<EdgeId>::open(
-      hier_path(dir, version, "edges"), kTagHierEdges, verify_checksums);
+      hier_path(dir, version, "edges"), kTagHierEdges);
   DMF_REQUIRE(records.size() == num_trees,
               "load_hierarchy: record count disagrees with meta");
   DMF_REQUIRE(roots.size() == slices,

@@ -29,8 +29,9 @@
 namespace dmf {
 
 // Hash of the engine seed plus every ShermanOptions field that feeds
-// the hierarchy build (sampling, alpha estimation, quantization).
-// Thread counts are excluded — builds are thread-count invariant.
+// the hierarchy build (sampling, alpha estimation, quantization) and the
+// build's fixed parameters. Thread counts are excluded — builds are
+// thread-count invariant.
 [[nodiscard]] std::uint64_t hierarchy_fingerprint(
     const ShermanOptions& options, std::uint64_t engine_seed);
 
@@ -45,6 +46,6 @@ void save_hierarchy(const std::string& dir, const ShermanHierarchy& hierarchy,
 // RequirementError on corrupt files.
 [[nodiscard]] std::shared_ptr<const ShermanHierarchy> load_hierarchy(
     const std::string& dir, const GraphSnapshot& snap,
-    std::uint64_t fingerprint, bool verify_checksums = true);
+    std::uint64_t fingerprint);
 
 }  // namespace dmf

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "baselines/tree_routing.h"
 #include "cluster/boruvka.h"
@@ -238,11 +237,9 @@ RouteResult ShermanSolver::route(const std::vector<double>& demand) const {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   const auto m = static_cast<std::size_t>(g.num_edges());
   DMF_REQUIRE(demand.size() == n, "route: demand size mismatch");
-  const double total = std::accumulate(demand.begin(), demand.end(), 0.0);
+  DMF_REQUIRE(demand_is_balanced(demand), "route: demand must sum to zero");
   double scale_hint = 0.0;
   for (const double d : demand) scale_hint = std::max(scale_hint, std::abs(d));
-  DMF_REQUIRE(std::abs(total) <= 1e-6 * (1.0 + scale_hint),
-              "route: demand must sum to zero");
 
   const int max_calls =
       options_.max_almost_route_calls > 0
@@ -381,13 +378,16 @@ ShermanSolver::ApproxMinCut ShermanSolver::approx_min_cut(NodeId s,
   NodeId best_link = kInvalidNode;
   double best_congestion = -1.0;
   const CongestionApproximator& approx = hierarchy_->approximator();
-  const auto y = approx.apply(b, 1.0);
+  std::vector<double> y;
+  std::vector<double> sums;
+  approx.apply_into(b, 1.0, y, sums);
+  const auto nn = static_cast<std::size_t>(g.num_nodes());
   for (int tr = 0; tr < approx.num_trees(); ++tr) {
     const RootedTree& tree = approx.tree(tr);
+    const double* y_tree = y.data() + static_cast<std::size_t>(tr) * nn;
     for (NodeId v = 0; v < tree.num_nodes(); ++v) {
       if (v == tree.root) continue;
-      const double c = std::abs(
-          y[static_cast<std::size_t>(tr)][static_cast<std::size_t>(v)]);
+      const double c = std::abs(y_tree[static_cast<std::size_t>(v)]);
       if (c > best_congestion) {
         best_congestion = c;
         best_tree = tr;

@@ -250,10 +250,6 @@ class ShermanSolver {
   [[nodiscard]] const ShermanHierarchy& hierarchy() const {
     return *hierarchy_;
   }
-  [[nodiscard]] std::shared_ptr<const ShermanHierarchy> shared_hierarchy()
-      const {
-    return hierarchy_;
-  }
   [[nodiscard]] double alpha() const { return hierarchy_->alpha(); }
   [[nodiscard]] double build_rounds() const {
     return hierarchy_->build_rounds();

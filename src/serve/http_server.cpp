@@ -26,6 +26,16 @@ namespace {
 
 constexpr std::uint64_t kNoCloseSeq = ~std::uint64_t{0};
 
+// Worker threads running the dispatch callback; the event loop thread
+// does all socket I/O and parsing.
+constexpr int kWorkerThreads = 2;
+// A header block past this answers 431, a body past this 413; a binary
+// frame may carry kMaxBodyBytes plus its envelope.
+constexpr std::size_t kMaxHeaderBytes = 8 * 1024;
+constexpr std::size_t kMaxBodyBytes = 4 * 1024 * 1024;
+// Open connections beyond this are closed as soon as they are accepted.
+constexpr std::size_t kMaxConnections = 1024;
+
 int make_listener(const std::string& address, int port, int* resolved,
                   std::string* error) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -294,12 +304,12 @@ struct HttpServer::Impl {
       if (!c.have_headers) {
         const std::size_t end = c.in.find("\r\n\r\n");
         if (end == std::string::npos) {
-          if (c.in.size() > options.max_header_bytes) {
+          if (c.in.size() > kMaxHeaderBytes) {
             fail_connection(c, 431, "request headers exceed limit");
           }
           return true;  // need more bytes
         }
-        if (end + 4 > options.max_header_bytes) {
+        if (end + 4 > kMaxHeaderBytes) {
           fail_connection(c, 431, "request headers exceed limit");
           return true;
         }
@@ -379,7 +389,7 @@ struct HttpServer::Impl {
           fail_connection(c, 411, "content-length required");
           return true;
         }
-        if (c.content_length > options.max_body_bytes) {
+        if (c.content_length > kMaxBodyBytes) {
           fail_connection(c, 413, "request body exceeds limit");
           return true;
         }
@@ -403,7 +413,7 @@ struct HttpServer::Impl {
       if (c.in.size() < kBinaryHeaderBytes) return true;
       const std::uint32_t len = read_u32le(
           reinterpret_cast<const unsigned char*>(c.in.data()));
-      if (len > options.max_body_bytes + 4096) {
+      if (len > kMaxBodyBytes + 4096) {
         fail_connection(c, 413, "binary frame exceeds limit");
         return true;
       }
@@ -462,8 +472,7 @@ struct HttpServer::Impl {
     for (;;) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) return;
-      if (conns.size() >=
-          static_cast<std::size_t>(options.max_connections)) {
+      if (conns.size() >= kMaxConnections) {
         ::close(fd);
         continue;
       }
@@ -602,9 +611,8 @@ bool HttpServer::start(std::string* error) {
     const int flags = ::fcntl(fd, F_GETFL, 0);
     ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   }
-  const int workers = std::max(1, im.options.worker_threads);
-  im.worker_threads.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
+  im.worker_threads.reserve(kWorkerThreads);
+  for (int i = 0; i < kWorkerThreads; ++i) {
     im.worker_threads.emplace_back([this] { impl_->worker_main(); });
   }
   im.loop_thread = std::thread([this] { impl_->loop_main(); });

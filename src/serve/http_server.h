@@ -69,10 +69,6 @@ struct HttpServerOptions {
   std::string bind_address = "127.0.0.1";
   int http_port = 0;    // 0 = ephemeral, resolved port via http_port()
   int binary_port = -1; // -1 disables the binary listener; 0 = ephemeral
-  int worker_threads = 2;
-  std::size_t max_header_bytes = 8 * 1024;
-  std::size_t max_body_bytes = 4 * 1024 * 1024;
-  int max_connections = 1024;  // beyond this, accepts are refused
 };
 
 class HttpServer {

@@ -13,6 +13,9 @@ namespace dmf::serve {
 
 namespace {
 
+// Advertised in the Retry-After header of every 429.
+constexpr int kRetryAfterSeconds = 1;
+
 double seconds_between(std::chrono::steady_clock::time_point a,
                        std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -140,9 +143,7 @@ double ServeApp::deadline_for(const Request& req) const {
 ServeApp::TokenBucket& ServeApp::bucket_for(const std::string& tenant) {
   auto it = buckets_.find(tenant);
   if (it == buckets_.end()) {
-    TenantQuota quota = options_.default_quota;
-    auto q = options_.tenant_quotas.find(tenant);
-    if (q != options_.tenant_quotas.end()) quota = q->second;
+    const TenantQuota& quota = options_.default_quota;
     TokenBucket bucket;
     bucket.rate = quota.tokens_per_second;
     bucket.burst = quota.burst > 0.0
@@ -317,12 +318,10 @@ void ServeApp::handle(Request req, Responder responder) {
       shed_reason = "tenant quota exhausted";
     }
     if (shed_reason != nullptr) {
-      const int retry = std::max(
-          1, static_cast<int>(std::ceil(options_.retry_after_seconds)));
       responder.send(
           429,
           error_body(ErrorCode::kPreconditionFailed, shed_reason),
-          {{"Retry-After", std::to_string(retry)}});
+          {{"Retry-After", std::to_string(kRetryAfterSeconds)}});
       return;
     }
     ++in_flight_;

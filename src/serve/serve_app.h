@@ -5,10 +5,10 @@
 // completion callback.
 //
 // Robustness lives here, in front of the engine:
-//   - token-bucket admission with per-tenant quotas (X-DMF-Tenant
-//     selects the bucket; unknown tenants get the default quota);
+//   - token-bucket admission per tenant (X-DMF-Tenant selects the
+//     bucket; every tenant gets the default quota);
 //   - a bounded in-flight window — past it requests shed with 429 +
-//     Retry-After instead of queueing without bound;
+//     Retry-After: 1 instead of queueing without bound;
 //   - per-request deadlines (X-DMF-Deadline-Ms) enforced by a single
 //     timer thread that cancels the engine ticket; a query cancelled
 //     before it ran answers 504 through the same callback path;
@@ -47,14 +47,12 @@ struct ServeAppOptions {
   // Admitted-but-unanswered request ceiling across all endpoints that
   // touch the engine; beyond it, shed with 429.
   int max_in_flight = 256;
-  // Default per-tenant quota; 0 disables rate limiting (the in-flight
-  // bound still applies).
+  // Every tenant's quota, each in its own bucket; 0 disables rate
+  // limiting (the in-flight bound still applies).
   TenantQuota default_quota;
-  std::map<std::string, TenantQuota> tenant_quotas;  // per-tenant override
   // Deadline applied when the request carries no X-DMF-Deadline-Ms.
   // 0 = none.
   double default_deadline_seconds = 0.0;
-  double retry_after_seconds = 1.0;  // advertised on 429
 };
 
 struct ServeCounters {

@@ -6,6 +6,12 @@
 #include "sparsify/spanner.h"
 
 namespace dmf {
+namespace {
+
+// Cap on peel-and-sample rounds; whatever survives them is kept as is.
+constexpr int kMaxRounds = 30;
+
+}  // namespace
 
 SparsifyResult sparsify(const Multigraph& g, const SparsifierOptions& options,
                         Rng& rng) {
@@ -26,7 +32,7 @@ SparsifyResult sparsify(const Multigraph& g, const SparsifierOptions& options,
   // Working pool of edges still subject to sampling.
   Multigraph pool = g;
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxRounds; ++iter) {
     if (static_cast<double>(pool.num_edges()) <= target_edges) break;
     ++result.iterations;
 

@@ -26,7 +26,6 @@ struct SparsifierOptions {
   int bundle_size = 0;
   // Stop when the edge count drops below target_degree * N.
   double target_degree = 0.0;  // <= 0 selects 4 * bundle_size
-  int max_iterations = 30;
 };
 
 struct SparsifyResult {

@@ -46,11 +46,6 @@ TEST(Hierarchy, LevelSizesShrink) {
   EXPECT_EQ(sample.level_sizes.front(), 196);
 }
 
-TEST(Hierarchy, PaperBetaFormula) {
-  EXPECT_GT(paper_beta(1 << 16), paper_beta(1 << 8));
-  EXPECT_GE(paper_beta(4), 2.0);
-}
-
 TEST(Hierarchy, SmallGraphs) {
   Rng rng(509);
   for (const NodeId n : {2, 3, 5}) {
@@ -138,11 +133,12 @@ TEST(Approximator, ApplyMatchesCongestionNorm) {
   b[2] = 3.0;
   b[17] = -1.0;
   b[29] = -2.0;
-  const auto y = approx.apply(b, 1.0);
+  std::vector<double> y;
+  std::vector<double> sums;
+  approx.apply_into(b, 1.0, y, sums);
+  ASSERT_EQ(y.size(), 4u * 30u);
   double max_abs = 0.0;
-  for (const auto& per_tree : y) {
-    for (const double v : per_tree) max_abs = std::max(max_abs, std::abs(v));
-  }
+  for (const double v : y) max_abs = std::max(max_abs, std::abs(v));
   EXPECT_NEAR(max_abs, approx.congestion_norm(b), 1e-9);
 }
 
@@ -154,12 +150,15 @@ TEST(Approximator, ApplyScales) {
   const CongestionApproximator approx =
       CongestionApproximator::from_samples(samples);
   const std::vector<double> b = st_demand(25, 0, 24, 1.0);
-  const auto y1 = approx.apply(b, 1.0);
-  const auto y3 = approx.apply(b, 3.0);
-  for (std::size_t t = 0; t < y1.size(); ++t) {
-    for (std::size_t v = 0; v < y1[t].size(); ++v) {
-      EXPECT_NEAR(y3[t][v], 3.0 * y1[t][v], 1e-9);
-    }
+  std::vector<double> y1;
+  std::vector<double> y3;
+  std::vector<double> sums;
+  approx.apply_into(b, 1.0, y1, sums);
+  approx.apply_into(b, 3.0, y3, sums);
+  ASSERT_EQ(y1.size(), 2u * 25u);
+  ASSERT_EQ(y3.size(), y1.size());
+  for (std::size_t i = 0; i < y1.size(); ++i) {
+    EXPECT_NEAR(y3[i], 3.0 * y1[i], 1e-9);
   }
 }
 
@@ -169,8 +168,11 @@ TEST(Approximator, PotentialsAreRootPathSums) {
   tree.parent_cap = {0.0, 1.0, 1.0, 1.0};
   const CongestionApproximator approx({tree});
   // Price on links: link(1)=5, link(2)=7, link(3)=11.
-  const std::vector<std::vector<double>> price = {{0.0, 5.0, 7.0, 11.0}};
-  const std::vector<double> pi = approx.potentials(price);
+  const std::vector<double> price = {0.0, 5.0, 7.0, 11.0};
+  std::vector<double> pi;
+  std::vector<double> acc;
+  approx.potentials_into(price, pi, acc);
+  ASSERT_EQ(pi.size(), 4u);
   EXPECT_DOUBLE_EQ(pi[0], 0.0);
   EXPECT_DOUBLE_EQ(pi[1], 5.0);
   EXPECT_DOUBLE_EQ(pi[2], 7.0);
@@ -183,8 +185,11 @@ TEST(Approximator, PotentialsSumOverTrees) {
   RootedTree b = make_tree(1, {1, kInvalidNode});
   b.parent_cap = {1.0, 0.0};
   const CongestionApproximator approx({a, b});
-  const std::vector<std::vector<double>> price = {{0.0, 2.0}, {3.0, 0.0}};
-  const std::vector<double> pi = approx.potentials(price);
+  const std::vector<double> price = {0.0, 2.0, 3.0, 0.0};  // [t*n + v]
+  std::vector<double> pi;
+  std::vector<double> acc;
+  approx.potentials_into(price, pi, acc);
+  ASSERT_EQ(pi.size(), 2u);
   EXPECT_DOUBLE_EQ(pi[0], 0.0 + 3.0);
   EXPECT_DOUBLE_EQ(pi[1], 2.0 + 0.0);
 }
@@ -198,18 +203,20 @@ TEST(Approximator, GradientIdentity) {
       sample_virtual_trees(g, 3, HierarchyOptions{}, rng);
   const CongestionApproximator approx =
       CongestionApproximator::from_samples(samples);
-  // Random link prices.
-  std::vector<std::vector<double>> price(
-      static_cast<std::size_t>(approx.num_trees()));
+  // Random link prices, flat [t*n + v].
+  const auto price_at = [](int t, NodeId v) {
+    return static_cast<std::size_t>(t) * 25 + static_cast<std::size_t>(v);
+  };
+  std::vector<double> price(static_cast<std::size_t>(approx.num_trees()) * 25);
   for (int t = 0; t < approx.num_trees(); ++t) {
-    price[static_cast<std::size_t>(t)].resize(25);
-    for (auto& p : price[static_cast<std::size_t>(t)]) {
-      p = rng.next_double(-1.0, 1.0);
+    for (NodeId v = 0; v < 25; ++v) {
+      price[price_at(t, v)] = rng.next_double(-1.0, 1.0);
     }
-    price[static_cast<std::size_t>(t)][static_cast<std::size_t>(
-        approx.tree(t).root)] = 0.0;
+    price[price_at(t, approx.tree(t).root)] = 0.0;
   }
-  const std::vector<double> pi = approx.potentials(price);
+  std::vector<double> pi;
+  std::vector<double> acc;
+  approx.potentials_into(price, pi, acc);
   // Direct: for edge (u,v), sum over trees of (sum of prices on the
   // u->lca path with sign -1... equivalently pi[v]-pi[u]) — evaluate via
   // brute-force root paths.
@@ -221,7 +228,7 @@ TEST(Approximator, GradientIdentity) {
       const auto root_path_sum = [&](NodeId x) {
         double s = 0.0;
         while (tree.parent[static_cast<std::size_t>(x)] != kInvalidNode) {
-          s += price[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)];
+          s += price[price_at(t, x)];
           x = tree.parent[static_cast<std::size_t>(x)];
         }
         return s;

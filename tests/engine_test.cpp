@@ -283,6 +283,43 @@ TEST(FlowEngine, FailuresAreTypedNotThrown) {
             ErrorCode::kInvalidQuery);
 }
 
+// The engine admits a route demand with |sum d| <= 1e-6 * (1 + max |d|)
+// and must route every demand it admits, the excess ending at the MWST
+// root. The tree stage once scaled its own balance check by |d[0]| and
+// answered these with kPreconditionFailed.
+TEST(FlowEngine, RoutesEveryDemandItAdmits) {
+  Rng rng(1);
+  const Graph g = make_grid(12, 12, {1, 64}, rng);  // dmf-serve --grid 12x12
+  EngineOptions options;
+  options.sherman.num_trees = 6;
+  options.seed = 1;
+  FlowEngine engine(g, options);
+  struct Case {
+    double magnitude;
+    double imbalance;
+    ErrorCode want;
+  };
+  for (const Case& c : {Case{1e6, 1e-3, ErrorCode::kOk},
+                        Case{1e3, 1e-5, ErrorCode::kOk},
+                        Case{1e9, 1.0, ErrorCode::kOk},
+                        Case{1e6, 10.0, ErrorCode::kInvalidQuery}}) {
+    std::vector<double> demand(144, 0.0);
+    demand[5] = c.magnitude;
+    demand[7] = -c.magnitude + c.imbalance;
+    const Result<RouteResult> r = engine.submit(RouteQuery{demand}).get();
+    ASSERT_EQ(r.code, c.want) << c.magnitude << " " << r.message;
+    if (!r.ok()) continue;
+    // Every node but the root receives its demand.
+    const std::vector<double> div = flow_divergence(g, r.value().flow);
+    int off = 0;
+    for (std::size_t v = 0; v < div.size(); ++v) {
+      if (std::abs(div[v] - demand[v]) > 1e-6 * c.magnitude) ++off;
+    }
+    EXPECT_LE(off, 1) << c.magnitude;
+    EXPECT_TRUE(std::isfinite(r.value().congestion));
+  }
+}
+
 // Accuracy and demand values come from outside the process (JSON parses
 // 1e999 to +inf). A non-finite or >= 1 epsilon, or a non-finite demand
 // entry, is the caller's error — never a silently wrong answer, and never

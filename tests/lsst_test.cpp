@@ -154,7 +154,7 @@ TEST(Akpw, ProducesSpanningTree) {
     const Graph g = make_gnp_connected(50, 0.1, {1, 9}, rng);
     const Multigraph mg = lift(g);
     const LowStretchTreeResult tree =
-        akpw_low_stretch_tree(mg, AkpwOptions{}, rng);
+        akpw_low_stretch_tree(mg, PartitionOptions{}, rng);
     EXPECT_EQ(tree.tree_edges.size(), 49u);
     // Distinct edges spanning all nodes.
     const std::set<std::size_t> distinct(tree.tree_edges.begin(),
@@ -175,7 +175,7 @@ TEST(Akpw, WorksOnMultigraphWithParallelEdges) {
   mg.add_edge({2, 3, 3, 1.0, 2.0, 3});
   mg.add_edge({3, 0, 4, 1.0, 2.0, 4});
   const LowStretchTreeResult tree =
-      akpw_low_stretch_tree(mg, AkpwOptions{}, rng);
+      akpw_low_stretch_tree(mg, PartitionOptions{}, rng);
   EXPECT_EQ(tree.tree_edges.size(), 3u);
 }
 
@@ -191,7 +191,7 @@ TEST(Akpw, WorksAfterContraction) {
   mg = mg.contract(mapping, 18);
   EXPECT_TRUE(mg.is_connected());
   const LowStretchTreeResult tree =
-      akpw_low_stretch_tree(mg, AkpwOptions{}, rng);
+      akpw_low_stretch_tree(mg, PartitionOptions{}, rng);
   EXPECT_EQ(tree.tree_edges.size(), 17u);
 }
 
@@ -205,7 +205,7 @@ TEST(Akpw, TreeStretchIsReasonable) {
     const Graph g = make_torus(8, 8, {1, 1}, rng);
     const Multigraph mg = lift(g);
     const LowStretchTreeResult tree =
-        akpw_low_stretch_tree(mg, AkpwOptions{}, rng);
+        akpw_low_stretch_tree(mg, PartitionOptions{}, rng);
     stretches.add(average_stretch(mg, tree.tree_edges));
   }
   EXPECT_LT(stretches.mean(), 16.0);  // n=64: far below n
@@ -217,7 +217,7 @@ TEST(Akpw, UnitPathStretchIsOne) {
   const Graph g = make_path(30, {1, 1}, rng);
   const Multigraph mg = lift(g);
   const LowStretchTreeResult tree =
-      akpw_low_stretch_tree(mg, AkpwOptions{}, rng);
+      akpw_low_stretch_tree(mg, PartitionOptions{}, rng);
   // The only spanning tree of a path is the path itself.
   EXPECT_NEAR(average_stretch(mg, tree.tree_edges), 1.0, 1e-9);
 }
@@ -261,7 +261,7 @@ TEST_P(AkpwFamilies, SpanningAndLowStretch) {
   }
   const Multigraph mg = lift(g);
   const LowStretchTreeResult tree =
-      akpw_low_stretch_tree(mg, AkpwOptions{}, rng);
+      akpw_low_stretch_tree(mg, PartitionOptions{}, rng);
   EXPECT_EQ(tree.tree_edges.size(),
             static_cast<std::size_t>(g.num_nodes()) - 1);
   const double stretch = average_stretch(mg, tree.tree_edges);

@@ -15,6 +15,7 @@
 #include "graph/flow.h"
 #include "graph/generators.h"
 #include "maxflow/almost_route.h"
+#include "maxflow/hierarchy_io.h"
 #include "maxflow/sherman.h"
 #include "util/rng.h"
 
@@ -312,6 +313,51 @@ TEST_P(ShermanFamilies, ValueWithinBand) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, ShermanFamilies, ::testing::Range(0, 9));
+
+// --- Golden build: the virtual-tree build's constants (beta, trees per
+// level, sparsifier and AKPW parameters) fix every tree bit, and
+// hierarchy_fingerprint keys every persisted hierarchy by them. A change
+// to any constant must change the fingerprint too; it shows up here
+// first. ---
+
+std::uint64_t fnv1a_word(std::uint64_t hash, std::uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (word >> (8 * i)) & 0xffu;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(GoldenBuild, FingerprintOfDefaultOptions) {
+  EXPECT_EQ(hierarchy_fingerprint(ShermanOptions{}, 0x5eed0f10eULL),
+            0xcffce7ecbd31177eULL);
+}
+
+TEST(GoldenBuild, DefaultBuildIsBitwiseStable) {
+  Rng graph_rng(1);
+  const Graph g = make_gnp_connected(256, 1.0 / 64, {1, 8}, graph_rng);
+  ShermanOptions options;
+  options.num_trees = 24;
+  Rng rng(1);
+  const ShermanHierarchy h(g, options, rng);
+  std::uint64_t hash = 14695981039346656037ull;
+  for (int t = 0; t < h.approximator().num_trees(); ++t) {
+    const RootedTree& tree = h.approximator().tree(t);
+    for (const NodeId p : tree.parent) {
+      hash = fnv1a_word(hash, static_cast<std::uint64_t>(p));
+    }
+    for (const double c : tree.parent_cap) hash = fnv1a_word(hash, bits_of(c));
+  }
+  hash = fnv1a_word(hash, bits_of(h.alpha()));
+  EXPECT_EQ(h.approximator().num_trees(), 24);
+  EXPECT_EQ(hash, 0xea876acb9442a2f9ULL);
+}
 
 }  // namespace
 }  // namespace dmf

@@ -157,8 +157,11 @@ TEST(FailureInjection, ApproximatorSizeMismatches) {
   tree.parent_cap = {0.0, 1.0};
   const CongestionApproximator approx({tree});
   EXPECT_THROW((void)approx.congestion_norm({1.0}), RequirementError);
-  EXPECT_THROW(approx.apply({1.0, -1.0, 0.0}, 1.0), RequirementError);
-  EXPECT_THROW(approx.potentials({}), RequirementError);
+  std::vector<double> out;
+  std::vector<double> workspace;
+  EXPECT_THROW(approx.apply_into({1.0, -1.0, 0.0}, 1.0, out, workspace),
+               RequirementError);
+  EXPECT_THROW(approx.potentials_into({}, out, workspace), RequirementError);
 }
 
 TEST(FailureInjection, NonPositiveTreeCapacityRejected) {

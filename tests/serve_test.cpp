@@ -278,12 +278,8 @@ TEST(Wire, QueryIntegerFieldsRejectValuesThatDoNotFit) {
 class ParserCorpusTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    HttpServerOptions opts;
-    opts.max_header_bytes = 1024;
-    opts.max_body_bytes = 2048;
-    opts.worker_threads = 2;
     server_ = std::make_unique<HttpServer>(
-        opts, [](Request req, Responder r) {
+        HttpServerOptions{}, [](Request req, Responder r) {
           r.send(200, "{\"echo\":" + std::to_string(req.body.size()) + "}");
         });
     std::string error;
@@ -324,11 +320,12 @@ TEST_F(ParserCorpusTest, RejectionCorpus) {
   const std::vector<Case> cases = {
       {"bad request line", "NOT-HTTP\r\n\r\n", 400},
       {"bad version", "GET / HTTP/9.9\r\n\r\n", 400},
+      // The server's limits are 8 KiB of headers and 4 MiB of body.
       {"oversized header",
-       "GET / HTTP/1.1\r\nX-Pad: " + std::string(4096, 'a') + "\r\n\r\n",
+       "GET / HTTP/1.1\r\nX-Pad: " + std::string(9000, 'a') + "\r\n\r\n",
        431},
       {"oversized body",
-       "POST / HTTP/1.1\r\nContent-Length: 999999\r\n\r\n", 413},
+       "POST / HTTP/1.1\r\nContent-Length: 4194305\r\n\r\n", 413},
       {"negative content-length",
        "POST / HTTP/1.1\r\nContent-Length: -5\r\n\r\nhello", 400},
       {"garbage content-length",
@@ -580,9 +577,9 @@ TEST(ServeApp, InFlightWindowShedsWith429) {
 TEST(ServeApp, TenantQuotaShedsWith429) {
   FlowEngine engine(serve_graph(), serve_engine_options());
   ServeAppOptions opts;
-  // Tenant "metered" gets one token and essentially no refill; other
-  // tenants are unlimited.
-  opts.tenant_quotas["metered"] = TenantQuota{1e-6, 1.0};
+  // Every tenant gets one token and essentially no refill, each in its
+  // own bucket.
+  opts.default_quota = TenantQuota{1e-6, 1.0};
   ServeApp app(engine, opts);
   std::string error;
   ASSERT_TRUE(app.start(&error)) << error;
@@ -602,10 +599,12 @@ TEST(ServeApp, TenantQuotaShedsWith429) {
   EXPECT_EQ(status, 429);
   EXPECT_EQ(app.counters().shed_quota, 1);
 
-  // An unmetered tenant still gets through.
-  ASSERT_TRUE(roundtrip(port,
-                        http_request("POST", "/v1/query", query_json(0, 35)),
-                        &status, &body));
+  // Another tenant's bucket is untouched.
+  ASSERT_TRUE(roundtrip(
+      port,
+      http_request("POST", "/v1/query", query_json(0, 35),
+                   {{"X-DMF-Tenant", "other"}}),
+      &status, &body));
   EXPECT_EQ(status, 200);
   app.drain();
 }

@@ -151,24 +151,6 @@ TEST(TreeEdgeLoads, MatchesBruteForce) {
   }
 }
 
-TEST(TreeEdgeLoads, MaskedSubset) {
-  Rng rng(73);
-  const Graph g = make_gnp_connected(25, 0.2, {1, 5}, rng);
-  const RootedTree t = bfs_spanning_tree(g, 0);
-  // Mask of all edges == unmasked result.
-  std::vector<char> all(static_cast<std::size_t>(g.num_edges()), 1);
-  const auto masked = tree_edge_loads_masked(g, t, all);
-  const auto plain = tree_edge_loads(g, t);
-  for (std::size_t i = 0; i < masked.size(); ++i) {
-    EXPECT_NEAR(masked[i], plain[i], 1e-9);
-  }
-  // Empty mask -> all zero.
-  std::vector<char> none(static_cast<std::size_t>(g.num_edges()), 0);
-  for (const double load : tree_edge_loads_masked(g, t, none)) {
-    EXPECT_DOUBLE_EQ(load, 0.0);
-  }
-}
-
 TEST(TreePathLength, MatchesManualSum) {
   const RootedTree t = small_tree();
   const LcaIndex lca(t);
