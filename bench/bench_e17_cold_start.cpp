@@ -1,19 +1,21 @@
 // E17: cold start — reopen a persisted store vs rebuild from scratch.
 //
 // The out-of-core snapshot path's thesis: with --data-dir style
-// persistence (PersistPolicy::kOnPublish), every published snapshot AND
-// the hierarchy serving it land on disk as mmap arena files, so a
-// process restart maps the saved tree arrays back in instead of
-// resampling them — the first query after a crash costs a file open,
-// not a hierarchy build. Two timed paths over the SAME final graph:
+// persistence (PersistPolicy::kOnPublish), every published snapshot's
+// edge list AND the hierarchy serving it land on disk as mmap arena
+// files, so a process restart replays the edges, packs the CSR from
+// them (O(n + m)) and maps the saved tree arrays back in instead of
+// resampling them — the first query after a crash costs a file open
+// and a pack, not a hierarchy build. Two timed paths over the SAME
+// final graph:
 //
 //   rebuild:   a fresh in-memory engine on a copy of the reopened
 //              snapshot's graph — pays the full hierarchy construction
 //              before it can serve. This is what every boot cost before
 //              the arena files existed.
-//   cold open: GraphStore::open(dir) + engine construction, serving
-//              from the persisted hierarchy (hierarchy_cold_loads == 1,
-//              zero rebuilds started).
+//   cold open: GraphStore::open(dir) (edge replay + CSR pack) + engine
+//              construction, serving from the persisted hierarchy
+//              (hierarchy_cold_loads == 1, zero rebuilds started).
 //
 // Both clocks stop at serving-ready (the constructor returning with a
 // live hierarchy): a Sherman max-flow query costs the same on either
@@ -23,8 +25,8 @@
 // persisted hierarchy IS the built one, tree for tree).
 //
 // The setup phase applies a couple of capacity batches before the
-// measurement so the reopened version shares arena files with older
-// ones (COW arenas, not just v0). `speedup` = T_rebuild / T_cold is
+// measurement so the reopened version shares its endpoints file with
+// v0 (COW arenas, not just v0). `speedup` = T_rebuild / T_cold is
 // machine-class independent and is what the regression gate tracks.
 //
 // The cold open is repeated a few times and the median taken: T_cold is
@@ -94,8 +96,8 @@ int main(int argc, char** argv) {
     auto store = std::make_shared<GraphStore>(std::move(g), gopts);
     FlowEngine engine(store, options);
     // Two capacity rounds: the reopened version's manifest references
-    // older versions' structure files, and the persisted hierarchy is
-    // the post-repair one.
+    // v0's endpoints file, and the persisted hierarchy is the
+    // post-repair one.
     for (int round = 0; round < 2; ++round) {
       MutationBatch batch;
       const Graph& cur = *engine.store()->snapshot().graph;

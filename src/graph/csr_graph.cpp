@@ -16,30 +16,6 @@ CsrGraph::CsrGraph(const Graph& graph)
   build(nullptr);
 }
 
-CsrGraph::CsrGraph(std::shared_ptr<const Graph> graph, CsrArrays arrays)
-    : graph_(std::move(graph)),
-      offsets_(std::move(arrays.offsets)),
-      neighbors_(std::move(arrays.neighbors)),
-      edge_ids_(std::move(arrays.edge_ids)) {
-  DMF_REQUIRE(graph_ != nullptr, "CsrGraph: null graph");
-  const Graph& g = *graph_;
-  num_nodes_ = g.num_nodes();
-  num_edges_ = g.num_edges();
-  endpoints_ = g.edge_endpoints().data();
-  capacities_ = g.capacities().data();
-  const auto n = static_cast<std::size_t>(num_nodes_);
-  const auto m = static_cast<std::size_t>(num_edges_);
-  DMF_REQUIRE(offsets_.size() == n + 1,
-              "CsrGraph: offsets array has wrong length");
-  DMF_REQUIRE(offsets_[0] == 0 && offsets_[n] == 2 * m,
-              "CsrGraph: offsets array disagrees with edge count");
-  DMF_REQUIRE(neighbors_.size() == 2 * m,
-              "CsrGraph: neighbor array has wrong length");
-  DMF_REQUIRE(edge_ids_.size() == 2 * m,
-              "CsrGraph: edge id array has wrong length");
-  cache_raw_views();
-}
-
 void CsrGraph::build(const CsrGraph* previous) {
   const Graph& g = *graph_;
   num_nodes_ = g.num_nodes();
@@ -52,8 +28,7 @@ void CsrGraph::build(const CsrGraph* previous) {
   // Mutation is append-only (add_nodes / add_edge / set_capacity), so
   // within one copy-on-write lineage equal edge counts mean the packed
   // half-edge arrays are identical, and equal node counts additionally
-  // mean the offsets are. Sharing is a handle copy, which also shares
-  // mmap-backed storage (and its files) across versions.
+  // mean the offsets are. Sharing is a handle copy.
   const bool same_edges =
       previous != nullptr && previous->num_edges_ == num_edges_;
   if (same_edges && previous->num_nodes_ == num_nodes_) {

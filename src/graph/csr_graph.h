@@ -23,11 +23,14 @@
 //
 // Lifetime: the owning form holds the Graph via shared_ptr and borrows
 // its endpoint/capacity storage (zero copies — snapshots are immutable).
-// Structure arrays may be shared between CsrGraphs of different
+// The structure arrays are always packed in memory from the edge list
+// — never adopted from outside, so their contents are correct by
+// construction — and may be shared between CsrGraphs of different
 // snapshots in the same copy-on-write lineage when a mutation batch did
 // not touch the adjacency (capacity-only batches share everything;
 // node-only batches share the packed half-edge arrays and re-derive the
-// offsets); see GraphStore::apply.
+// offsets); see GraphStore::apply. GraphStore::open packs a reopened
+// snapshot's CSR the same way; none is ever read from disk.
 #pragma once
 
 #include <memory>
@@ -65,16 +68,6 @@ class CsrRow {
   std::size_t size_;
 };
 
-// The packed structure arrays of a CSR snapshot, storage-agnostic: the
-// SharedArrays may be heap-backed (adopt) or views into mapped arena
-// files (util/mmap_arena.h). GraphStore::open hands these to the
-// arena-backed CsrGraph constructor.
-struct CsrArrays {
-  SharedArray<std::size_t> offsets;  // n + 1
-  SharedArray<NodeId> neighbors;     // 2m
-  SharedArray<EdgeId> edge_ids;      // 2m
-};
-
 class CsrGraph {
  public:
   // Owning form: keeps the graph alive, so snapshots carrying a CsrGraph
@@ -90,12 +83,6 @@ class CsrGraph {
   // Non-owning view for stack-local graphs; the caller guarantees the
   // graph outlives the CsrGraph.
   explicit CsrGraph(const Graph& graph);
-
-  // Rehydrated form: adopt prebuilt structure arrays (typically views
-  // into mapped arena files) instead of packing. Shapes are validated
-  // against the graph; contents are trusted — the arena open path
-  // already checksummed them.
-  CsrGraph(std::shared_ptr<const Graph> graph, CsrArrays arrays);
 
   [[nodiscard]] NodeId num_nodes() const { return num_nodes_; }
   [[nodiscard]] EdgeId num_edges() const { return num_edges_; }
@@ -155,8 +142,7 @@ class CsrGraph {
   }
   [[nodiscard]] const double* capacities_data() const { return capacities_; }
 
-  // The packed structure arrays as storage-agnostic spans (heap or
-  // mmap-backed — callers cannot tell). Sharing across snapshot
+  // The packed structure arrays as spans. Sharing across snapshot
   // versions is observable as data() pointer equality.
   [[nodiscard]] Span<const std::size_t> offsets() const {
     return offsets_.span();
@@ -177,7 +163,7 @@ class CsrGraph {
 
   std::shared_ptr<const Graph> graph_;
   // The packed structure arrays, shared (handle copy) between snapshot
-  // versions whose adjacency is unchanged; heap- or mmap-backed.
+  // versions whose adjacency is unchanged.
   SharedArray<std::size_t> offsets_;  // n + 1
   SharedArray<NodeId> neighbors_;     // 2m
   SharedArray<EdgeId> edge_ids_;      // 2m

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -16,16 +17,17 @@ namespace dmf {
 namespace {
 
 // Type tags of the per-array arena files; a mismatch (opening a
-// capacities file as offsets, say) is rejected at open.
+// capacities file as a manifest, say) is rejected at open. Tags 2-4
+// named the CSR arrays earlier releases wrote; they stay unused.
 constexpr std::uint64_t kTagManifest = 1;
-constexpr std::uint64_t kTagOffsets = 2;
-constexpr std::uint64_t kTagNeighbors = 3;
-constexpr std::uint64_t kTagEdgeIds = 4;
 constexpr std::uint64_t kTagEndpoints = 5;
 constexpr std::uint64_t kTagCapacities = 6;
 
-// Manifest word layout (see persist_snapshot_locked).
-constexpr std::size_t kManifestWords = 7;
+// Manifest word layout: version, n, m, endpoints_from, capacities_from.
+// Earlier releases wrote 7 words, with the versions of their CSR files
+// at indices 3 and 4 and the edge-list words at 5 and 6.
+constexpr std::size_t kManifestWords = 5;
+constexpr std::size_t kLegacyManifestWords = 7;
 
 [[nodiscard]] std::string arena_path(const std::string& dir,
                                      const char* name, std::uint64_t version) {
@@ -36,7 +38,7 @@ constexpr std::size_t kManifestWords = 7;
   return dir + "/CURRENT";
 }
 
-// Parse `<base>.v<digits>.<suffix>` (e.g. "offsets.v12.arena",
+// Parse `<base>.v<digits>.<suffix>` (e.g. "endpoints.v12.arena",
 // "hier.v3.meta.arena"); anything else is not ours.
 [[nodiscard]] bool parse_versioned_name(const std::string& name,
                                         std::string* base,
@@ -56,6 +58,37 @@ constexpr std::size_t kManifestWords = 7;
   *base = name.substr(0, pos);
   *version = v;
   return true;
+}
+
+struct Manifest {
+  std::uint64_t n = 0;
+  std::uint64_t m = 0;
+  std::uint64_t endpoints_from = 0;
+  std::uint64_t capacities_from = 0;
+};
+
+// Reads and checks version v's manifest in either layout; a legacy
+// manifest's CSR words are ignored (the CSR is packed at open). Counts
+// beyond the NodeId/EdgeId range are corrupt, not narrowed.
+[[nodiscard]] Manifest read_manifest(const std::string& dir,
+                                     std::uint64_t v) {
+  const SharedArray<std::uint64_t> words = ArenaVector<std::uint64_t>::open(
+      arena_path(dir, "manifest", v), kTagManifest);
+  const std::size_t size = words.size();
+  DMF_REQUIRE((size == kManifestWords || size == kLegacyManifestWords) &&
+                  words[0] == v,
+              "GraphStore: malformed manifest for version " +
+                  std::to_string(v));
+  const std::size_t edge_list = size - 2;
+  const Manifest manifest{words[1], words[2], words[edge_list],
+                          words[edge_list + 1]};
+  DMF_REQUIRE(manifest.n <= static_cast<std::uint64_t>(
+                                std::numeric_limits<NodeId>::max()) &&
+                  manifest.m <= static_cast<std::uint64_t>(
+                                    std::numeric_limits<EdgeId>::max()),
+              "GraphStore: manifest counts out of range for version " +
+                  std::to_string(v));
+  return manifest;
 }
 
 }  // namespace
@@ -103,50 +136,35 @@ std::shared_ptr<GraphStore> GraphStore::open(const std::string& data_dir,
   DMF_REQUIRE(parsed.ec == std::errc() && parsed.ptr == end,
               "GraphStore::open: malformed CURRENT in " + data_dir);
 
-  const std::string manifest_path = arena_path(data_dir, "manifest", v);
-  DMF_REQUIRE(file_exists(manifest_path),
+  DMF_REQUIRE(file_exists(arena_path(data_dir, "manifest", v)),
               "GraphStore::open: CURRENT points at a missing manifest in " +
                   data_dir);
-  const SharedArray<std::uint64_t> manifest =
-      ArenaVector<std::uint64_t>::open(manifest_path, kTagManifest);
-  DMF_REQUIRE(manifest.size() == kManifestWords && manifest[0] == v,
-              "GraphStore::open: malformed manifest for version " +
-                  std::to_string(v));
-  const std::uint64_t n = manifest[1];
-  const std::uint64_t m = manifest[2];
+  const Manifest manifest = read_manifest(data_dir, v);
   PersistedRefs last;
   last.valid = true;
   last.version = v;
-  last.offsets_from = manifest[3];
-  last.half_from = manifest[4];
-  last.endpoints_from = manifest[5];
-  last.capacities_from = manifest[6];
-
-  CsrArrays arrays{
-      ArenaVector<std::size_t>::open(
-          arena_path(data_dir, "offsets", last.offsets_from), kTagOffsets),
-      ArenaVector<NodeId>::open(
-          arena_path(data_dir, "neighbors", last.half_from), kTagNeighbors),
-      ArenaVector<EdgeId>::open(
-          arena_path(data_dir, "edge_ids", last.half_from), kTagEdgeIds)};
+  last.endpoints_from = manifest.endpoints_from;
+  last.capacities_from = manifest.capacities_from;
   const SharedArray<EdgeEndpoints> endpoints = ArenaVector<EdgeEndpoints>::open(
       arena_path(data_dir, "endpoints", last.endpoints_from), kTagEndpoints);
   const SharedArray<double> capacities = ArenaVector<double>::open(
       arena_path(data_dir, "capacities", last.capacities_from),
       kTagCapacities);
-  DMF_REQUIRE(endpoints.size() >= m && capacities.size() >= m,
-              "GraphStore::open: arrays shorter than manifest edge count");
+  DMF_REQUIRE(
+      endpoints.size() == manifest.m && capacities.size() == manifest.m,
+      "GraphStore::open: arrays disagree with manifest edge count");
 
   // Rebuild the Graph's edge list by replaying the edges in id order
   // through add_edge, which re-validates every endpoint and capacity;
-  // ids come out as persisted because mutation is append-only.
-  Graph g(static_cast<NodeId>(n));
-  for (std::uint64_t e = 0; e < m; ++e) {
+  // ids come out as persisted because mutation is append-only. The CSR
+  // is packed from that checked edge list, never read from disk.
+  Graph g(static_cast<NodeId>(manifest.n));
+  for (std::uint64_t e = 0; e < manifest.m; ++e) {
     const EdgeEndpoints ep = endpoints[e];
     g.add_edge(ep.u, ep.v, capacities[e]);
   }
   auto graph = std::make_shared<const Graph>(std::move(g));
-  auto csr = std::make_shared<const CsrGraph>(graph, std::move(arrays));
+  auto csr = std::make_shared<const CsrGraph>(graph);
   last.snapshot = GraphSnapshot{std::move(graph), std::move(csr), v};
   return std::shared_ptr<GraphStore>(
       new GraphStore(std::move(options), std::move(last)));
@@ -231,31 +249,12 @@ void GraphStore::persist_snapshot_locked(const GraphSnapshot& snap) {
   const bool have_prev = last_persisted_.valid;
   const GraphSnapshot& prev = last_persisted_.snapshot;
 
-  // The on-disk COW ladder, decided by pointer identity against the
-  // previously persisted snapshot (the in-memory ladder shares the
-  // SharedArray handles, so sharing is directly observable here):
-  // capacity-only shares every structure file, node-only shares the
-  // half-edge files and rewrites the offsets, topology rewrites all.
-  if (have_prev &&
-      prev.csr->offsets().data() == snap.csr->offsets().data()) {
-    refs.offsets_from = last_persisted_.offsets_from;
-  } else {
-    refs.offsets_from = v;
-    ArenaVector<std::size_t>::write(arena_path(dir, "offsets", v),
-                                    kTagOffsets, snap.csr->offsets());
-  }
-  if (have_prev && prev.csr->neighbor_array().data() ==
-                       snap.csr->neighbor_array().data()) {
-    refs.half_from = last_persisted_.half_from;
-  } else {
-    refs.half_from = v;
-    ArenaVector<NodeId>::write(arena_path(dir, "neighbors", v), kTagNeighbors,
-                               snap.csr->neighbor_array());
-    ArenaVector<EdgeId>::write(arena_path(dir, "edge_ids", v), kTagEdgeIds,
-                               snap.csr->edge_id_array());
-  }
-  // Mutation is append-only, so an unchanged edge count means the
-  // endpoint array is identical and its file can be shared.
+  // The on-disk COW ladder over the edge list, the only graph state
+  // persisted (open packs the CSR): a node-only batch writes just a
+  // manifest, a capacity-only one a capacities array too, a topology
+  // batch both arrays. Mutation is append-only, so an unchanged edge
+  // count means the endpoint array is identical and its file can be
+  // shared.
   if (have_prev &&
       static_cast<std::size_t>(prev.graph->num_edges()) == m) {
     refs.endpoints_from = last_persisted_.endpoints_from;
@@ -282,8 +281,6 @@ void GraphStore::persist_snapshot_locked(const GraphSnapshot& snap) {
       v,
       static_cast<std::uint64_t>(snap.graph->num_nodes()),
       static_cast<std::uint64_t>(m),
-      refs.offsets_from,
-      refs.half_from,
       refs.endpoints_from,
       refs.capacities_from};
   ArenaVector<std::uint64_t>::write(arena_path(dir, "manifest", v),
@@ -329,20 +326,14 @@ void GraphStore::gc_locked() const {
   // of ours goes (stray .tmp files from interrupted publishes too).
   std::set<std::pair<std::string, std::uint64_t>> referenced;
   for (const std::uint64_t v : kept) {
-    SharedArray<std::uint64_t> manifest;
+    Manifest manifest;
     try {
-      manifest = ArenaVector<std::uint64_t>::open(
-          arena_path(dir, "manifest", v), kTagManifest,
-          /*verify_checksum=*/false);
+      manifest = read_manifest(dir, v);
     } catch (const RequirementError&) {
       return;  // unreadable manifest: skip GC rather than guess
     }
-    if (manifest.size() != kManifestWords) return;
-    referenced.emplace("offsets", manifest[3]);
-    referenced.emplace("neighbors", manifest[4]);
-    referenced.emplace("edge_ids", manifest[4]);
-    referenced.emplace("endpoints", manifest[5]);
-    referenced.emplace("capacities", manifest[6]);
+    referenced.emplace("endpoints", manifest.endpoints_from);
+    referenced.emplace("capacities", manifest.capacities_from);
   }
 
   for (const auto& entry : fs::directory_iterator(dir, ec)) {

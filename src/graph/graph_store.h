@@ -20,15 +20,16 @@
 // long as some reader still holds its GraphSnapshot.
 //
 // Persistence (GraphStoreOptions::persist + data_dir): published
-// snapshots are written to disk as mmap arena files
-// (util/mmap_arena.h) and reopened zero-copy by GraphStore::open after
-// a restart — including a crash, since every publish is
-// arrays -> manifest -> CURRENT with each step an atomic
-// tmp+fsync+rename. The on-disk copy-on-write ladder mirrors the
-// in-memory one: a capacity-only version writes only a new capacities
-// array and a manifest referencing the older structure files; node-only
-// additionally rewrites the offsets; only topology batches repack
-// everything. See README "Persistence & out-of-core".
+// snapshots are written to disk as arena files (util/mmap_arena.h) —
+// the edge list only, a manifest plus the endpoints and capacities
+// arrays — and GraphStore::open rebuilds the latest one after a restart,
+// including a crash, since every publish is arrays -> manifest ->
+// CURRENT with each step an atomic tmp+fsync+rename. The CSR is never
+// persisted: open replays the checked edge list and packs it, the same
+// O(n + m) pass a content check of a stored CSR would cost. The on-disk
+// copy-on-write ladder: a node-only version writes only a manifest, a
+// capacity-only one a new capacities array as well, and only topology
+// batches rewrite the endpoints. See README "Persistence & out-of-core".
 #pragma once
 
 #include <cstddef>
@@ -44,7 +45,7 @@ namespace dmf {
 
 // One immutable published state of the graph: the edge list (`graph`)
 // and its CSR adjacency (`csr`, graph/csr_graph.h), packed once at
-// publish time.
+// publish time (or at open, from the replayed edge list).
 // Capacity-only batches republish the previous snapshot's packed
 // adjacency arrays unchanged; node-only batches reuse the half-edge
 // arrays and re-derive the offsets; only batches that add edges pay a
@@ -152,13 +153,21 @@ class GraphStore {
   explicit GraphStore(Graph initial, GraphStoreOptions options = {});
 
   // Reopen a persisted store: CURRENT names the newest durable version,
-  // and only that snapshot is rehydrated, from its manifest and the five
-  // arrays it references, with the structure arrays mapped zero-copy
-  // from the arena files; files of older versions are never read.
-  // Corrupt or truncated files (a malformed CURRENT included) throw
-  // RequirementError (classified kPreconditionFailed at the engine
-  // boundary); stray files from an interrupted publish are ignored. New
-  // versions continue from the reopened latest.
+  // and only that snapshot is rebuilt, from its manifest and the two
+  // edge-list arrays it references: the edges are replayed through
+  // Graph::add_edge (which checks every endpoint and capacity) and the
+  // CSR is packed from them. Files of older versions are never read.
+  // Corrupt or truncated files (a malformed CURRENT included, or
+  // manifest counts that disagree with the arrays or exceed the
+  // NodeId/EdgeId range) throw RequirementError (classified
+  // kPreconditionFailed at the engine boundary); stray files from an
+  // interrupted publish are ignored. The manifest is the only record of
+  // n (a node-only version is just a larger n over older arrays), so an
+  // in-range n is checked only against the edge endpoints; the pack
+  // allocates n + 1 offsets for it, and one too large for memory fails
+  // at that allocation, as add_nodes would in memory. Manifests in the 7-word layout of
+  // earlier releases still open; their CSR files are never read and the
+  // next GC removes them. New versions continue from the reopened latest.
   [[nodiscard]] static std::shared_ptr<GraphStore> open(
       const std::string& data_dir, GraphStoreOptions options = {});
 
@@ -196,12 +205,10 @@ class GraphStore {
   // Where each persisted array of the last written version lives on
   // disk (the `*_from` version whose file holds it) plus the snapshot
   // itself, kept so the next persist can share unchanged files by
-  // pointer/content comparison against it.
+  // edge count/content comparison against it.
   struct PersistedRefs {
     bool valid = false;
     GraphVersion version = 0;
-    std::uint64_t offsets_from = 0;
-    std::uint64_t half_from = 0;  // neighbors + edge_ids move together
     std::uint64_t endpoints_from = 0;
     std::uint64_t capacities_from = 0;
     GraphSnapshot snapshot;

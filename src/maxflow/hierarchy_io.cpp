@@ -11,8 +11,9 @@
 namespace dmf {
 namespace {
 
-// Distinct from the GraphStore's snapshot tags (1-6) so a hierarchy
-// array can never be opened as a graph array or vice versa.
+// Distinct from the GraphStore's snapshot tags (1, 5 and 6; 2-4 are
+// retired) so a hierarchy array can never be opened as a graph array or
+// vice versa.
 constexpr std::uint64_t kTagHierMeta = 16;
 constexpr std::uint64_t kTagHierRecords = 17;
 constexpr std::uint64_t kTagHierRoots = 18;
@@ -20,16 +21,17 @@ constexpr std::uint64_t kTagHierParents = 19;
 constexpr std::uint64_t kTagHierCaps = 20;
 constexpr std::uint64_t kTagHierEdges = 21;
 
-// meta word layout (all u64; doubles bit-punned)
+// meta word layout (all u64; doubles bit-punned). Earlier releases
+// wrote 8 words, with the BFS height at index 6; such a meta fails the
+// word-count check, so the engine rebuilds once and saves this layout.
 constexpr std::size_t kMetaFingerprint = 0;
 constexpr std::size_t kMetaGraphVersion = 1;
 constexpr std::size_t kMetaNumNodes = 2;
 constexpr std::size_t kMetaNumTrees = 3;
 constexpr std::size_t kMetaAlpha = 4;
 constexpr std::size_t kMetaBuildRounds = 5;
-constexpr std::size_t kMetaBfsHeight = 6;
-constexpr std::size_t kMetaBucketOctaves = 7;
-constexpr std::size_t kMetaWords = 8;
+constexpr std::size_t kMetaBucketOctaves = 6;
+constexpr std::size_t kMetaWords = 7;
 
 std::uint64_t double_bits(double v) {
   std::uint64_t bits = 0;
@@ -149,7 +151,6 @@ void save_hierarchy(const std::string& dir, const ShermanHierarchy& hierarchy,
   meta[kMetaNumTrees] = static_cast<std::uint64_t>(num_trees);
   meta[kMetaAlpha] = double_bits(hierarchy.alpha());
   meta[kMetaBuildRounds] = double_bits(hierarchy.build_rounds());
-  meta[kMetaBfsHeight] = static_cast<std::uint64_t>(hierarchy.bfs_height());
   meta[kMetaBucketOctaves] = double_bits(hierarchy.capacity_bucket_octaves());
   ArenaVector<std::uint64_t>::write(hier_path(dir, version, "meta"),
                                     kTagHierMeta, {meta, kMetaWords});
@@ -249,9 +250,6 @@ std::shared_ptr<const ShermanHierarchy> load_hierarchy(
   DMF_REQUIRE(std::isfinite(parts.alpha) && parts.alpha > 0.0,
               "load_hierarchy: alpha must be finite and > 0");
   parts.build_rounds = bits_double(meta[kMetaBuildRounds]);
-  DMF_REQUIRE(meta[kMetaBfsHeight] < nn,
-              "load_hierarchy: bfs height out of range");
-  parts.bfs_height = static_cast<int>(meta[kMetaBfsHeight]);
   return ShermanHierarchy::from_parts(snap.graph, snap.csr, version,
                                       std::move(parts));
 }

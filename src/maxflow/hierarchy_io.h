@@ -2,21 +2,24 @@
 // path. The engine saves the serving hierarchy's per-tree arrays
 // (RootedTree parent/parent_cap/parent_edge for every sampled tree and
 // the MWST), the TreeBuildRecord provenance, and the scalar summary
-// (alpha, build rounds, BFS height, quantization width) as mmap arena
-// files next to the GraphStore's snapshot arrays. A restarted engine
-// reloads them bitwise — the CongestionApproximator's derived state is
-// a deterministic function of the trees — and serves its first query
-// without any sampling.
+// (alpha, build rounds, quantization width) as mmap arena files next to
+// the GraphStore's snapshot arrays. A restarted engine reloads them
+// bitwise — the CongestionApproximator's derived state is a
+// deterministic function of the trees — and serves its first query
+// without any sampling. What is cheap to recompute from the snapshot is
+// not saved: the BFS height is re-derived at load, as the build derives
+// it. Tree capacities and the MWST are saved because re-deriving them
+// costs a large share of a load.
 //
 // Safety: a fingerprint of the engine seed and every build-relevant
 // option is stored alongside; load_hierarchy returns null (engine falls
 // back to a normal build) when the fingerprint, graph version, or node
 // count disagree, or when no hierarchy was saved for the snapshot.
-// Corrupt files — a bad checksum or shape, a MWST link that is not the
-// snapshot edge joining its endpoints, an alpha that is not finite and
-// positive, a BFS height outside [0, n) — throw RequirementError
-// (kPreconditionFailed at the engine boundary); the engine counts a
-// load failure and rebuilds.
+// Corrupt files — a bad checksum or shape (a meta in the 8-word layout
+// of earlier releases included), a MWST link that is not the snapshot
+// edge joining its endpoints, an alpha that is not finite and positive
+// — throw RequirementError (kPreconditionFailed at the engine
+// boundary); the engine counts a load failure and rebuilds.
 #pragma once
 
 #include <cstdint>

@@ -217,7 +217,7 @@ std::shared_ptr<const ShermanHierarchy> ShermanHierarchy::from_parts(
   out->bucket_octaves_ = parts.bucket_octaves;
   out->alpha_ = parts.alpha;
   out->build_rounds_ = parts.build_rounds;
-  out->bfs_height_ = parts.bfs_height;
+  out->bfs_height_ = build_bfs_tree(*out->csr_, 0).height;
   return out;
 }
 

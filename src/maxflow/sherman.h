@@ -152,13 +152,13 @@ class ShermanHierarchy {
     double bucket_octaves = 0.0;
     double alpha = 2.0;
     double build_rounds = 0.0;
-    int bfs_height = 0;
   };
 
   // Reassemble a hierarchy from persisted parts without any sampling —
   // the zero-rebuild cold-start path. Bitwise identical to the build
   // that produced the parts (the approximator's derived state is a
-  // deterministic function of the trees).
+  // deterministic function of the trees; the BFS height is recomputed
+  // from the graph exactly as the build computes it).
   static std::shared_ptr<const ShermanHierarchy> from_parts(
       std::shared_ptr<const Graph> graph, std::shared_ptr<const CsrGraph> csr,
       GraphVersion graph_version, Parts parts);
@@ -177,7 +177,8 @@ class ShermanHierarchy {
   [[nodiscard]] double build_rounds() const { return build_rounds_; }
 
   // BFS height from node 0 (the CONGEST diameter proxy every route()
-  // charges); precomputed once — it is a pure function of the graph.
+  // charges); computed once per hierarchy, by the build and by
+  // from_parts alike — it is a pure function of the graph.
   [[nodiscard]] int bfs_height() const { return bfs_height_; }
 
   // Per-tree repair provenance (one record per sampled tree) and the

@@ -92,7 +92,7 @@ MappedFile::~MappedFile() {
 namespace arena_detail {
 
 ArenaView open_arena(const std::string& path, std::uint64_t type_tag,
-                     std::size_t elem_size, bool verify_checksum) {
+                     std::size_t elem_size) {
   std::shared_ptr<const MappedFile> file = MappedFile::map(path);
   DMF_REQUIRE(file->size() >= sizeof(ArenaHeader),
               "mmap arena: " + path + " truncated (no header)");
@@ -115,11 +115,9 @@ ArenaView open_arena(const std::string& path, std::uint64_t type_tag,
   DMF_REQUIRE(file->size() == sizeof(ArenaHeader) + payload_bytes,
               "mmap arena: " + path + " size disagrees with header count");
   const unsigned char* payload = file->data() + sizeof(ArenaHeader);
-  if (verify_checksum) {
-    DMF_REQUIRE(fnv1a(payload, static_cast<std::size_t>(payload_bytes)) ==
-                    header.payload_hash,
-                "mmap arena: " + path + " payload checksum mismatch");
-  }
+  DMF_REQUIRE(fnv1a(payload, static_cast<std::size_t>(payload_bytes)) ==
+                  header.payload_hash,
+              "mmap arena: " + path + " payload checksum mismatch");
   ArenaView view;
   view.payload = payload;
   view.count = header.count;

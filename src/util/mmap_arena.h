@@ -77,8 +77,7 @@ struct ArenaView {
 
 [[nodiscard]] ArenaView open_arena(const std::string& path,
                                    std::uint64_t type_tag,
-                                   std::size_t elem_size,
-                                   bool verify_checksum);
+                                   std::size_t elem_size);
 void write_arena(const std::string& path, std::uint64_t type_tag,
                  std::size_t elem_size, const void* payload,
                  std::uint64_t count);
@@ -116,14 +115,12 @@ class ArenaVector {
                               values.size());
   }
 
-  // Map an arena file read-only; validates the header (and, when
-  // `verify_checksum`, the payload hash — one sequential pass) before
-  // returning a zero-copy view.
+  // Map an arena file read-only; validates the header and the payload
+  // hash (one sequential pass) before returning a zero-copy view.
   [[nodiscard]] static SharedArray<T> open(const std::string& path,
-                                           std::uint64_t type_tag,
-                                           bool verify_checksum = true) {
+                                           std::uint64_t type_tag) {
     arena_detail::ArenaView view =
-        arena_detail::open_arena(path, type_tag, sizeof(T), verify_checksum);
+        arena_detail::open_arena(path, type_tag, sizeof(T));
     return SharedArray<T>::view(static_cast<const T*>(view.payload),
                                 static_cast<std::size_t>(view.count),
                                 std::move(view.file));

@@ -12,11 +12,14 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "engine/engine.h"
 #include "engine/result.h"
+#include "graph/algorithms.h"
+#include "graph/csr_graph.h"
 #include "graph/generators.h"
 #include "graph/graph_store.h"
 #include "maxflow/hierarchy_io.h"
@@ -209,13 +212,8 @@ TEST_F(MmapArenaCorruption, TamperedCountFailsHeaderChecksum) {
 
 TEST_F(MmapArenaCorruption, FlippedPayloadByte) {
   overwrite_byte(path_, 64 + 100, 'Z');
-  EXPECT_THROW(ArenaVector<std::uint64_t>::open(path_, kTag,
-                                                /*verify_checksum=*/true),
+  EXPECT_THROW(ArenaVector<std::uint64_t>::open(path_, kTag),
                RequirementError);
-  // Header-only verification maps it anyway — the documented
-  // out-of-core tradeoff (headers are always checked, payload opt-out).
-  EXPECT_NO_THROW(ArenaVector<std::uint64_t>::open(
-      path_, kTag, /*verify_checksum=*/false));
 }
 
 TEST_F(MmapArenaCorruption, ForeignFileAndErrorClassification) {
@@ -299,6 +297,22 @@ TEST(GraphStorePersist, RoundTripAcrossReopen) {
   EXPECT_EQ(next.version, published.back() + 1);
 }
 
+// The arena files a version wrote, by array name.
+std::set<std::string> files_of_version(const std::string& dir,
+                                       std::uint64_t v) {
+  const std::string suffix = ".v" + std::to_string(v) + ".arena";
+  std::set<std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() > suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      out.insert(name.substr(0, name.size() - suffix.size()));
+    }
+  }
+  return out;
+}
+
 TEST(GraphStorePersist, OnDiskCowLadderSharesUnchangedFiles) {
   TempDir dir;
   GraphStoreOptions gopts;
@@ -307,9 +321,8 @@ TEST(GraphStorePersist, OnDiskCowLadderSharesUnchangedFiles) {
   GraphStore store(test_grid(), gopts);
   const NodeId n = store.snapshot().graph->num_nodes();
 
-  const auto has = [&](const char* name, std::uint64_t v) {
-    return fs::exists(dir.path() + "/" + name + ".v" + std::to_string(v) +
-                      ".arena");
+  const auto written = [&](std::uint64_t v) {
+    return files_of_version(dir.path(), v);
   };
   // A store reopened at each rung of the ladder agrees with the live
   // snapshot of that version.
@@ -319,43 +332,27 @@ TEST(GraphStorePersist, OnDiskCowLadderSharesUnchangedFiles) {
     EXPECT_EQ(b.graph->capacities(), a.graph->capacities());
     EXPECT_EQ(b.csr->offsets(), a.csr->offsets());
   };
-  // v0: everything materialized.
-  for (const char* f :
-       {"manifest", "offsets", "neighbors", "edge_ids", "endpoints",
-        "capacities"}) {
-    EXPECT_TRUE(has(f, 0)) << f;
-  }
+  const std::set<std::string> whole_edge_list{"manifest", "endpoints",
+                                              "capacities"};
+  // v0: the whole edge list; the CSR is never persisted.
+  EXPECT_EQ(written(0), whole_edge_list);
   expect_reopens_as(store.snapshot());
 
   // Capacity-only: only a new capacities array (plus the manifest).
   expect_reopens_as(store.apply(capacity_batch(*store.snapshot().graph)));
-  EXPECT_TRUE(has("manifest", 1));
-  EXPECT_TRUE(has("capacities", 1));
-  EXPECT_FALSE(has("offsets", 1));
-  EXPECT_FALSE(has("neighbors", 1));
-  EXPECT_FALSE(has("edge_ids", 1));
-  EXPECT_FALSE(has("endpoints", 1));
+  EXPECT_EQ(written(1), (std::set<std::string>{"manifest", "capacities"}));
 
-  // Node-only: new offsets, everything else shared.
+  // Node-only: the edge list is unchanged, so only a manifest.
   MutationBatch nodes;
   nodes.add_nodes(2);
   expect_reopens_as(store.apply(nodes));
-  EXPECT_TRUE(has("manifest", 2));
-  EXPECT_TRUE(has("offsets", 2));
-  EXPECT_FALSE(has("neighbors", 2));
-  EXPECT_FALSE(has("edge_ids", 2));
-  EXPECT_FALSE(has("endpoints", 2));
-  EXPECT_FALSE(has("capacities", 2));
+  EXPECT_EQ(written(2), std::set<std::string>{"manifest"});
 
-  // Topology: full repack on disk as in memory.
+  // Topology: the whole edge list is rewritten.
   MutationBatch topo;
   topo.add_edge(0, n, 5.0);
   expect_reopens_as(store.apply(topo));
-  for (const char* f :
-       {"manifest", "offsets", "neighbors", "edge_ids", "endpoints",
-        "capacities"}) {
-    EXPECT_TRUE(has(f, 3)) << f;
-  }
+  EXPECT_EQ(written(3), whole_edge_list);
 }
 
 TEST(GraphStorePersist, GcBoundsRetainedVersionsOnDisk) {
@@ -450,6 +447,199 @@ TEST(GraphStorePersist, CurrentBeyondUint64IsARequirementError) {
   }
   write_file_atomic(dir.path() + "/CURRENT", "0\n");
   EXPECT_EQ(GraphStore::open(dir.path())->latest_version(), 0u);
+}
+
+constexpr std::uint64_t kTagManifest = 1;  // graph/graph_store.cpp
+
+// Rewrites one word of version v's manifest under a valid checksum.
+void rewrite_manifest_word(const std::string& dir, std::uint64_t v,
+                           std::size_t word, std::uint64_t value) {
+  const std::string path = dir + "/manifest.v" + std::to_string(v) + ".arena";
+  const SharedArray<std::uint64_t> saved =
+      ArenaVector<std::uint64_t>::open(path, kTagManifest);
+  std::vector<std::uint64_t> words(saved.data(), saved.data() + saved.size());
+  ASSERT_GT(words.size(), word);
+  words[word] = value;
+  ArenaVector<std::uint64_t>::write(path, kTagManifest,
+                                    {words.data(), words.size()});
+}
+
+// Writes version 0 in the layout earlier releases wrote: a 7-word
+// manifest whose words 3 and 4 name offsets/neighbors/edge_ids arenas
+// (`csr`'s, with `neighbors` in place of its neighbor array), plus `g`'s
+// endpoints and capacities. The manifest's edge count is csr's.
+void write_legacy_version(const std::string& dir, const Graph& g,
+                          const CsrGraph& csr,
+                          const std::vector<NodeId>& neighbors) {
+  constexpr std::uint64_t kTagOffsets = 2;
+  constexpr std::uint64_t kTagNeighbors = 3;
+  constexpr std::uint64_t kTagEdgeIds = 4;
+  constexpr std::uint64_t kTagEndpoints = 5;
+  constexpr std::uint64_t kTagCapacities = 6;
+  const auto file = [&](const char* name) {
+    return dir + "/" + name + ".v0.arena";
+  };
+  ArenaVector<std::size_t>::write(file("offsets"), kTagOffsets,
+                                  csr.offsets());
+  ArenaVector<NodeId>::write(file("neighbors"), kTagNeighbors,
+                             {neighbors.data(), neighbors.size()});
+  ArenaVector<EdgeId>::write(file("edge_ids"), kTagEdgeIds,
+                             csr.edge_id_array());
+  ArenaVector<EdgeEndpoints>::write(file("endpoints"), kTagEndpoints,
+                                    g.edge_endpoints());
+  ArenaVector<double>::write(file("capacities"), kTagCapacities,
+                             g.capacities());
+  const std::uint64_t manifest[7] = {
+      0, static_cast<std::uint64_t>(g.num_nodes()),
+      static_cast<std::uint64_t>(csr.num_edges()), 0, 0, 0, 0};
+  ArenaVector<std::uint64_t>::write(file("manifest"), kTagManifest,
+                                    {manifest, 7});
+  write_file_atomic(dir + "/CURRENT", "0\n");
+}
+
+// Manifest counts are checked before they are narrowed: an n or m past
+// the NodeId/EdgeId range is corrupt, not read modulo 2^32.
+TEST(GraphStorePersist, ManifestCountsBeyondInt32AreRejected) {
+  constexpr std::size_t kWordNodes = 1;
+  constexpr std::size_t kWordEdges = 2;
+  TempDir dir;
+  GraphStoreOptions gopts;
+  gopts.data_dir = dir.path();
+  GraphStore store(test_grid(), gopts);
+  (void)store.persist();
+  const GraphSnapshot snap = store.snapshot();
+  const Graph& g = *snap.graph;
+  const auto n = static_cast<std::uint64_t>(g.num_nodes());
+  const auto m = static_cast<std::uint64_t>(g.num_edges());
+  const std::uint64_t wrap = std::uint64_t{1} << 32;
+  rewrite_manifest_word(dir.path(), 0, kWordNodes, wrap + n);
+  EXPECT_THROW((void)GraphStore::open(dir.path()), RequirementError);
+  rewrite_manifest_word(dir.path(), 0, kWordNodes, n);
+  rewrite_manifest_word(dir.path(), 0, kWordEdges, wrap + m);
+  EXPECT_THROW((void)GraphStore::open(dir.path()), RequirementError);
+  rewrite_manifest_word(dir.path(), 0, kWordEdges, m);
+  EXPECT_EQ(GraphStore::open(dir.path())->snapshot().graph->num_nodes(),
+            g.num_nodes());
+}
+
+// The manifest is the only record of n: a node-only version is exactly
+// a manifest with a larger n over older arrays. So an in-range n above
+// the edges opens as that many nodes (the extra ones isolated), while an
+// n below some endpoint fails in the edge replay.
+TEST(GraphStorePersist, ManifestNodeCountIsCheckedOnlyAgainstTheEdges) {
+  constexpr std::size_t kWordNodes = 1;
+  TempDir dir;
+  GraphStoreOptions gopts;
+  gopts.data_dir = dir.path();
+  GraphStore store(test_grid(), gopts);
+  (void)store.persist();
+  const GraphSnapshot snap = store.snapshot();
+  const Graph& g = *snap.graph;
+  const auto n = static_cast<std::uint64_t>(g.num_nodes());
+  rewrite_manifest_word(dir.path(), 0, kWordNodes, n + 1000);
+  const GraphSnapshot grown = GraphStore::open(dir.path())->snapshot();
+  EXPECT_EQ(grown.graph->num_nodes(), g.num_nodes() + 1000);
+  EXPECT_EQ(grown.csr->num_nodes(), g.num_nodes() + 1000);
+  ASSERT_EQ(grown.graph->num_edges(), g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    EXPECT_EQ(grown.graph->endpoints(e).u, g.endpoints(e).u);
+    EXPECT_EQ(grown.graph->endpoints(e).v, g.endpoints(e).v);
+  }
+  EXPECT_EQ(grown.csr->degree(g.num_nodes()), 0u);
+  rewrite_manifest_word(dir.path(), 0, kWordNodes, n - 1);
+  EXPECT_THROW((void)GraphStore::open(dir.path()), RequirementError);
+}
+
+// The writer stores exactly m endpoints and capacities, so arrays of any
+// other length are corrupt — a smaller m must not silently drop edges.
+TEST(GraphStorePersist, ManifestEdgeCountMustMatchTheArrays) {
+  constexpr std::size_t kWordEdges = 2;
+  TempDir dir;
+  GraphStoreOptions gopts;
+  gopts.data_dir = dir.path();
+  GraphStore store(test_grid(), gopts);
+  (void)store.persist();
+  const auto m =
+      static_cast<std::uint64_t>(store.snapshot().graph->num_edges());
+  for (const std::uint64_t bad : {m - 1, m + 1, std::uint64_t{0}}) {
+    rewrite_manifest_word(dir.path(), 0, kWordEdges, bad);
+    EXPECT_THROW((void)GraphStore::open(dir.path()), RequirementError) << bad;
+  }
+  rewrite_manifest_word(dir.path(), 0, kWordEdges, m);
+  EXPECT_EQ(GraphStore::open(dir.path())->snapshot().graph->num_edges(),
+            store.snapshot().graph->num_edges());
+
+  // The same in the layout earlier releases wrote: a manifest (and CSR)
+  // one edge short of the edge-list arrays must not open without the
+  // last edge.
+  TempDir legacy;
+  const Graph g = test_grid();
+  Graph short_g(g.num_nodes());
+  for (EdgeId e = 0; e + 1 < g.num_edges(); ++e) {
+    short_g.add_edge(g.endpoints(e).u, g.endpoints(e).v, g.capacity(e));
+  }
+  const CsrGraph short_csr(short_g);
+  write_legacy_version(legacy.path(), g, short_csr,
+                       to_vector(short_csr.neighbor_array()));
+  EXPECT_THROW((void)GraphStore::open(legacy.path()), RequirementError);
+}
+
+// A directory in the layout earlier releases wrote still opens, and its
+// CSR files are never read: here the neighbors arena holds an
+// out-of-range node id under a valid checksum, and the reopened store
+// serves exactly what a fresh engine on the same graph does. The next
+// publish's GC removes the CSR files.
+TEST(GraphStorePersist, LegacyLayoutOpensWithoutReadingItsCsrFiles) {
+  TempDir dir;
+  const Graph g = test_grid();
+  const CsrGraph csr(g);
+  std::vector<NodeId> neighbors = to_vector(csr.neighbor_array());
+  neighbors[0] = std::numeric_limits<NodeId>::max();
+  write_legacy_version(dir.path(), g, csr, neighbors);
+
+  const EngineOptions eopts = small_engine_options();
+  FlowEngine cold(GraphStore::open(dir.path()), eopts);
+  FlowEngine fresh(test_grid(), eopts);
+  EXPECT_EQ(cold.snapshot().csr->neighbor_array(), csr.neighbor_array());
+
+  const MaxFlowApproxResult got_flow =
+      cold.submit(MaxFlowQuery{0, 63}).get().value();
+  const MaxFlowApproxResult want_flow =
+      fresh.submit(MaxFlowQuery{0, 63}).get().value();
+  EXPECT_EQ(got_flow.value, want_flow.value);
+  EXPECT_EQ(got_flow.flow, want_flow.flow);
+  EXPECT_EQ(got_flow.rounds, want_flow.rounds);
+
+  std::vector<double> demand(64, 0.0);
+  demand[0] = 2.0;
+  demand[5] = -1.0;
+  demand[63] = -1.0;
+  const RouteResult got_route = cold.submit(RouteQuery{demand}).get().value();
+  const RouteResult want_route =
+      fresh.submit(RouteQuery{demand}).get().value();
+  EXPECT_EQ(got_route.flow, want_route.flow);
+  EXPECT_EQ(got_route.congestion, want_route.congestion);
+  EXPECT_EQ(got_route.rounds, want_route.rounds);
+
+  const MultiTerminalQuery multi{{0, 1}, {62, 63}};
+  const auto got_multi = cold.submit(multi).get().value();
+  const auto want_multi = fresh.submit(multi).get().value();
+  EXPECT_EQ(got_multi.value, want_multi.value);
+  EXPECT_EQ(got_multi.flow, want_multi.flow);
+
+  const auto got_congest = cold.submit(CongestQuery{0, 63}).get().value();
+  const auto want_congest = fresh.submit(CongestQuery{0, 63}).get().value();
+  EXPECT_EQ(got_congest.flow_value, want_congest.flow_value);
+  EXPECT_EQ(got_congest.stats.transcript_hash,
+            want_congest.stats.transcript_hash);
+
+  GraphStoreOptions gopts;
+  gopts.persist = PersistPolicy::kOnPublish;
+  const std::shared_ptr<GraphStore> store = GraphStore::open(dir.path(), gopts);
+  (void)store->apply(MutationBatch{});
+  EXPECT_EQ(files_of_version(dir.path(), 0),
+            (std::set<std::string>{"manifest", "endpoints", "capacities"}));
+  EXPECT_EQ(files_of_version(dir.path(), 1), std::set<std::string>{"manifest"});
 }
 
 // --- engine cold start -------------------------------------------------------
@@ -623,22 +813,18 @@ TEST(EngineColdStart, MwstEdgesOutsideTheSnapshotFallBackToBuild) {
   EXPECT_EQ(got.flow, want.flow);
 }
 
-// The same for the scalar summary: an alpha that is not finite and > 0,
-// or a BFS height outside [0, n), fails the load.
-TEST(EngineColdStart, BadAlphaOrBfsHeightFallsBackToBuild) {
+// The same for the scalar summary: an alpha that is not finite and > 0
+// fails the load.
+TEST(EngineColdStart, BadAlphaFallsBackToBuild) {
   constexpr std::uint64_t kTagHierMeta = 16;  // maxflow/hierarchy_io.cpp
   constexpr std::size_t kMetaAlpha = 4;
-  constexpr std::size_t kMetaBfsHeight = 6;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::uint64_t nan_bits = 0;
   std::memcpy(&nan_bits, &nan, sizeof(nan));
   const struct {
     std::size_t word;
     std::uint64_t value;
-  } tampers[] = {{kMetaAlpha, nan_bits},
-                 {kMetaAlpha, 0},  // +0.0
-                 {kMetaBfsHeight, 64},
-                 {kMetaBfsHeight, (std::uint64_t{1} << 32) + 3}};
+  } tampers[] = {{kMetaAlpha, nan_bits}, {kMetaAlpha, 0}};  // NaN, +0.0
   for (const auto& tamper : tampers) {
     TempDir dir;
     GraphStoreOptions gopts;
@@ -654,7 +840,7 @@ TEST(EngineColdStart, BadAlphaOrBfsHeightFallsBackToBuild) {
         ArenaVector<std::uint64_t>::open(path, kTagHierMeta);
     std::vector<std::uint64_t> meta(saved.data(),
                                     saved.data() + saved.size());
-    ASSERT_GT(meta.size(), kMetaBfsHeight);
+    ASSERT_GT(meta.size(), kMetaAlpha);
     meta[tamper.word] = tamper.value;
     ArenaVector<std::uint64_t>::write(path, kTagHierMeta,
                                       {meta.data(), meta.size()});
@@ -665,6 +851,99 @@ TEST(EngineColdStart, BadAlphaOrBfsHeightFallsBackToBuild) {
     EXPECT_EQ(stats.hierarchy_cold_loads, 0) << tamper.word;
     EXPECT_TRUE(cold.submit(MaxFlowQuery{0, 63}).get().ok());
   }
+}
+
+// A hierarchy meta in the 8-word layout of earlier releases (the BFS
+// height at word 6) is a load failure: the engine rebuilds once, saves
+// the current layout, and the next cold open loads it.
+TEST(EngineColdStart, EarlierMetaLayoutRebuildsOnce) {
+  constexpr std::uint64_t kTagHierMeta = 16;  // maxflow/hierarchy_io.cpp
+  constexpr std::size_t kOldMetaBfsHeight = 6;
+  TempDir dir;
+  GraphStoreOptions gopts;
+  gopts.persist = PersistPolicy::kOnPublish;
+  gopts.data_dir = dir.path();
+  const EngineOptions eopts = small_engine_options();
+  MaxFlowApproxResult warm;
+  int bfs_height = 0;
+  {
+    auto store = std::make_shared<GraphStore>(test_grid(), gopts);
+    FlowEngine engine(store, eopts);
+    warm = engine.submit(MaxFlowQuery{0, 63}).get().value();
+    bfs_height = engine.hierarchy().bfs_height();
+  }
+  const std::string path = dir.path() + "/hier.v0.meta.arena";
+  const SharedArray<std::uint64_t> saved =
+      ArenaVector<std::uint64_t>::open(path, kTagHierMeta);
+  std::vector<std::uint64_t> meta(saved.data(), saved.data() + saved.size());
+  ASSERT_EQ(meta.size(), kOldMetaBfsHeight + 1);
+  meta.insert(meta.begin() + kOldMetaBfsHeight,
+              static_cast<std::uint64_t>(bfs_height));
+  ArenaVector<std::uint64_t>::write(path, kTagHierMeta,
+                                    {meta.data(), meta.size()});
+
+  {
+    FlowEngine cold(GraphStore::open(dir.path(), gopts), eopts);
+    EXPECT_EQ(cold.stats().hierarchy_load_failures, 1);
+    EXPECT_EQ(cold.stats().hierarchy_cold_loads, 0);
+    EXPECT_EQ(cold.submit(MaxFlowQuery{0, 63}).get().value().flow, warm.flow);
+  }
+  FlowEngine reloaded(GraphStore::open(dir.path(), gopts), eopts);
+  EXPECT_EQ(reloaded.stats().hierarchy_load_failures, 0);
+  EXPECT_EQ(reloaded.stats().hierarchy_cold_loads, 1);
+  EXPECT_EQ(reloaded.submit(MaxFlowQuery{0, 63}).get().value().flow,
+            warm.flow);
+}
+
+// The BFS height is not persisted: a cold-loaded hierarchy derives it
+// from the reopened snapshot as the build does. After a topology batch
+// that shortens it, the cold engine answers bitwise like the warm one.
+TEST(EngineColdStart, ColdLoadDerivesBfsHeightAfterTopologyBatch) {
+  TempDir dir;
+  GraphStoreOptions gopts;
+  gopts.persist = PersistPolicy::kOnPublish;
+  gopts.data_dir = dir.path();
+  const EngineOptions eopts = small_engine_options();
+  std::vector<double> demand(64, 0.0);
+  demand[0] = 2.0;
+  demand[5] = -1.0;
+  demand[63] = -1.0;
+
+  MaxFlowApproxResult warm_flow;
+  RouteResult warm_route;
+  int warm_height = 0;
+  int grid_height = 0;
+  {
+    auto store = std::make_shared<GraphStore>(test_grid(), gopts);
+    FlowEngine engine(store, eopts);
+    grid_height = engine.hierarchy().bfs_height();
+    MutationBatch topo;
+    topo.add_edge(0, 63, 4.0);
+    const ApplyResult applied = engine.apply(topo);
+    ASSERT_TRUE(engine.wait_for_version(applied.version, 120.0));
+    warm_height = engine.hierarchy().bfs_height();
+    warm_flow = engine.submit(MaxFlowQuery{0, 63}).get().value();
+    warm_route = engine.submit(RouteQuery{demand}).get().value();
+  }
+  EXPECT_LT(warm_height, grid_height);
+
+  FlowEngine cold(GraphStore::open(dir.path(), gopts), eopts);
+  EXPECT_EQ(cold.stats().hierarchy_cold_loads, 1);
+  EXPECT_EQ(cold.stats().rebuild.started, 0);
+  const GraphSnapshot snap = cold.snapshot();
+  EXPECT_EQ(snap.version, 1u);
+  EXPECT_EQ(cold.hierarchy().bfs_height(),
+            build_bfs_tree(*snap.csr, 0).height);
+  EXPECT_EQ(cold.hierarchy().bfs_height(), warm_height);
+
+  const MaxFlowApproxResult cold_flow =
+      cold.submit(MaxFlowQuery{0, 63}).get().value();
+  EXPECT_EQ(cold_flow.value, warm_flow.value);
+  EXPECT_EQ(cold_flow.flow, warm_flow.flow);
+  EXPECT_EQ(cold_flow.rounds, warm_flow.rounds);
+  const RouteResult cold_route = cold.submit(RouteQuery{demand}).get().value();
+  EXPECT_EQ(cold_route.flow, warm_route.flow);
+  EXPECT_EQ(cold_route.rounds, warm_route.rounds);
 }
 
 TEST(EngineColdStart, ManualEnginePersistEnablesColdOpen) {
