@@ -27,6 +27,29 @@
 //  * termination when delta = sum_e |c_e dphi/df_e| < eps/4; Sherman
 //    proves O(alpha^2 eps^-3 log n) iterations.
 //
+// The step. Sherman's step delta / (1 + 4 alpha^2) comes from a
+// worst-case smoothness bound; on real instances a longer one lowers phi
+// further. Each step is mu * delta / (1 + 4 alpha^2), with mu adapted
+// from values the loop computes anyway (so results stay deterministic):
+//  * mu starts at 1 in each call and is carried across the 17/16
+//    rescales;
+//  * after an accepted step, mu <- min(64, 1.2 mu);
+//  * a step taken at mu > 1 that raises phi at the next evaluation is
+//    rejected: the flow before it is restored, mu <- max(1, mu / 2), and
+//    the step is retried from there with the gradient already computed.
+// So phi never rises from one accepted step to the next: the descent
+// stays monotone, as in Sherman's analysis. A step at mu = 1 is
+// Sherman's own, which his lemma shows lowers phi, so it is never
+// rejected; mu halves on each rejection, so at most log2(64) = 6
+// rejections separate two accepted steps and the loop cannot cycle.
+// An accepted longer step may lower phi less than Sherman's would, so
+// his iteration bound is not a proof for this rule: over 480 calls on
+// e7's graph families the rule took 5.1x fewer iterations in total,
+// yet two calls took more than the fixed step, the worst 1.46x. A
+// rejected step counts as an iteration and in `rejected_steps`; it
+// costs one R application and the scalar aggregations, no R^T
+// application.
+//
 // The returned flow approximately routes b: callers (Algorithm 1) clean
 // up the small residual via further calls and a spanning-tree rerouting.
 #pragma once
@@ -47,21 +70,21 @@ struct AlmostRouteOptions {
   // approximator is the caller's job); a non-finite value is rejected.
   double alpha = 2.0;
   int max_iterations = 50000;
-  // Heavy-ball momentum, the practical stand-in for the accelerated
-  // method of the paper's footnote 3 (Nesterov: O(eps^-2 alpha log^2 n)
-  // instead of O(eps^-3 alpha^2 log^2 n)). Momentum is reset whenever
-  // the 17/16 rescaling fires. E7 measures the effect.
-  bool accelerate = false;
 };
 
 struct AlmostRouteResult {
   std::vector<double> flow;  // signed flow per edge
+  // Evaluations of phi: accepted steps, rejected steps, rescales and the
+  // final converged evaluation.
   int iterations = 0;
+  // Steps taken at mu > 1 that raised phi and were undone.
+  int rejected_steps = 0;
   double final_delta = 0.0;
   double potential = 0.0;
   bool converged = false;
   // CONGEST rounds: per iteration, one R and one R^T application
-  // (Corollary 9.3) plus O(D) for the scalar aggregations.
+  // (Corollary 9.3) plus O(D) for the scalar aggregations; a rejected
+  // step pays the R application and the O(D) only.
   double rounds = 0.0;
 };
 

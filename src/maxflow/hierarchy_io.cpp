@@ -78,7 +78,9 @@ std::uint64_t hierarchy_fingerprint(const ShermanOptions& options,
   h = fnv1a_mix(h, double_bits(options.almost_route.alpha));
   h = fnv1a_mix(
       h, static_cast<std::uint64_t>(options.almost_route.max_iterations));
-  h = fnv1a_mix(h, options.almost_route.accelerate ? 1u : 0u);
+  // The retired heavy-ball momentum flag, mixed as off, so hierarchies
+  // saved with it off keep their fingerprint.
+  h = fnv1a_mix(h, 0u);
   // The virtual-tree build's constants (capprox/hierarchy.cpp), mixed as
   // the options they once were so existing fingerprints stay valid: beta,
   // trees per level and finish threshold (0: derived from beta and n),

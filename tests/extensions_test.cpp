@@ -1,13 +1,11 @@
 // Tests for the extension features: the paper's binary-search max-flow
-// formulation (§2), approximate min cut from the congestion
-// approximator, and the accelerated gradient option (footnote 3).
+// formulation (§2) and approximate min cut from the congestion
+// approximator.
 #include <gtest/gtest.h>
 
 #include "baselines/dinic.h"
-#include "capprox/racke.h"
 #include "graph/flow.h"
 #include "graph/generators.h"
-#include "maxflow/almost_route.h"
 #include "maxflow/sherman.h"
 #include "util/rng.h"
 
@@ -74,58 +72,6 @@ TEST(ApproxMinCut, FindsTheBarbellBridge) {
   // The bridge (capacity 2) is the unique min cut; the oracle should
   // find exactly it.
   EXPECT_NEAR(cut.capacity, 2.0, 1e-9);
-}
-
-TEST(Acceleration, ConvergesAndRoutesComparably) {
-  Rng rng(929);
-  const Graph g = make_gnp_connected(40, 0.12, {1, 8}, rng);
-  RackeOptions ropt;
-  ropt.num_trees = 6;
-  const CongestionApproximator approx(
-      build_racke_trees(g, ropt, rng).trees);
-  const std::vector<double> b =
-      st_demand(g.num_nodes(), 0, g.num_nodes() - 1, 1.0);
-
-  const CsrGraph csr(g);
-
-  AlmostRouteOptions plain;
-  plain.epsilon = 0.25;
-  plain.alpha = 2.0;
-  const AlmostRouteResult slow = almost_route(csr, approx, b, plain);
-
-  AlmostRouteOptions fast = plain;
-  fast.accelerate = true;
-  const AlmostRouteResult quick = almost_route(csr, approx, b, fast);
-
-  EXPECT_TRUE(slow.converged);
-  EXPECT_TRUE(quick.converged);
-  // Both must route the bulk of the demand.
-  for (const AlmostRouteResult* r : {&slow, &quick}) {
-    const std::vector<double> div = flow_divergence(g, r->flow);
-    double residual = 0.0;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      residual += std::abs(b[static_cast<std::size_t>(v)] -
-                           div[static_cast<std::size_t>(v)]);
-    }
-    EXPECT_LT(residual, 1.0);
-  }
-  // Momentum should not be slower by more than a small factor (it is
-  // usually faster; E7 reports the measured speedup).
-  EXPECT_LE(quick.iterations, 2 * slow.iterations);
-}
-
-TEST(Acceleration, EndToEndMaxFlowStillCorrect) {
-  Rng rng(937);
-  const Graph g = make_grid(5, 5, {1, 7}, rng);
-  ShermanOptions options;
-  options.epsilon = 0.25;
-  options.almost_route.accelerate = true;
-  const ShermanSolver solver(g, options, rng);
-  const MaxFlowApproxResult result = solver.max_flow(0, 24);
-  const double exact = dinic_max_flow_value(g, 0, 24);
-  EXPECT_TRUE(is_feasible(g, result.flow, 1e-6));
-  EXPECT_GE(result.value, 0.6 * exact);
-  EXPECT_LE(result.value, exact * (1.0 + 1e-6));
 }
 
 }  // namespace
