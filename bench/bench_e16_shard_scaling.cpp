@@ -1,35 +1,28 @@
 // E16: sharded engine vs the single worker pool at a fixed workload.
 //
-// The workload is locality-friendly by construction: a small set of hot
-// s-t pairs, each drawn from within one cluster of the snapshot's own
-// ShardPlan (clusters are the unit of shard placement, so such a pair
-// lands on one shard at EVERY shard count), and each pair repeated —
-// the repeated-query shape a serving system actually sees. A sharded
-// engine exploits both properties: the terminal router keeps each hot
-// pair on one pinned single-worker lane, and that lane's generation-
-// scoped result store replays repeats bitwise instead of recomputing.
-// On a multi-core box the per-shard lanes additionally scale the
-// compute; on a single-core runner the replay store carries the win —
-// either way the `speedup` column is the machine-independent ratio the
-// regression gate guards (acceptance bar: >= 2x at 4 shards).
-//
-// E16b sweeps the cross-shard fraction of the same shape at a fixed
-// shard count: as more pairs straddle shards, more queries take the
-// aggregate-through-the-top-levels path and the routing split shifts —
-// informational rows (field `qps`, not `throughput_qps`), not gated.
+// The workload is a small set of hot s-t pairs drawn from the seed's
+// Rng, each repeated — the repeated-query shape a serving system
+// actually sees. A sharded engine routes each query by a hash of its
+// content, so every repeat of a pair reaches the pinned single-worker
+// lane that answered it first, and that lane's generation-scoped result
+// store replays it bitwise instead of recomputing. On a multi-core box
+// the per-shard lanes additionally scale the compute; on a single-core
+// runner the replay store carries the win — either way the `speedup`
+// column is the machine-independent ratio the regression gate guards
+// (acceptance bar: >= 2x at 4 shards).
 //
 //   ./bench_e16_shard_scaling [n] [distinct_pairs] [seed]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "engine/engine.h"
-#include "engine/shard_plan.h"
 #include "util/rng.h"
 
 namespace {
@@ -103,47 +96,25 @@ int main(int argc, char** argv) {
   const Graph g = bench::make_family("torus", n, rng);
   bench::JsonArtifact artifact("BENCH_e16.json");
 
-  // Hot pairs from within ShardPlan clusters: same-shard at any K.
-  const ShardPlan plan = ShardPlan::build(g);
-  std::vector<std::vector<NodeId>> cluster_nodes(
-      static_cast<std::size_t>(plan.num_clusters));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    cluster_nodes[static_cast<std::size_t>(
-                      plan.cluster[static_cast<std::size_t>(v)])]
-        .push_back(v);
-  }
-  std::vector<std::vector<std::pair<NodeId, NodeId>>> cluster_pairs;
-  for (const auto& nodes : cluster_nodes) {
-    if (nodes.size() < 2) continue;
-    auto& pairs = cluster_pairs.emplace_back();
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-        pairs.emplace_back(nodes[i], nodes[j]);
-      }
-    }
-  }
+  // Hot pairs: `distinct` different ordered pairs from the seed's Rng.
   std::vector<std::pair<NodeId, NodeId>> hot_pairs;
-  for (std::size_t round = 0;
-       static_cast<int>(hot_pairs.size()) < distinct; ++round) {
-    bool any = false;
-    for (const auto& pairs : cluster_pairs) {
-      if (round < pairs.size() &&
-          static_cast<int>(hot_pairs.size()) < distinct) {
-        hot_pairs.push_back(pairs[round]);
-        any = true;
-      }
-    }
-    if (!any) break;  // graph too small for `distinct` in-cluster pairs
+  std::set<std::pair<NodeId, NodeId>> seen;
+  const std::int64_t max_pairs =
+      static_cast<std::int64_t>(g.num_nodes()) * (g.num_nodes() - 1);
+  while (static_cast<std::int64_t>(hot_pairs.size()) <
+         std::min<std::int64_t>(distinct, max_pairs)) {
+    const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    if (s != t && seen.insert({s, t}).second) hot_pairs.emplace_back(s, t);
   }
   const int total = static_cast<int>(hot_pairs.size()) * repeats;
 
   bench::print_header("E16", "sharded lanes vs single pool (hot pairs)");
-  std::printf("  torus n=%d, %d clusters, %zu hot in-cluster pairs x %d "
-              "repeats = %d queries\n",
-              static_cast<int>(g.num_nodes()), plan.num_clusters,
-              hot_pairs.size(), repeats, total);
-  bench::print_row({"config", "seconds", "qps", "speedup", "local_frac",
-                    "store_hits", "value_ratio"});
+  std::printf("  torus n=%d, %zu hot pairs x %d repeats = %d queries\n",
+              static_cast<int>(g.num_nodes()), hot_pairs.size(), repeats,
+              total);
+  bench::print_row({"config", "seconds", "qps", "speedup", "store_hits",
+                    "value_ratio"});
 
   EngineOptions base_options;
   base_options.sherman.num_trees = 6;
@@ -159,8 +130,7 @@ int main(int argc, char** argv) {
     reference = run_pairs(engine, hot_pairs, repeats);
     single_pool_qps = static_cast<double>(total) / reference.seconds;
     bench::print_row({"single_pool_t4", bench::fmt(reference.seconds),
-                      bench::fmt(single_pool_qps, 1), "1.0", "-", "0",
-                      "1.000"});
+                      bench::fmt(single_pool_qps, 1), "1.0", "0", "1.000"});
     artifact.add({{"scenario", "e16_single_pool"},
                   {"n", static_cast<int>(g.num_nodes())},
                   {"queries", total},
@@ -177,15 +147,9 @@ int main(int argc, char** argv) {
     const double qps = static_cast<double>(total) / got.seconds;
     const double speedup = qps / single_pool_qps;
     const double ratio = value_ratio(got.values, reference.values);
-    const auto routed = static_cast<double>(got.stats.queries_routed_local +
-                                            got.stats.queries_routed_cross);
-    const double local_frac =
-        routed > 0.0
-            ? static_cast<double>(got.stats.queries_routed_local) / routed
-            : 0.0;
     bench::print_row(
         {"shards_k" + std::to_string(shards), bench::fmt(got.seconds),
-         bench::fmt(qps, 1), bench::fmt(speedup, 2), bench::fmt(local_frac),
+         bench::fmt(qps, 1), bench::fmt(speedup, 2),
          bench::fmt_int(got.stats.result_store_hits), bench::fmt(ratio)});
     artifact.add({{"scenario", "e16_shard_k" + std::to_string(shards)},
                   {"n", static_cast<int>(g.num_nodes())},
@@ -193,81 +157,11 @@ int main(int argc, char** argv) {
                   {"throughput_qps", qps},
                   {"speedup", speedup},
                   {"value_ratio", ratio},
-                  {"local_fraction", local_frac},
                   {"store_hit_rate",
                    total > 0 ? static_cast<double>(
                                    got.stats.result_store_hits) /
                                    static_cast<double>(total)
-                             : 0.0},
-                  {"shard_locality", got.stats.shard_locality}});
-  }
-
-  // --- E16b: cross-shard fraction sweep at a fixed shard count. ---
-  // The pair set shifts from all-local to all-cross against the actual
-  // K=4 assignment; informational (absolute qps, machine-dependent).
-  bench::print_header("E16b", "cross-shard fraction sweep (4 shards)");
-  bench::print_row({"target_cross", "seconds", "qps", "observed_cross",
-                    "store_hit_rate"});
-  {
-    EngineOptions probe_options = base_options;
-    probe_options.shards = 4;
-    std::shared_ptr<const ShardAssignment> assignment;
-    {
-      FlowEngine probe(g, probe_options);
-      assignment = probe.shard_assignment();
-    }
-    std::vector<std::pair<NodeId, NodeId>> cross_pairs;
-    for (NodeId u = 0; u < g.num_nodes() &&
-                       static_cast<int>(cross_pairs.size()) < distinct;
-         ++u) {
-      for (NodeId v = static_cast<NodeId>(u + 1);
-           v < g.num_nodes() &&
-           static_cast<int>(cross_pairs.size()) < distinct;
-           ++v) {
-        if (assignment->shard_of(u) != assignment->shard_of(v)) {
-          cross_pairs.emplace_back(u, v);
-        }
-      }
-    }
-    for (const double fraction : {0.0, 0.25, 0.5, 1.0}) {
-      const int want_cross = std::min(
-          static_cast<int>(cross_pairs.size()),
-          static_cast<int>(fraction * static_cast<double>(hot_pairs.size()) +
-                           0.5));
-      std::vector<std::pair<NodeId, NodeId>> mixed;
-      for (int i = 0; i < want_cross; ++i) {
-        mixed.push_back(cross_pairs[static_cast<std::size_t>(i)]);
-      }
-      for (std::size_t i = mixed.size(); i < hot_pairs.size(); ++i) {
-        mixed.push_back(hot_pairs[i]);
-      }
-      FlowEngine engine(g, probe_options);  // fresh store per point
-      const WorkloadResult got = run_pairs(engine, mixed, repeats);
-      const int point_total = static_cast<int>(mixed.size()) * repeats;
-      const double qps = static_cast<double>(point_total) / got.seconds;
-      const auto routed =
-          static_cast<double>(got.stats.queries_routed_local +
-                              got.stats.queries_routed_cross);
-      const double observed_cross =
-          routed > 0.0
-              ? static_cast<double>(got.stats.queries_routed_cross) / routed
-              : 0.0;
-      const double hit_rate =
-          point_total > 0
-              ? static_cast<double>(got.stats.result_store_hits) /
-                    static_cast<double>(point_total)
-              : 0.0;
-      bench::print_row({bench::fmt(fraction, 2), bench::fmt(got.seconds),
-                        bench::fmt(qps, 1), bench::fmt(observed_cross),
-                        bench::fmt(hit_rate)});
-      artifact.add({{"scenario",
-                     "e16b_cross_fraction_" + bench::fmt(fraction, 2)},
-                    {"n", static_cast<int>(g.num_nodes())},
-                    {"queries", point_total},
-                    {"qps", qps},
-                    {"cross_fraction", observed_cross},
-                    {"store_hit_rate", hit_rate}});
-    }
+                             : 0.0}});
   }
 
   artifact.write();

@@ -17,10 +17,10 @@
 // read-your-writes probe per update parks on min_version until the
 // fresh snapshot is servable.
 //
-// The engine runs sharded (EngineOptions::shards): queries are routed
-// by terminal locality to per-shard lanes of the worker pool, each with
-// one pinned worker, and the final report prints the per-shard
-// breakdown — routing split, executed count, and replay-store hits.
+// The engine runs sharded (EngineOptions::shards): each query is routed
+// by a hash of its content to a lane of the worker pool, each with one
+// pinned worker, and the final report prints the per-shard breakdown —
+// executed count and replay-store hits.
 // Results are bitwise identical to shards = 0; pass 0 to compare.
 //
 //   ./example_flow_service [n] [waves] [wave_queries] [threads] [seed]
@@ -200,19 +200,12 @@ int main(int argc, char** argv) {
               static_cast<long long>(stats.rebuild.trees_repaired),
               static_cast<long long>(stats.rebuild.trees_reused));
   if (stats.num_shards > 0) {
-    std::printf("sharding: %d shards, locality %.2f, routed %lld local / "
-                "%lld cross, replay store %lld/%lld hit/miss\n",
-                stats.num_shards, stats.shard_locality,
-                static_cast<long long>(stats.queries_routed_local),
-                static_cast<long long>(stats.queries_routed_cross),
+    std::printf("sharding: %d shards, replay store %lld/%lld hit/miss\n",
+                stats.num_shards,
                 static_cast<long long>(stats.result_store_hits),
                 static_cast<long long>(stats.result_store_misses));
     for (const ShardStats& shard : stats.shards) {
-      std::printf("  shard %d: %lld nodes, %lld internal + %lld boundary "
-                  "edges; executed %lld, store hits %lld\n",
-                  shard.shard, static_cast<long long>(shard.nodes),
-                  static_cast<long long>(shard.internal_edges),
-                  static_cast<long long>(shard.boundary_edges),
+      std::printf("  shard %d: executed %lld, store hits %lld\n", shard.shard,
                   static_cast<long long>(shard.executed),
                   static_cast<long long>(shard.result_store_hits));
     }

@@ -9,7 +9,7 @@
 #include "lsst/split_graph.h"
 #include "util/rng.h"
 // expect-lint: layering
-#include "engine/shard_plan.h"
+#include "engine/hierarchy_cache.h"
 
 namespace dmf {
 

@@ -15,7 +15,6 @@
 
 #include "baselines/adapters.h"
 #include "engine/hierarchy_cache.h"
-#include "engine/shard_plan.h"
 #include "engine/solver_select.h"
 #include "graph/algorithms.h"
 #include "graph/flow.h"
@@ -56,8 +55,8 @@ bool valid_query_epsilon(double epsilon) {
   return std::isfinite(epsilon) && epsilon < 1.0;
 }
 
-// Content hashing for per-terminal-set RNG streams (FNV-1a over 64-bit
-// words).
+// Content hashing for per-terminal-set RNG streams and lane routing
+// (FNV-1a over 64-bit words).
 struct ContentHash {
   std::uint64_t state = 0xcbf29ce484222325ULL;
   void mix(std::uint64_t word) {
@@ -192,61 +191,13 @@ std::string memo_key(const CongestQuery& q) {
   return key;
 }
 
-// Terminal-locality routing: a query lands on the shard owning its
-// terminals; when they straddle shards (`cross`), on the lowest-indexed
-// owning shard, which serves it against the full hierarchy — the
-// hierarchy's top levels are the cross-shard aggregation path. Invalid
-// node ids map to shard 0 (ShardAssignment::shard_of), where validation
-// rejects the query as it would on any shard.
-int route_lane(const ShardAssignment& assignment, const MaxFlowQuery& q,
-               bool* cross) {
-  const int s = assignment.shard_of(q.s);
-  const int t = assignment.shard_of(q.t);
-  *cross = s != t;
-  return std::min(s, t);
-}
-
-int route_lane(const ShardAssignment& assignment, const CongestQuery& q,
-               bool* cross) {
-  const int s = assignment.shard_of(q.source);
-  const int t = assignment.shard_of(q.sink);
-  *cross = s != t;
-  return std::min(s, t);
-}
-
-int route_lane(const ShardAssignment& assignment, const RouteQuery& q,
-               bool* cross) {
-  int lane = -1;
-  *cross = false;
-  for (std::size_t v = 0; v < q.demand.size(); ++v) {
-    if (q.demand[v] == 0.0) continue;
-    const int s = assignment.shard_of(static_cast<NodeId>(v));
-    if (lane < 0) {
-      lane = s;
-    } else if (s != lane) {
-      *cross = true;
-      lane = std::min(lane, s);
-    }
-  }
-  return lane < 0 ? 0 : lane;
-}
-
-int route_lane(const ShardAssignment& assignment,
-               const MultiTerminalQuery& q, bool* cross) {
-  int lane = -1;
-  *cross = false;
-  for (const std::vector<NodeId>* set : {&q.sources, &q.sinks}) {
-    for (const NodeId v : *set) {
-      const int s = assignment.shard_of(v);
-      if (lane < 0) {
-        lane = s;
-      } else if (s != lane) {
-        *cross = true;
-        lane = std::min(lane, s);
-      }
-    }
-  }
-  return lane < 0 ? 0 : lane;
+// Content routing (sharded backend): a query's lane is a hash of its
+// replay key, so identical queries always meet the same lane's replay
+// store. One mix per key byte: byte-wise FNV-1a.
+int lane_of(const std::string& key, int num_shards) {
+  ContentHash h;
+  for (const char c : key) h.mix(static_cast<unsigned char>(c));
+  return static_cast<int>(h.state % static_cast<std::uint64_t>(num_shards));
 }
 
 }  // namespace
@@ -267,24 +218,19 @@ struct FlowEngine::Core {
     std::shared_ptr<const ShermanHierarchy> hierarchy;
     ShermanSolver solver;  // default-accuracy solver on the hierarchy
     std::shared_ptr<HierarchyCache> cache;
-    // --- sharded backend only (num_shards > 0; null otherwise) ---
-    // The snapshot's shard plan folded onto K shards: the router's
-    // node -> shard map plus per-shard counts for stats.
-    std::shared_ptr<const ShardAssignment> assignment;
     // Replay stores, one per shard, owned exclusively by that shard's
-    // worker; dropped whole with this generation.
+    // worker; dropped whole with this generation (sharded backend only;
+    // null when num_shards == 0).
     std::shared_ptr<ShardMemo> memo;
 
     Serving(GraphSnapshot snap, std::shared_ptr<const ShermanHierarchy> h,
-            const ShermanOptions& solver_options,
-            std::shared_ptr<const ShardAssignment> shards)
+            const ShermanOptions& solver_options, int num_shards)
         : snapshot(std::move(snap)),
           hierarchy(std::move(h)),
           solver(hierarchy, solver_options),
-          cache(std::make_shared<HierarchyCache>(kHierarchyCacheCapacity)),
-          assignment(std::move(shards)) {
-      if (assignment != nullptr) {
-        memo = std::make_shared<ShardMemo>(assignment->num_shards(),
+          cache(std::make_shared<HierarchyCache>(kHierarchyCacheCapacity)) {
+      if (num_shards > 0) {
+        memo = std::make_shared<ShardMemo>(num_shards,
                                            kShardResultStoreCapacity);
       }
     }
@@ -341,12 +287,10 @@ struct FlowEngine::Core {
 
   // --- sharded backend (options.shards; 0 = classic pool) ---
   int num_shards = 0;
-  // Routing / replay counters, cumulative across generations. One slot
-  // per shard behind a unique_ptr so the atomics never move; submit
-  // threads bump routing, shard workers bump store hits.
+  // Replay counters, cumulative across generations. One slot per shard
+  // behind a unique_ptr so the atomics never move; only that shard's
+  // worker bumps them.
   struct ShardCounters {
-    std::atomic<std::int64_t> routed_local{0};
-    std::atomic<std::int64_t> routed_cross{0};
     std::atomic<std::int64_t> store_hits{0};
     std::atomic<std::int64_t> store_misses{0};
   };
@@ -407,7 +351,7 @@ struct FlowEngine::Core {
             load_hierarchy(store->data_dir(), snap, hier_fingerprint);
         if (loaded != nullptr) {
           serving = std::make_shared<const Serving>(
-              snap, std::move(loaded), options.sherman, assign_shards(snap));
+              snap, std::move(loaded), options.sherman, num_shards);
           stats.hierarchy_cold_loads = 1;
         }
       } catch (...) {
@@ -446,9 +390,7 @@ struct FlowEngine::Core {
   // and bitwise identical to a fresh engine built on that snapshot.
   // A refresh passes the serving generation as `prev`; the build reuses
   // whichever of its trees it would reproduce (see ShermanHierarchy) and
-  // reports that in `report`. When it repairs, the topology is
-  // unchanged, so prev's shard assignment carries over too: the plan
-  // depends on nothing else.
+  // reports that in `report`.
   [[nodiscard]] std::shared_ptr<const Serving> build_serving(
       const GraphSnapshot& snap, const Serving* prev = nullptr,
       HierarchyRepairReport* report = nullptr) const {
@@ -460,18 +402,8 @@ struct FlowEngine::Core {
     auto hierarchy = std::make_shared<const ShermanHierarchy>(
         snap.graph, build_sherman, rng, snap.version, snap.csr,
         prev != nullptr ? prev->hierarchy.get() : nullptr, report);
-    return std::make_shared<const Serving>(
-        snap, std::move(hierarchy), options.sherman,
-        report->attempted ? prev->assignment : assign_shards(snap));
-  }
-
-  // The sharded backend's placement of `snap`'s nodes (null when
-  // unsharded): the snapshot's shard plan folded onto num_shards.
-  [[nodiscard]] std::shared_ptr<const ShardAssignment> assign_shards(
-      const GraphSnapshot& snap) const {
-    if (num_shards == 0) return nullptr;
-    return std::make_shared<const ShardAssignment>(
-        ShardPlan::build(*snap.graph), num_shards, *snap.graph);
+    return std::make_shared<const Serving>(snap, std::move(hierarchy),
+                                           options.sherman, num_shards);
   }
 
   [[nodiscard]] std::shared_ptr<const Serving> current_serving() const {
@@ -939,23 +871,14 @@ struct FlowEngine::Core {
     out.latest_version = store->latest_version();
     // --- sharded backend breakdown ---
     out.num_shards = num_shards;
-    if (num_shards > 0 && s->assignment != nullptr) {
-      out.shard_locality = s->assignment->locality();
+    if (num_shards > 0) {
       const std::shared_ptr<WorkerPool> lanes = pool.lock();
       out.shards.reserve(static_cast<std::size_t>(num_shards));
       for (int sh = 0; sh < num_shards; ++sh) {
         ShardStats row;
         row.shard = sh;
-        const ShardAssignment::Slice& slice = s->assignment->slice(sh);
-        row.nodes = slice.nodes;
-        row.internal_edges = slice.internal_edges;
-        row.boundary_edges = slice.boundary_edges;
         const ShardCounters& counters =
             *shard_counters[static_cast<std::size_t>(sh)];
-        row.routed_local =
-            counters.routed_local.load(std::memory_order_relaxed);
-        row.routed_cross =
-            counters.routed_cross.load(std::memory_order_relaxed);
         row.result_store_hits =
             counters.store_hits.load(std::memory_order_relaxed);
         row.result_store_misses =
@@ -965,8 +888,6 @@ struct FlowEngine::Core {
           row.executed = lane.executed;
           row.queue_depth = lane.queue_depth;
         }
-        out.queries_routed_local += row.routed_local;
-        out.queries_routed_cross += row.routed_cross;
         out.result_store_hits += row.result_store_hits;
         out.result_store_misses += row.result_store_misses;
         out.shards.push_back(row);
@@ -1012,26 +933,23 @@ Ticket<Payload> FlowEngine::submit_impl(
   auto promise = std::make_shared<std::promise<Result<Payload>>>();
   std::future<Result<Payload>> future = promise->get_future();
   auto core = core_;
-  // Terminal-locality routing (sharded backend): pick the query's lane
-  // from the *current* serving's assignment. A rebuild may swap in a
-  // different assignment before the query executes — harmless, since
-  // the lane only decides where the query runs and which replay store
-  // serves it, never what it computes.
+  // Content routing (sharded backend): the replay key picks the lane,
+  // so identical queries share one lane's replay store. The lane only
+  // decides where the query runs, never what it computes. An unsharded
+  // engine computes no key.
   int shard = -1;
+  std::string key;
   if (core->num_shards > 0) {
-    bool cross = false;
-    shard = route_lane(*core->current_serving()->assignment, query, &cross);
-    Core::ShardCounters& counters =
-        *core->shard_counters[static_cast<std::size_t>(shard)];
-    (cross ? counters.routed_cross : counters.routed_local)
-        .fetch_add(1, std::memory_order_relaxed);
+    key = memo_key(query);
+    shard = lane_of(key, core->num_shards);
   }
   // The pool requires `run` to never throw: anything escaping it
   // would std::terminate the worker thread. exec() classifies solver
   // exceptions itself; the catch-alls here cover non-std throws and,
   // separately, a throwing user callback (the callback's exception is
   // swallowed — the ticket still resolves with the computed result).
-  auto run = [core, promise, done, shard, query = std::move(query)] {
+  auto run = [core, promise, done, shard, key = std::move(key),
+              query = std::move(query)] {
     const auto start = std::chrono::steady_clock::now();
     // One consistent generation for the whole query: graph, hierarchy,
     // cache, and replay store all come from this Serving, which the
@@ -1044,13 +962,11 @@ Ticket<Payload> FlowEngine::submit_impl(
     // by construction. A hit replays the identical earlier computation
     // of this same generation — bitwise equal to re-running exec().
     ShardMemo::Stores* stores =
-        shard >= 0 && serving->memo != nullptr
+        shard >= 0
             ? serving->memo->per_shard[static_cast<std::size_t>(shard)].get()
             : nullptr;
-    std::string key;
     bool replayed = false;
     if (stores != nullptr) {
-      key = memo_key(query);
       if (const Result<Payload>* cached = store_for(*stores, query).find(key)) {
         result = *cached;
         replayed = true;
@@ -1321,10 +1237,6 @@ const ShermanHierarchy& FlowEngine::hierarchy() const {
 }
 
 const EngineOptions& FlowEngine::options() const { return core_->options; }
-
-std::shared_ptr<const ShardAssignment> FlowEngine::shard_assignment() const {
-  return core_->current_serving()->assignment;
-}
 
 EngineStats FlowEngine::stats() const { return core_->snapshot_stats(); }
 

@@ -51,23 +51,17 @@
 // v4: sharded execution. EngineOptions::shards = K > 0 gives the
 // worker pool K query lanes, each a priority queue with exactly one
 // worker pinned best-effort to a core, plus a control lane for rebuilds
-// (engine/session.h). Each serving generation folds a locality shard
-// plan of its snapshot (engine/shard_plan.h) onto the K shards — the
-// plan is the engine's alone; snapshots never carry one, and an
-// unsharded engine never builds one. submit() routes a query to the
-// lane of the shard owning its terminals, and that lane's worker — the
-// only thread that ever executes the shard's queries — serves it
-// against the generation's shared HierarchyCache plus a per-shard,
-// per-generation result store that replays previously computed
-// identical queries. The determinism contract is unchanged and
-// shard-count-invariant: results are bitwise identical at any shard
-// count (including 0, the one shared queue), because routing only picks
-// *where* a query runs and the result store only replays what the same
-// deterministic exec already produced for the same snapshot.
-// Cross-shard queries (terminals on different shards) run on the
-// lowest-indexed owning shard against the full hierarchy — the
-// hierarchy's top levels are the aggregation path — and are counted per
-// shard in EngineStats.
+// (engine/session.h). submit() routes a query by its content: the lane
+// is a hash of the query's exact-content replay key modulo K, so
+// identical queries always reach the same lane. That lane's worker — the
+// only thread that ever executes its queries — serves it against the
+// generation's shared HierarchyCache plus a per-lane, per-generation
+// result store that replays previously computed identical queries. The
+// determinism contract is unchanged and shard-count-invariant: results
+// are bitwise identical at any shard count (including 0, the one shared
+// queue), because routing only picks *where* a query runs and the
+// result store only replays what the same deterministic exec already
+// produced for the same snapshot.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +75,6 @@
 #include "engine/congest_runner.h"
 #include "engine/result.h"
 #include "engine/session.h"
-#include "engine/shard_plan.h"
 #include "graph/graph.h"
 #include "graph/graph_store.h"
 #include "maxflow/multi_terminal.h"
@@ -156,18 +149,12 @@ struct RebuildStats {
 };
 
 // Per-shard serving breakdown (sharded backend only; see
-// EngineOptions::shards). Slice fields describe the serving
-// generation's shard assignment; counter fields are cumulative since
-// engine construction.
+// EngineOptions::shards). Counters are cumulative since engine
+// construction; queue_depth is sampled.
 struct ShardStats {
   int shard = 0;
-  NodeId nodes = 0;            // global nodes owned by this shard
-  EdgeId internal_edges = 0;   // both endpoints on this shard
-  EdgeId boundary_edges = 0;   // edges this shard shares with another
-  std::size_t queue_depth = 0; // sampled lane queue length
-  std::int64_t executed = 0;   // queries run to completion on this lane
-  std::int64_t routed_local = 0;  // all terminals on this shard
-  std::int64_t routed_cross = 0;  // terminals straddle shards
+  std::size_t queue_depth = 0;  // sampled lane queue length
+  std::int64_t executed = 0;    // queries run to completion on this lane
   std::int64_t result_store_hits = 0;
   std::int64_t result_store_misses = 0;
 };
@@ -213,18 +200,10 @@ struct EngineStats {
   std::map<std::string, std::int64_t> queries_by_solver;
   // --- sharded execution (EngineOptions::shards > 0; empty otherwise) ---
   int num_shards = 0;  // 0 = classic single-pool backend
-  // Routing split at submit time: local = every terminal of the query
-  // fell on one shard, cross = the query aggregates across shards
-  // (served on its lowest owning shard against the full hierarchy).
-  std::int64_t queries_routed_local = 0;
-  std::int64_t queries_routed_cross = 0;
   // Per-shard, per-generation result store: a hit replays an identical
   // earlier query of the same snapshot bitwise instead of recomputing.
   std::int64_t result_store_hits = 0;
   std::int64_t result_store_misses = 0;
-  // Fraction of the serving snapshot's edges internal to their shard —
-  // the quality of the locality partition (1.0 when K == 1).
-  double shard_locality = 0.0;
   std::vector<ShardStats> shards;
 
   // The economic argument for batching: the one-off build cost spread
@@ -286,14 +265,14 @@ struct EngineOptions {
   // query execution when `shards` > 0 (one worker per lane).
   int threads = 0;
   // --- sharded execution ---
-  // 0 (default) keeps one queue shared by all workers. K > 0 partitions
-  // the serving snapshot into K shards via a locality plan and gives
-  // the pool one lane per shard — a priority queue with exactly one
-  // worker, pinned best-effort to a core — plus a control lane for
-  // rebuilds; submit() routes each query to the lane of the shard
-  // owning its terminals. Results are bitwise identical at every value
-  // of K — sharding moves work, never changes it. SubmitOptions::
-  // priority orders each lane; it was always only a scheduling hint.
+  // 0 (default) keeps one queue shared by all workers. K > 0 gives the
+  // pool K lanes — each a priority queue with exactly one worker,
+  // pinned best-effort to a core — plus a control lane for rebuilds;
+  // submit() routes each query to lane hash(replay key) % K, where that
+  // lane's replay store answers identical repeats. Results are bitwise
+  // identical at every value of K — sharding moves work, never changes
+  // it. SubmitOptions::priority orders each lane; it was always only a
+  // scheduling hint.
   int shards = 0;
   // Instances up to this many nodes go to the exact baselines (see
   // select_solver in engine/solver_select.h).
@@ -420,11 +399,6 @@ class FlowEngine {
   // apply()/refresh().
   [[nodiscard]] const ShermanHierarchy& hierarchy() const;
   [[nodiscard]] const EngineOptions& options() const;
-  // The serving generation's shard assignment (null when shards == 0).
-  // Like hierarchy(), superseded by the next rebuild swap — but the
-  // shared_ptr keeps a grabbed assignment valid indefinitely.
-  [[nodiscard]] std::shared_ptr<const ShardAssignment> shard_assignment()
-      const;
   // Snapshot of the counters (taken under the stats lock; safe to call
   // while queries are in flight).
   [[nodiscard]] EngineStats stats() const;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -28,6 +29,9 @@ FlowInstance read_dimacs(std::istream& in) {
       long n_long = 0;
       ls >> problem >> n_long >> m;
       DMF_REQUIRE(problem == "max", "read_dimacs: not a max-flow instance");
+      DMF_REQUIRE(n < 0, "read_dimacs: duplicate problem line");
+      DMF_REQUIRE(n_long >= 1 && n_long <= std::numeric_limits<NodeId>::max(),
+                  "read_dimacs: node count outside [1, INT32_MAX]");
       n = static_cast<NodeId>(n_long);
       instance.graph = Graph(n);
     } else if (kind == 'n') {

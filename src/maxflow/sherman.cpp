@@ -311,61 +311,6 @@ MaxFlowApproxResult ShermanSolver::max_flow(NodeId s, NodeId t) const {
   return out;
 }
 
-MaxFlowApproxResult ShermanSolver::max_flow_binary_search(NodeId s,
-                                                          NodeId t) const {
-  const CsrGraph& g = hierarchy_->csr();
-  DMF_REQUIRE(g.is_valid_node(s) && g.is_valid_node(t) && s != t,
-              "max_flow_binary_search: bad terminals");
-  MaxFlowApproxResult out;
-  out.alpha = hierarchy_->alpha();
-  out.num_trees = hierarchy_->approximator().num_trees();
-  out.rounds = hierarchy_->build_rounds();
-
-  // Initial bracket from the congestion approximator: for the unit s-t
-  // demand, opt congestion is in [||Rb||, alpha ||Rb||], so the max flow
-  // lies in [1/(alpha ||Rb||), 1/||Rb||].
-  const std::vector<double> unit = st_demand(g.num_nodes(), s, t, 1.0);
-  const double norm = hierarchy_->approximator().congestion_norm(unit);
-  DMF_REQUIRE(norm > 0.0, "max_flow_binary_search: degenerate demand");
-  const double alpha = hierarchy_->alpha();
-  double lo = 1.0 / (alpha * norm);
-  double hi = 1.2 / norm;  // small headroom over the analytic bound
-  const double eps = options_.epsilon;
-
-  std::vector<double> best_flow;
-  double best_value = 0.0;
-  const int steps = std::max(
-      4, static_cast<int>(std::ceil(std::log2(alpha / std::max(eps, 1e-3)))));
-  for (int step = 0; step < steps; ++step) {
-    const double mid = 0.5 * (lo + hi);
-    const RouteResult routed = route(st_demand(g.num_nodes(), s, t, mid));
-    out.gradient_iterations += routed.gradient_iterations;
-    out.rounds += routed.rounds;
-    out.converged = out.converged && routed.converged;
-    if (routed.congestion <= 1.0 + 1e-9) {
-      if (mid > best_value) {
-        best_value = mid;
-        best_flow = routed.flow;
-      }
-      lo = mid;
-    } else {
-      // Still useful: scaling down by the congestion yields a feasible
-      // flow of value mid / congestion.
-      const double scaled = mid / routed.congestion;
-      if (scaled > best_value) {
-        best_value = scaled;
-        best_flow = routed.flow;
-        for (double& f : best_flow) f /= routed.congestion;
-      }
-      hi = mid;
-    }
-  }
-  DMF_REQUIRE(!best_flow.empty(), "max_flow_binary_search: no feasible flow");
-  out.value = best_value;
-  out.flow = std::move(best_flow);
-  return out;
-}
-
 ShermanSolver::ApproxMinCut ShermanSolver::approx_min_cut(NodeId s,
                                                           NodeId t) const {
   const CsrGraph& g = hierarchy_->csr();

@@ -9,9 +9,7 @@
 //             near-optimal congestion; by homogeneity of congestion
 //             minimization, scaling the resulting exact unit flow by
 //             1/congestion yields a feasible s-t flow of value
-//             1/congestion >= (1-eps) * maxflow. A binary search over the
-//             demand value F (the paper's formulation) is provided as
-//             well and used by the experiments for cross-validation.
+//             1/congestion >= (1-eps) * maxflow.
 #pragma once
 
 #include <memory>
@@ -228,12 +226,6 @@ class ShermanSolver {
 
   // (1+eps)-approximate maximum s-t flow.
   [[nodiscard]] MaxFlowApproxResult max_flow(NodeId s, NodeId t) const;
-
-  // The paper's §2 formulation: binary search over the demand value F,
-  // testing each candidate by routing F units and checking feasibility.
-  // Cross-validates max_flow(); costs O(log(alpha/eps)) route() calls.
-  [[nodiscard]] MaxFlowApproxResult max_flow_binary_search(NodeId s,
-                                                           NodeId t) const;
 
   // Approximate minimum s-t cut: the most congested tree cut under the
   // unit s-t demand. Its capacity is within a factor alpha of the true

@@ -69,6 +69,24 @@ TEST(DimacsIo, RejectsOutOfRangeIds) {
   EXPECT_THROW(read_dimacs(in), RequirementError);
 }
 
+// Regression: the node count was narrowed to NodeId unchecked, so
+// 2^32 + 3 nodes loaded as a 3-node graph.
+TEST(DimacsIo, RejectsNodeCountOutsideInt32) {
+  for (const char* count : {"4294967299", "2147483648", "0", "-3"}) {
+    std::istringstream in(std::string("p max ") + count + " 1\na 1 3 5\n");
+    EXPECT_THROW(read_dimacs(in), RequirementError) << count;
+  }
+}
+
+// A second problem line used to re-create the graph silently.
+TEST(DimacsIo, RejectsDuplicateProblemLine) {
+  std::istringstream in(
+      "p max 3 1\n"
+      "p max 3 1\n"
+      "a 1 2 5\n");
+  EXPECT_THROW(read_dimacs(in), RequirementError);
+}
+
 // Regression: an overflowing capacity literal parses to +inf (or was
 // silently zeroed by stream extraction, dropping the arc); an explicit
 // "inf" used to pass Graph::add_edge's `> 0` check outright. The

@@ -1,87 +1,19 @@
-// Tests for the sharded execution path: ShardPlan determinism,
-// ShardAssignment invariants (cluster atomicity, slice counts,
-// locality), and the engine-level contract — results bitwise identical
-// at every shard count, the shard assignment following every kind of
-// snapshot swap, replay-store and routing stats accounting, min_version
-// parking on the sharded backend. The lane mechanics themselves are
-// WorkerPool cases in session_test.
+// Tests for the sharded execution path: the engine-level contract —
+// results bitwise identical at every shard count, across every kind of
+// snapshot swap, replay-store hit accounting for every query kind,
+// min_version parking on the sharded backend. The lane mechanics
+// themselves are WorkerPool cases in session_test.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "engine/engine.h"
 #include "graph/generators.h"
-#include "engine/shard_plan.h"
 #include "graph/graph_store.h"
 #include "util/rng.h"
 
 namespace dmf {
 namespace {
-
-// --- shard plan --------------------------------------------------------------
-
-TEST(ShardPlan, DeterministicAndContentDerived) {
-  Rng rng(7);
-  const Graph g = make_gnp_connected(80, 0.08, {1, 8}, rng);
-  const ShardPlan a = ShardPlan::build(g);
-  const ShardPlan b = ShardPlan::build(g);
-  ASSERT_EQ(a.cluster.size(), static_cast<std::size_t>(g.num_nodes()));
-  EXPECT_GT(a.num_clusters, 1);
-  EXPECT_EQ(a.cluster, b.cluster);  // pure function of the topology
-  EXPECT_EQ(a.num_clusters, b.num_clusters);
-  for (const int c : a.cluster) {
-    EXPECT_GE(c, 0);
-    EXPECT_LT(c, a.num_clusters);
-  }
-}
-
-TEST(ShardAssignment, SliceInvariantsAndClusterAtomicity) {
-  Rng rng(13);
-  const Graph g = make_gnp_connected(90, 0.07, {1, 8}, rng);
-  const ShardPlan plan = ShardPlan::build(g);
-  for (const int k : {1, 2, 3, 5}) {
-    const ShardAssignment assignment(plan, k, g);
-    ASSERT_EQ(assignment.num_shards(), k);
-    std::vector<NodeId> owned(static_cast<std::size_t>(k), 0);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      ++owned[static_cast<std::size_t>(assignment.shard_of(v))];
-    }
-    NodeId total_nodes = 0;
-    EdgeId internal = 0;
-    EdgeId boundary_halves = 0;
-    for (int s = 0; s < k; ++s) {
-      const ShardAssignment::Slice& slice = assignment.slice(s);
-      // A slice counts exactly the nodes the router maps to it.
-      EXPECT_EQ(slice.nodes, owned[static_cast<std::size_t>(s)]);
-      total_nodes += slice.nodes;
-      internal += slice.internal_edges;
-      boundary_halves += slice.boundary_edges;
-    }
-    EXPECT_EQ(total_nodes, g.num_nodes());
-    // Every edge is either internal to exactly one shard or counted as
-    // a boundary half by exactly two.
-    EXPECT_EQ(internal + boundary_halves / 2, g.num_edges());
-    EXPECT_EQ(boundary_halves % 2, 0);
-    // Cluster atomicity: the plan's clusters are never split.
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      for (NodeId u = 0; u < g.num_nodes(); ++u) {
-        if (plan.cluster[static_cast<std::size_t>(v)] ==
-            plan.cluster[static_cast<std::size_t>(u)]) {
-          ASSERT_EQ(assignment.shard_of(v), assignment.shard_of(u));
-        }
-      }
-    }
-    EXPECT_GE(assignment.locality(), 0.0);
-    EXPECT_LE(assignment.locality(), 1.0);
-    if (k == 1) {
-      EXPECT_EQ(assignment.locality(), 1.0);
-      EXPECT_EQ(boundary_halves, 0);
-    }
-    // Out-of-range ids route to shard 0 (where validation rejects them).
-    EXPECT_EQ(assignment.shard_of(kInvalidNode), 0);
-    EXPECT_EQ(assignment.shard_of(g.num_nodes()), 0);
-  }
-}
 
 // --- engine-level sharding ---------------------------------------------------
 
@@ -102,24 +34,33 @@ struct CollectedResults {
   Result<CongestRunResult> congest;
 };
 
+// One route, one multi-terminal and one CONGEST query on `g`.
+struct MixedQueries {
+  RouteQuery route;
+  MultiTerminalQuery multi;
+  CongestQuery congest;
+};
+
+MixedQueries mixed_queries(const Graph& g) {
+  const NodeId last = g.num_nodes() - 1;
+  MixedQueries out;
+  out.route.demand.assign(static_cast<std::size_t>(g.num_nodes()), 0.0);
+  out.route.demand.front() = 2.0;
+  out.route.demand.back() = -2.0;
+  out.multi = MultiTerminalQuery{{0, 1, 2}, {last - 1, last}, 0.0, false};
+  out.congest = CongestQuery{0, last, 0, 1};
+  return out;
+}
+
 CollectedResults run_workload(FlowEngine& engine, const Graph& g,
                               const std::vector<MaxFlowQuery>& queries,
                               const std::vector<std::size_t>& order) {
-  RouteQuery route;
-  route.demand.assign(static_cast<std::size_t>(g.num_nodes()), 0.0);
-  route.demand.front() = 2.0;
-  route.demand.back() = -2.0;
-  const MultiTerminalQuery multi{{0, 1, 2}, {static_cast<NodeId>(g.num_nodes() - 2),
-                                             static_cast<NodeId>(g.num_nodes() - 1)},
-                                 0.0,
-                                 false};
-  const CongestQuery congest{0, static_cast<NodeId>(g.num_nodes() - 1), 0, 1};
-
+  const MixedQueries mixed = mixed_queries(g);
   CollectedResults out;
   std::vector<MaxFlowTicket> tickets(queries.size());
-  RouteTicket route_ticket = engine.submit(route);
-  MultiTerminalTicket multi_ticket = engine.submit(multi);
-  CongestTicket congest_ticket = engine.submit(congest);
+  RouteTicket route_ticket = engine.submit(mixed.route);
+  MultiTerminalTicket multi_ticket = engine.submit(mixed.multi);
+  CongestTicket congest_ticket = engine.submit(mixed.congest);
   for (const std::size_t i : order) {
     tickets[i] = engine.submit(queries[i]);
   }
@@ -193,11 +134,9 @@ TEST(FlowEngineSharded, ShardCountAndPermutationBitwiseDeterminism) {
   }
 }
 
-// Sharding is the engine's decision, re-made per serving generation: a
-// capacity-only swap (incremental repair) keeps the assignment, and a
-// full rebuild recomputes it from the new snapshot. Throughout, the
-// sharded engine answers bitwise like an unsharded one on the same
-// store.
+// Across a capacity-only swap (incremental repair), a node-only publish
+// that cannot serve, and a topology swap (full rebuild), the sharded
+// engine answers bitwise like an unsharded one on the same store.
 TEST(FlowEngineSharded, AssignmentFollowsCapacityNodeAndTopologySwaps) {
   Rng rng(11);
   auto store =
@@ -209,11 +148,6 @@ TEST(FlowEngineSharded, AssignmentFollowsCapacityNodeAndTopologySwaps) {
     ASSERT_EQ(sharded.serving_version(), expected);
     ASSERT_EQ(unsharded.serving_version(), expected);
     const Graph& g = *sharded.snapshot().graph;
-    NodeId nodes = 0;
-    for (const ShardStats& shard : sharded.stats().shards) {
-      nodes += shard.nodes;
-    }
-    EXPECT_EQ(nodes, g.num_nodes());
 
     std::vector<MaxFlowQuery> queries;
     for (NodeId i = 0; i < 4; ++i) {
@@ -253,29 +187,22 @@ TEST(FlowEngineSharded, AssignmentFollowsCapacityNodeAndTopologySwaps) {
   };
   check_serving(0);
 
-  // Capacity-only: the repaired generation keeps the assignment.
-  const auto before = sharded.shard_assignment();
-  ASSERT_NE(before, nullptr);
+  // Capacity-only: the refresh repairs the serving hierarchy.
   ASSERT_TRUE(apply(MutationBatch{}.set_capacity(0, 5.0).set_capacity(7, 0.5)));
   EXPECT_EQ(sharded.stats().rebuild.repairs_completed, 1);
-  EXPECT_EQ(sharded.shard_assignment(), before);
   check_serving(1);
 
-  // Node-only: the new nodes are isolated, so the full rebuild (which
-  // would recompute the plan) cannot serve the snapshot. Both engines
-  // keep serving version 1 with the assignment they had.
+  // Node-only: the new nodes are isolated, so the full rebuild cannot
+  // serve the snapshot. Both engines keep serving version 1.
   EXPECT_FALSE(apply(MutationBatch{}.add_nodes(3)));
-  EXPECT_EQ(sharded.shard_assignment(), before);
   check_serving(1);
 
-  // Topology: wiring the new nodes in makes the snapshot servable; the
-  // rebuild recomputes the assignment over all 63 nodes.
+  // Topology: wiring the new nodes in makes the snapshot servable.
   ASSERT_TRUE(apply(MutationBatch{}
                         .add_edge(60, 0, 2.0)
                         .add_edge(61, 60, 1.5)
                         .add_edge(62, 61, 3.0)
                         .add_edge(62, 30, 1.0)));
-  EXPECT_NE(sharded.shard_assignment(), before);
   EXPECT_EQ(sharded.snapshot().graph->num_nodes(), 63);
   check_serving(3);
 }
@@ -309,49 +236,51 @@ TEST(FlowEngineSharded, ReplayStoreHitAccountingAndBitwiseReplay) {
   EXPECT_EQ(stats.queries_served, 5);  // replayed queries count as served
 }
 
-TEST(FlowEngineSharded, RoutingStatsFollowTerminalLocality) {
+// Content routing sends every repeat of a route, multi-terminal or
+// CONGEST query to the lane that stored its first answer, so each repeat
+// replays — bitwise equal to what an unsharded engine computes.
+TEST(FlowEngineSharded, RouteMultiTerminalAndCongestRepeatsReplay) {
   Rng rng(606);
   const Graph g = make_gnp_connected(80, 0.08, {1, 9}, rng);
-  FlowEngine engine(g, shard_options(2));
-  const auto assignment = engine.shard_assignment();
-  ASSERT_NE(assignment, nullptr);
+  const MixedQueries mixed = mixed_queries(g);
+  FlowEngine reference(g, shard_options(0));
+  const Result<RouteResult> want_route = reference.submit(mixed.route).get();
+  const Result<MultiTerminalMaxFlowResult> want_multi =
+      reference.submit(mixed.multi).get();
+  const Result<CongestRunResult> want_congest =
+      reference.submit(mixed.congest).get();
+  ASSERT_TRUE(want_route.ok()) << want_route.message;
+  ASSERT_TRUE(want_multi.ok()) << want_multi.message;
+  ASSERT_TRUE(want_congest.ok()) << want_congest.message;
 
-  // Pick one same-shard pair and one cross-shard pair from the actual
-  // assignment, then check the routing counters see them that way.
-  NodeId local_s = kInvalidNode, local_t = kInvalidNode;
-  NodeId cross_s = kInvalidNode, cross_t = kInvalidNode;
-  for (NodeId u = 0; u < g.num_nodes() && (local_s == kInvalidNode ||
-                                           cross_s == kInvalidNode);
-       ++u) {
-    for (NodeId v = static_cast<NodeId>(u + 1); v < g.num_nodes(); ++v) {
-      if (assignment->shard_of(u) == assignment->shard_of(v)) {
-        if (local_s == kInvalidNode) {
-          local_s = u;
-          local_t = v;
-        }
-      } else if (cross_s == kInvalidNode) {
-        cross_s = u;
-        cross_t = v;
-      }
-    }
+  FlowEngine engine(g, shard_options(3));
+  constexpr int kRounds = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    // Sequential resolution: each repeat sees the first answer stored.
+    const Result<RouteResult> route = engine.submit(mixed.route).get();
+    const Result<MultiTerminalMaxFlowResult> multi =
+        engine.submit(mixed.multi).get();
+    const Result<CongestRunResult> congest = engine.submit(mixed.congest).get();
+    ASSERT_TRUE(route.ok()) << route.message;
+    ASSERT_TRUE(multi.ok()) << multi.message;
+    ASSERT_TRUE(congest.ok()) << congest.message;
+    EXPECT_EQ(route.value().flow, want_route.value().flow);
+    EXPECT_EQ(route.value().congestion, want_route.value().congestion);
+    EXPECT_EQ(multi.value().value, want_multi.value().value);
+    EXPECT_EQ(multi.value().flow, want_multi.value().flow);
+    EXPECT_EQ(congest.value().flow_value, want_congest.value().flow_value);
+    EXPECT_EQ(congest.value().stats.rounds, want_congest.value().stats.rounds);
   }
-  ASSERT_NE(local_s, kInvalidNode);
-  ASSERT_NE(cross_s, kInvalidNode);
-
-  ASSERT_TRUE(engine.submit(MaxFlowQuery{local_s, local_t}).get().ok());
-  ASSERT_TRUE(engine.submit(MaxFlowQuery{cross_s, cross_t}).get().ok());
   // get() returns at result delivery; the lane's executed counter lands
   // just after. wait_all() orders the sample behind it.
   engine.wait_all();
   const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.queries_routed_local, 1);
-  EXPECT_EQ(stats.queries_routed_cross, 1);
-  EXPECT_GT(stats.shard_locality, 0.0);
+  ASSERT_EQ(stats.shards.size(), 3u);
+  EXPECT_EQ(stats.result_store_misses, 3);
+  EXPECT_EQ(stats.result_store_hits, 3 * (kRounds - 1));
   std::int64_t executed = 0;
-  for (const ShardStats& shard : stats.shards) {
-    executed += shard.executed;
-  }
-  EXPECT_EQ(executed, 2);
+  for (const ShardStats& shard : stats.shards) executed += shard.executed;
+  EXPECT_EQ(executed, 3 * kRounds);
 }
 
 TEST(FlowEngineSharded, MinVersionParkingAndMutationOnShardedBackend) {
@@ -374,8 +303,6 @@ TEST(FlowEngineSharded, MinVersionParkingAndMutationOnShardedBackend) {
   const Result<MaxFlowApproxResult> after = probe.get();
   ASSERT_TRUE(after.ok()) << after.message;
   EXPECT_GE(after.served_version, v);
-  // The repaired generation carries the shard assignment over.
-  EXPECT_NE(engine.shard_assignment(), nullptr);
   const EngineStats stats = engine.stats();
   // The probe parks only if it outran the rebuild — timing-dependent on
   // a loaded box — so assert the bound, not the exact count.
