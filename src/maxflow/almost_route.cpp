@@ -17,11 +17,15 @@ namespace {
 constexpr double kStepGrowth = 1.2;
 constexpr double kStepCap = 64.0;
 
-}  // namespace
+// The unweighted soft-max's weights: w * t folds to t for w = 1.0, so
+// it sums exactly what an unweighted loop would.
+struct UnitWeights {
+  double operator[](std::size_t /*i*/) const { return 1.0; }
+};
 
-namespace detail {
-
-SoftMax symmetric_softmax_in_place(double* x, std::size_t k) {
+template <class Weights>
+detail::SoftMax softmax_in_place(double* x, const Weights& weight,
+                                 std::size_t k) {
   // Four running maxima, so consecutive compares do not wait on each
   // other; a max is exact, so the split does not change the result.
   double lane[4] = {0.0, 0.0, 0.0, 0.0};
@@ -38,11 +42,24 @@ SoftMax symmetric_softmax_in_place(double* x, std::size_t k) {
   for (i = 0; i < k; ++i) {
     const double plus = std::exp(x[i] - max);
     const double minus = std::exp(-x[i] - max);
-    sum += plus + minus;
+    sum += static_cast<double>(weight[i]) * (plus + minus);
     x[i] = plus - minus;
   }
-  // The max element contributes e^0 = 1, so sum >= 1 when k > 0.
+  // The max element contributes w e^0 >= 1, so sum >= 1 when k > 0.
   return {max + std::log(sum), 1.0 / sum};
+}
+
+}  // namespace
+
+namespace detail {
+
+SoftMax symmetric_softmax_in_place(double* x, std::size_t k) {
+  return softmax_in_place(x, UnitWeights{}, k);
+}
+
+SoftMax symmetric_softmax_in_place(double* x, const std::int32_t* weight,
+                                   std::size_t k) {
+  return softmax_in_place(x, weight, k);
 }
 
 }  // namespace detail
@@ -89,6 +106,8 @@ AlmostRouteResult almost_route(const CsrGraph& g,
   const double rounds_per_rejection = rounds_per_application + diameter_rounds;
 
   const auto num_trees = static_cast<std::size_t>(approximator.num_trees());
+  const CongestionApproximator::CutGroups& cuts = approximator.cut_groups();
+  const std::size_t num_cuts = cuts.num_cuts();
   std::vector<double> gradient(m, 0.0);
   std::vector<double> residual(n, 0.0);
   // The flow before the last step; a rejected step swaps it back.
@@ -102,9 +121,10 @@ AlmostRouteResult almost_route(const CsrGraph& g,
   std::vector<double> pi;
   std::vector<double> tree_workspace;
   // Soft-max differences e^{x-M} - e^{-x-M} (see symmetric_softmax_in_place)
-  // for the edges and for the non-root tree slots.
+  // for the edges and for the distinct tree cuts, and each cut's price.
   std::vector<double> edge_diff(m);
-  std::vector<double> slot_diff(num_trees * n);
+  std::vector<double> cut_diff(num_cuts);
+  std::vector<double> cut_price(num_cuts);
 
   // The step multiplier (see the header): mu scales Sherman's step.
   double mu = 1.0;
@@ -139,20 +159,14 @@ AlmostRouteResult almost_route(const CsrGraph& g,
     const detail::SoftMax sm1 =
         detail::symmetric_softmax_in_place(edge_diff.data(), m);
 
-    // phi_2 = smax(2 alpha R r) over the non-root slots of every tree,
-    // gathered in tree order.
+    // phi_2 = smax(2 alpha R r): one term per distinct cut, read at its
+    // representative slot and weighted by the slots inducing it.
     approximator.apply_into(residual, 2.0 * alpha, y_flat, tree_workspace);
-    std::size_t k = 0;
-    for (std::size_t t = 0; t < num_trees; ++t) {
-      const RootedTree& tree = approximator.tree(static_cast<int>(t));
-      const double* y = y_flat.data() + t * n;
-      const auto root = static_cast<std::size_t>(tree.root);
-      for (std::size_t v = 0; v < n; ++v) {
-        if (v != root) slot_diff[k++] = y[v];
-      }
+    for (std::size_t c = 0; c < num_cuts; ++c) {
+      cut_diff[c] = y_flat[cuts.rep_slot[c]];
     }
-    const detail::SoftMax sm2 =
-        detail::symmetric_softmax_in_place(slot_diff.data(), k);
+    const detail::SoftMax sm2 = detail::symmetric_softmax_in_place(
+        cut_diff.data(), cuts.multiplicity.data(), num_cuts);
     const double potential = sm1.phi + sm2.phi;
 
     // --- The adaptive step: judge the step just taken. ---
@@ -190,18 +204,16 @@ AlmostRouteResult almost_route(const CsrGraph& g,
     }
     // phi_2 part via potentials: price of link (v -> parent) in tree t is
     // 2 alpha (e^{y-phi2} - e^{-y-phi2}) / cap_T(link), again the stored
-    // difference times 1/sum2; then dphi2/df_e = pi_v - pi_u for e = (u, v).
+    // difference times 1/sum2, computed once per cut and scattered to
+    // its slots; then dphi2/df_e = pi_v - pi_u for e = (u, v).
     const double price_scale = 2.0 * alpha * sm2.inv_sum;
+    for (std::size_t c = 0; c < num_cuts; ++c) {
+      cut_price[c] = price_scale * cut_diff[c] / cuts.cap[c];
+    }
     price_flat.resize(num_trees * n);
-    k = 0;
-    for (std::size_t t = 0; t < num_trees; ++t) {
-      const RootedTree& tree = approximator.tree(static_cast<int>(t));
-      double* price = price_flat.data() + t * n;
-      const auto root = static_cast<std::size_t>(tree.root);
-      for (std::size_t v = 0; v < n; ++v) {
-        price[v] =
-            v == root ? 0.0 : price_scale * slot_diff[k++] / tree.parent_cap[v];
-      }
+    for (std::size_t slot = 0; slot < num_trees * n; ++slot) {
+      const std::int32_t c = cuts.slot_cut[slot];
+      price_flat[slot] = c < 0 ? 0.0 : cut_price[static_cast<std::size_t>(c)];
     }
     approximator.potentials_into(price_flat, pi, tree_workspace);
     for (std::size_t e = 0; e < m; ++e) {

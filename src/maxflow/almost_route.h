@@ -20,6 +20,14 @@
 //    d_i = e^{x_i-M} - e^{-x_i-M}, and the gradient and the link prices
 //    are d_i * (1/sum) instead of two more exp each. 1/sum is safe: the
 //    element with |x_i| = M contributes e^0 = 1, so sum >= 1;
+//  * phi_2 has one term per distinct tree cut, not per tree slot:
+//    phi_2 = log sum_c w_c (e^{y_c} + e^{-y_c}), where w_c counts the
+//    slots inducing cut c (CongestionApproximator::cut_groups). It equals
+//    the per-slot soft-max in real arithmetic and pays two exp per cut;
+//    y_c is read at the cut's representative slot after the R
+//    application, and the cut's link price 2 alpha inv_sum d_c / cap_c
+//    is computed once and scattered to its slots before the R^T
+//    application;
 //  * dphi2/df_e = pi_v - pi_u (Eq. 4): one R application (subtree sums)
 //    and one R^T application (root-path prefix sums) per iteration;
 //  * the 17/16 rescaling loop keeps phi in [16 eps^-1 log n, ~17/16 of
@@ -55,6 +63,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "capprox/approximator.h"
@@ -103,9 +112,14 @@ namespace detail {
 // e^{x_i-phi} - e^{-x_i-phi} = d_i * inv_sum. Exposed for tests.
 struct SoftMax {
   double phi = 0.0;
-  double inv_sum = 0.0;  // 1 / sum_i (e^{x_i-M} + e^{-x_i-M}), <= 1
+  double inv_sum = 0.0;  // 1 / sum_i w_i (e^{x_i-M} + e^{-x_i-M}), <= 1
 };
 SoftMax symmetric_softmax_in_place(double* x, std::size_t k);
+// The weighted form log sum_i w_i (e^{x_i} + e^{-x_i}) with integer
+// weights w_i >= 1: equal in real arithmetic to the unweighted soft-max
+// over x with each x_i repeated w_i times.
+SoftMax symmetric_softmax_in_place(double* x, const std::int32_t* weight,
+                                   std::size_t k);
 
 }  // namespace detail
 

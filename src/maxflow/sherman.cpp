@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "baselines/tree_routing.h"
 #include "cluster/boruvka.h"
@@ -251,6 +252,7 @@ RouteResult ShermanSolver::route(const std::vector<double>& demand) const {
   RouteResult result;
   result.flow.assign(m, 0.0);
   std::vector<double> residual = demand;
+  std::vector<double> div;
 
   AlmostRouteOptions ar = options_.almost_route;
   ar.alpha = hierarchy_->alpha();
@@ -269,7 +271,7 @@ RouteResult ShermanSolver::route(const std::vector<double>& demand) const {
     for (std::size_t e = 0; e < m; ++e) {
       result.flow[e] += step.flow[e];
     }
-    const std::vector<double> div = flow_divergence(g, result.flow);
+    flow_divergence_into(g, result.flow, div);
     for (std::size_t v = 0; v < n; ++v) {
       residual[v] = demand[v] - div[v];
     }
@@ -298,13 +300,13 @@ MaxFlowApproxResult ShermanSolver::max_flow(NodeId s, NodeId t) const {
   // Route a unit s-t demand with near-optimal congestion; homogeneity
   // turns the congestion into a max-flow value.
   const std::vector<double> b = st_demand(g.num_nodes(), s, t, 1.0);
-  const RouteResult routed = route(b);
+  RouteResult routed = route(b);
   out.gradient_iterations = routed.gradient_iterations;
   out.rounds += routed.rounds;
   out.converged = routed.converged;
   DMF_REQUIRE(routed.congestion > 0.0, "max_flow: zero-congestion route");
 
-  out.flow = routed.flow;
+  out.flow = std::move(routed.flow);
   const double lambda = 1.0 / routed.congestion;
   for (double& f : out.flow) f *= lambda;
   out.value = lambda;  // the flow routes lambda units s -> t, feasibly

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <thread>
+#include <vector>
 
 #include "baselines/dinic.h"
 #include "capprox/approximator.h"
@@ -12,6 +16,8 @@
 #include "graph/algorithms.h"
 #include "graph/flow.h"
 #include "graph/generators.h"
+#include "maxflow/almost_route.h"
+#include "maxflow/sherman.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -321,6 +327,167 @@ TEST(Hierarchy, SamplingAdvancesCallerRngByOneDrawPerTree) {
   (void)sample_virtual_trees(g, 5, options, a);
   for (int i = 0; i < 5; ++i) (void)b();
   EXPECT_EQ(a(), b());
+}
+
+// --- Distinct cuts: the slot grouping behind AlmostRoute's phi_2. ---
+
+// Membership of subtree(v) in `tree`, marked explicitly by a DFS.
+std::vector<char> subtree_members(const RootedTree& tree,
+                                  const std::vector<std::vector<NodeId>>& kids,
+                                  NodeId v) {
+  std::vector<char> in(static_cast<std::size_t>(tree.num_nodes()), 0);
+  std::vector<NodeId> stack = {v};
+  while (!stack.empty()) {
+    const NodeId x = stack.back();
+    stack.pop_back();
+    in[static_cast<std::size_t>(x)] = 1;
+    for (const NodeId c : kids[static_cast<std::size_t>(x)]) {
+      stack.push_back(c);
+    }
+  }
+  return in;
+}
+
+// Checks every slot's cut against brute force: the slot's subtree and
+// its cut's representative subtree are the same node set, no two cuts
+// are the same node set, multiplicities count the slots, and a leaf
+// slot's cut is {v}.
+void expect_exact_grouping(const CongestionApproximator& approx) {
+  const auto nn = static_cast<std::size_t>(approx.num_nodes());
+  const auto trees = static_cast<std::size_t>(approx.num_trees());
+  const CongestionApproximator::CutGroups& cuts = approx.cut_groups();
+  ASSERT_EQ(cuts.slot_cut.size(), trees * nn);
+  ASSERT_EQ(cuts.multiplicity.size(), cuts.num_cuts());
+  ASSERT_EQ(cuts.cap.size(), cuts.num_cuts());
+  std::vector<std::vector<std::vector<NodeId>>> kids;
+  for (std::size_t t = 0; t < trees; ++t) {
+    kids.push_back(tree_children(approx.tree(static_cast<int>(t))));
+  }
+  const auto members = [&](std::size_t slot) {
+    return subtree_members(approx.tree(static_cast<int>(slot / nn)),
+                           kids[slot / nn], static_cast<NodeId>(slot % nn));
+  };
+  std::vector<std::int32_t> counted(cuts.num_cuts(), 0);
+  for (std::size_t slot = 0; slot < trees * nn; ++slot) {
+    const RootedTree& tree = approx.tree(static_cast<int>(slot / nn));
+    const auto v = static_cast<NodeId>(slot % nn);
+    const std::int32_t c = cuts.slot_cut[slot];
+    if (v == tree.root) {
+      EXPECT_EQ(c, -1);
+      continue;
+    }
+    ASSERT_GE(c, 0);
+    ASSERT_LT(static_cast<std::size_t>(c), cuts.num_cuts());
+    ++counted[static_cast<std::size_t>(c)];
+    const std::size_t rep = cuts.rep_slot[static_cast<std::size_t>(c)];
+    EXPECT_LE(rep, slot);
+    const std::vector<char> mine = members(slot);
+    EXPECT_EQ(members(rep), mine) << "slot " << slot << " rep " << rep;
+    if (kids[slot / nn][static_cast<std::size_t>(v)].empty()) {
+      std::vector<char> single(nn, 0);
+      single[static_cast<std::size_t>(v)] = 1;
+      EXPECT_EQ(mine, single) << "leaf slot " << slot;
+    }
+  }
+  std::int64_t total = 0;
+  std::map<std::vector<char>, std::size_t> seen;
+  for (std::size_t c = 0; c < cuts.num_cuts(); ++c) {
+    const std::size_t rep = cuts.rep_slot[c];
+    EXPECT_EQ(cuts.slot_cut[rep], static_cast<std::int32_t>(c));
+    EXPECT_EQ(cuts.multiplicity[c], counted[c]);
+    EXPECT_EQ(cuts.cap[c],
+              approx.tree(static_cast<int>(rep / nn)).parent_cap[rep % nn]);
+    total += cuts.multiplicity[c];
+    const auto [it, fresh] = seen.emplace(members(rep), c);
+    EXPECT_TRUE(fresh) << "cuts " << it->second << " and " << c
+                       << " are one node set";
+  }
+  EXPECT_EQ(total, static_cast<std::int64_t>(trees * (nn - 1)));
+}
+
+TEST(CutGroups, RepresentativesAreExactOnFamilies) {
+  Rng rng(8101);
+  const std::vector<Graph> graphs = {
+      make_path(64, {1, 8}, rng), make_random_tree(96, {1, 8}, rng),
+      make_grid(16, 16, {1, 8}, rng),
+      make_gnp_connected(256, 4.0 / 256, {1, 8}, rng)};
+  for (const Graph& g : graphs) {
+    SCOPED_TRACE(g.num_nodes());
+    const CongestionApproximator approx = CongestionApproximator::from_samples(
+        sample_virtual_trees(g, 12, HierarchyOptions{}, rng));
+    expect_exact_grouping(approx);
+  }
+}
+
+// The same node set with a different link capacity is a different row
+// of R, so it stays a separate cut.
+TEST(CutGroups, EqualSetsWithOtherCapacitiesStayApart) {
+  Rng rng(8103);
+  const Graph g = make_random_tree(40, {1, 8}, rng);
+  const RootedTree tree = bfs_spanning_tree(g, 0);
+  RootedTree doubled = tree;
+  for (double& c : doubled.parent_cap) c *= 2.0;
+  const CongestionApproximator same({tree, tree});
+  const CongestionApproximator apart({tree, doubled});
+  EXPECT_EQ(same.cut_groups().num_cuts(), 39u);
+  EXPECT_EQ(apart.cut_groups().num_cuts(), 78u);
+  for (const std::int32_t w : same.cut_groups().multiplicity) EXPECT_EQ(w, 2);
+  expect_exact_grouping(same);
+}
+
+// The GoldenBuild instance (maxflow_test): gnp n=256 with 24 trees.
+TEST(CutGroups, GoldenBuildDistinctCutCount) {
+  Rng graph_rng(1);
+  const Graph g = make_gnp_connected(256, 1.0 / 64, {1, 8}, graph_rng);
+  ShermanOptions options;
+  options.num_trees = 24;
+  Rng rng(1);
+  const ShermanHierarchy h(g, options, rng);
+  const CongestionApproximator& approx = h.approximator();
+  const std::size_t slots = 24u * 255u;
+  constexpr std::size_t kDistinctCuts = 1995;
+  EXPECT_EQ(approx.cut_groups().num_cuts(), kDistinctCuts);
+  EXPECT_LE(2 * approx.cut_groups().num_cuts(), slots);
+  expect_exact_grouping(approx);
+}
+
+// The grouping is computed on first use; eight threads racing to be
+// first must all see one grouping and get the sequential answer bitwise.
+TEST(CongestionApproximator, ConcurrentFirstUseGroupsOnce) {
+  Rng graph_rng(8107);
+  const Graph g = make_gnp_connected(128, 4.0 / 128, {1, 8}, graph_rng);
+  Rng rng(8109);
+  const std::vector<VirtualTreeSample> samples =
+      sample_virtual_trees(g, 12, HierarchyOptions{}, rng);
+  const CongestionApproximator shared =
+      CongestionApproximator::from_samples(samples);
+  const CongestionApproximator sequential =
+      CongestionApproximator::from_samples(samples);
+  const CsrGraph csr(g);
+  const std::vector<double> b = st_demand(128, 0, 127, 1.0);
+  const AlmostRouteResult expected =
+      almost_route(csr, sequential, b, AlmostRouteOptions{});
+  constexpr int kThreads = 8;
+  std::vector<AlmostRouteResult> results(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      results[static_cast<std::size_t>(i)] =
+          almost_route(csr, shared, b, AlmostRouteOptions{});
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const AlmostRouteResult& r : results) {
+    EXPECT_EQ(r.iterations, expected.iterations);
+    EXPECT_EQ(std::memcmp(&r.potential, &expected.potential, sizeof(double)),
+              0);
+    ASSERT_EQ(r.flow.size(), expected.flow.size());
+    EXPECT_EQ(std::memcmp(r.flow.data(), expected.flow.data(),
+                          r.flow.size() * sizeof(double)),
+              0);
+  }
+  EXPECT_EQ(shared.cut_groups().slot_cut, sequential.cut_groups().slot_cut);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // exact Dinic baseline (Theorem 1.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -131,6 +133,56 @@ TEST(SymmetricSoftMax, LargeInputsStayFinite) {
   EXPECT_GT(sm.inv_sum, 0.0);
   EXPECT_LE(sm.inv_sum, 1.0);
   for (const double v : d) EXPECT_TRUE(std::isfinite(v));
+}
+
+// The weighted form AlmostRoute runs over distinct cuts: each term
+// weighted w_c equals w_c copies of it, against a long-double reference
+// over the expanded input, and the differences are those of the copies.
+TEST(SymmetricSoftMax, WeightedEqualsExpandedDuplicates) {
+  std::vector<std::vector<double>> cases = softmax_cases();
+  cases.push_back({700.0, -700.0, 699.9, -699.9, 0.0, 1e-300});
+  for (const std::vector<double>& x : cases) {
+    std::vector<std::int32_t> weight(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      weight[i] = static_cast<std::int32_t>(1 + (7 * i + 3) % 11) *
+                  (i % 3 == 0 ? 400 : 1);
+    }
+    std::vector<double> expanded;
+    long double max = 0.0L;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      expanded.insert(expanded.end(), static_cast<std::size_t>(weight[i]),
+                      x[i]);
+      max = std::max(max, std::abs(static_cast<long double>(x[i])));
+    }
+    long double shifted = 0.0L;
+    for (const double v : expanded) {
+      shifted += std::exp(static_cast<long double>(v) - max) +
+                 std::exp(-static_cast<long double>(v) - max);
+    }
+    const auto phi_ref = static_cast<double>(max + std::log(shifted));
+    const auto inv_sum_ref = static_cast<double>(1.0L / shifted);
+
+    std::vector<double> d = x;
+    const detail::SoftMax sm =
+        detail::symmetric_softmax_in_place(d.data(), weight.data(), d.size());
+    EXPECT_TRUE(std::isfinite(sm.phi));
+    EXPECT_NEAR(sm.phi, phi_ref, 1e-13 * std::abs(phi_ref));
+    EXPECT_NEAR(sm.inv_sum, inv_sum_ref, 1e-13 * inv_sum_ref);
+    EXPECT_GT(sm.inv_sum, 0.0);
+    EXPECT_LE(sm.inv_sum, 1.0);
+
+    std::vector<double> de = expanded;
+    const detail::SoftMax sme =
+        detail::symmetric_softmax_in_place(de.data(), de.size());
+    EXPECT_NEAR(sm.phi, sme.phi, 1e-13 * std::abs(sme.phi));
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_TRUE(std::isfinite(d[i]));
+      for (std::int32_t r = 0; r < weight[i]; ++r) {
+        EXPECT_EQ(d[i], de[k++]) << "x = " << x[i];
+      }
+    }
+  }
 }
 
 TEST(SymmetricSoftMax, AllZeroInputIsLogTwoK) {
