@@ -18,7 +18,7 @@
 // carries a per-shard breakdown.
 //
 // --data-dir DIR makes the store durable: every published snapshot (and
-// the hierarchy serving it) is persisted as mmap arena files under DIR
+// the hierarchy serving it) is persisted as arena files under DIR
 // before the mutate returns. When DIR already holds a store, it is
 // reopened instead of generating a graph — the synthetic-graph flags
 // are ignored and the first query is served from the persisted

@@ -1,12 +1,13 @@
 // E17: cold start — reopen a persisted store vs rebuild from scratch.
 //
-// The out-of-core snapshot path's thesis: with --data-dir style
+// The persisted snapshot path's thesis: with --data-dir style
 // persistence (PersistPolicy::kOnPublish), every published snapshot's
-// edge list AND the hierarchy serving it land on disk as mmap arena
-// files, so a process restart replays the edges, packs the CSR from
-// them (O(n + m)) and maps the saved tree arrays back in instead of
-// resampling them — the first query after a crash costs a file open
-// and a pack, not a hierarchy build. Two timed paths over the SAME
+// edge list AND the hierarchy serving it land on disk as arena files
+// (util/arena.h), so a process restart reads and checks them, replays
+// the edges, packs the CSR from them (O(n + m)) and copies the saved
+// tree arrays back in instead of resampling them — the first query
+// after a crash costs reading the files and a pack, not a hierarchy
+// build. Two timed paths over the SAME
 // final graph:
 //
 //   rebuild:   a fresh in-memory engine on a copy of the reopened
@@ -128,7 +129,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- cold open: map the persisted hierarchy, serve, no rebuild. ---
+  // --- cold open: read the persisted hierarchy, serve, no rebuild. ---
   std::vector<double> cold_samples;
   bool bitwise = true;
   std::int64_t cold_loads = 0;

@@ -11,7 +11,6 @@
 #include <string>
 
 #include "baselines/dinic.h"
-#include "graph/capacity_reduction.h"
 #include "graph/flow.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -40,18 +39,7 @@ int main(int argc, char** argv) {
   DMF_REQUIRE(instance.source != kInvalidNode && instance.sink != kInvalidNode,
               "instance must designate s and t ('n <id> s' / 'n <id> t')");
 
-  // Footnote-1 preprocessing if the capacity ratio is extreme.
-  Graph g = instance.graph;
-  double scale = 1.0;
-  if (g.max_capacity() / g.min_capacity() > 1e6) {
-    const CapacityReductionResult reduced =
-        reduce_capacity_ratio(g, instance.source, instance.sink, eps / 2.0);
-    std::printf("capacity ratio reduced: %.2e -> %.2e\n",
-                reduced.ratio_before, reduced.ratio_after);
-    g = reduced.graph;
-    scale = reduced.scale;
-  }
-
+  const Graph& g = instance.graph;
   ShermanOptions options;
   options.epsilon = eps;
   options.almost_route.epsilon = eps < 0.5 ? eps : 0.5;
@@ -63,11 +51,11 @@ int main(int argc, char** argv) {
   const double exact =
       dinic_max_flow_value(g, instance.source, instance.sink);
 
-  std::printf("\napprox max flow : %.4f\n", flow.value * scale);
-  std::printf("exact max flow  : %.4f\n", exact * scale);
+  std::printf("\napprox max flow : %.4f\n", flow.value);
+  std::printf("exact max flow  : %.4f\n", exact);
   std::printf("value ratio     : %.4f\n", flow.value / exact);
   std::printf("approx min cut  : %.4f (true min cut = max flow)\n",
-              cut.capacity * scale);
+              cut.capacity);
   std::printf("feasible        : %s\n",
               is_feasible(g, flow.flow, 1e-6) ? "yes" : "NO");
   std::printf("CONGEST rounds  : %.0f accounted\n", flow.rounds);

@@ -15,11 +15,6 @@ contracts":
                          depends on libstdc++ internals and the hash
                          seed; any order-dependent fold over it is a
                          nondeterminism bug. Keyed lookups are fine.
-  span-convention        Headers that hand out Span<T> views (the
-                         snapshot/CSR/hierarchy surface) must not grow
-                         new `const std::vector<T>&` accessor returns —
-                         vectors pin the data to heap-backed storage and
-                         break the mmap-arena zero-copy path.
   require-not-assert     API boundaries use DMF_REQUIRE (always on,
                          throws) or DMF_ASSERT, never C assert(): a
                          Release build silently compiles assert() away
@@ -101,7 +96,6 @@ LOWER_LAYER_INCLUDES = ("graph/", "util/")
 RULES = (
     "nondeterministic-rng",
     "unordered-iteration",
-    "span-convention",
     "require-not-assert",
     "naked-thread",
     "unguarded-field",
@@ -283,25 +277,6 @@ def check_unordered_iteration(relpath, code, code_lines, findings):
                 "deterministic solver path; iteration order is "
                 "hash-seed-dependent — use std::map/std::vector or sort "
                 "the keys first"))
-
-
-VECTOR_RETURN_RE = re.compile(
-    r"(?:^|[;{}]\s*|\n\s*)(?:\[\[nodiscard\]\]\s*)?const\s+std::vector\s*<"
-    r"[^;{}()]*>\s*&\s+\w+\s*\([^;{}]*\)\s*(?:const)?\s*[{;]")
-
-
-def check_span_convention(relpath, code, findings):
-    """Headers on the Span surface must not return const vector&."""
-    if not is_header(relpath) or "Span<" not in code:
-        return
-    for m in VECTOR_RETURN_RE.finditer(code):
-        leading = len(m.group(0)) - len(m.group(0).lstrip("\n ;{}"))
-        line = code.count("\n", 0, m.start(0) + leading) + 1
-        findings.append(Finding(
-            relpath, line, "span-convention",
-            "accessor returns const std::vector<T>& in a Span-surface "
-            "header; return Span<const T> so mmap-backed snapshots stay "
-            "zero-copy"))
 
 
 ASSERT_RE = re.compile(r"(?<![\w.])assert\s*\(")
@@ -505,7 +480,6 @@ def lint_text(relpath, raw_text):
     findings = []
     check_rng(relpath, code_lines, findings)
     check_unordered_iteration(relpath, code, code_lines, findings)
-    check_span_convention(relpath, code, findings)
     check_assert(relpath, code_lines, findings)
     check_naked_thread(relpath, code_lines, findings)
     check_unguarded_field(relpath, code, findings)
@@ -608,7 +582,7 @@ def run_self_test(root):
 def main():
     parser = argparse.ArgumentParser(
         prog="dmf_lint.py",
-        description="Project-invariant linter (determinism, Span, "
+        description="Project-invariant linter (determinism, layering, "
                     "lock-discipline conventions).")
     parser.add_argument("paths", nargs="*",
                         help="files to lint (default: all of src/)")

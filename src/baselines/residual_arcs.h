@@ -28,7 +28,7 @@ inline FlatArcs build_flat_arcs(const CsrGraph& g) {
   FlatArcs out;
   out.offsets = g.offsets().data();
   out.targets = g.neighbor_array().data();
-  const Span<const EdgeId> edge_ids = g.edge_id_array();
+  const std::vector<EdgeId>& edge_ids = g.edge_id_array();
   out.arcs.resize(edge_ids.size());
   const EdgeEndpoints* eps = g.endpoints_data();
   std::size_t pos = 0;

@@ -307,12 +307,12 @@ class Network {
   void build() {
     const CsrGraph& csr = *csr_;
     const auto n = static_cast<std::size_t>(csr.num_nodes());
-    const Span<const std::size_t> off = csr.offsets();
+    const std::vector<std::size_t>& off = csr.offsets();
     const std::size_t slots = off[n];
     peer_ = reverse_half_edges(csr);
     slot_node_ = half_edge_sources(csr);
     slot_cap_.resize(slots);
-    const Span<const EdgeId> edge_ids = csr.edge_id_array();
+    const std::vector<EdgeId>& edge_ids = csr.edge_id_array();
     for (std::size_t h = 0; h < slots; ++h) {
       slot_cap_[h] = csr.capacity(edge_ids[h]);
     }

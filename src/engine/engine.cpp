@@ -343,7 +343,7 @@ struct FlowEngine::Core {
     const GraphSnapshot snap = store->snapshot();
     const auto start = std::chrono::steady_clock::now();
     // Cold-start fast path: a hierarchy persisted for this exact
-    // snapshot + options maps back in with zero sampling. Any failure
+    // snapshot + options is read back in with zero sampling. Any failure
     // (corrupt file, mismatch) falls through to a normal build.
     if (store->persistence_enabled()) {
       try {

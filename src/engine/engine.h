@@ -178,7 +178,7 @@ struct EngineStats {
   // Background refresh behavior (full rebuilds + incremental repairs).
   RebuildStats rebuild;
   // --- persistence (GraphStore data_dir configured; zeros otherwise) ---
-  // Cold starts served from a persisted hierarchy: construction mapped
+  // Cold starts served from a persisted hierarchy: construction read
   // the saved tree arrays instead of sampling — no rebuild ran.
   std::int64_t hierarchy_cold_loads = 0;
   // A persisted hierarchy existed but failed to load (corrupt file,

@@ -4,6 +4,15 @@
 
 namespace dmf {
 
+namespace {
+
+template <typename T>
+[[nodiscard]] std::shared_ptr<const std::vector<T>> share(std::vector<T> v) {
+  return std::make_shared<const std::vector<T>>(std::move(v));
+}
+
+}  // namespace
+
 CsrGraph::CsrGraph(std::shared_ptr<const Graph> graph,
                    const CsrGraph* previous)
     : graph_(std::move(graph)) {
@@ -28,7 +37,7 @@ void CsrGraph::build(const CsrGraph* previous) {
   // Mutation is append-only (add_nodes / add_edge / set_capacity), so
   // within one copy-on-write lineage equal edge counts mean the packed
   // half-edge arrays are identical, and equal node counts additionally
-  // mean the offsets are. Sharing is a handle copy.
+  // mean the offsets are. Sharing is a pointer copy.
   const bool same_edges =
       previous != nullptr && previous->num_edges_ == num_edges_;
   if (same_edges && previous->num_nodes_ == num_nodes_) {
@@ -43,11 +52,11 @@ void CsrGraph::build(const CsrGraph* previous) {
   if (same_edges) {
     // Nodes appended, adjacency untouched: share the packed arrays and
     // extend the old offsets with empty rows.
-    const Span<const std::size_t> old = previous->offsets();
+    const std::vector<std::size_t>& old = previous->offsets();
     for (std::size_t v = 0; v <= n; ++v) {
       off[v] = v < old.size() ? old[v] : old.back();
     }
-    offsets_ = SharedArray<std::size_t>::adopt(std::move(off));
+    offsets_ = share(std::move(off));
     neighbors_ = previous->neighbors_;
     edge_ids_ = previous->edge_ids_;
     cache_raw_views();
@@ -76,21 +85,21 @@ void CsrGraph::build(const CsrGraph* previous) {
     neighbors[cursor[v]] = eps[e].u;
     edge_ids[cursor[v]++] = id;
   }
-  offsets_ = SharedArray<std::size_t>::adopt(std::move(off));
-  neighbors_ = SharedArray<NodeId>::adopt(std::move(neighbors));
-  edge_ids_ = SharedArray<EdgeId>::adopt(std::move(edge_ids));
+  offsets_ = share(std::move(off));
+  neighbors_ = share(std::move(neighbors));
+  edge_ids_ = share(std::move(edge_ids));
   cache_raw_views();
 }
 
 void CsrGraph::cache_raw_views() {
-  offsets_ptr_ = offsets_.data();
-  neighbors_ptr_ = neighbors_.data();
-  edge_ids_ptr_ = edge_ids_.data();
+  offsets_ptr_ = offsets_->data();
+  neighbors_ptr_ = neighbors_->data();
+  edge_ids_ptr_ = edge_ids_->data();
 }
 
 std::vector<NodeId> half_edge_sources(const CsrGraph& csr) {
   const auto n = static_cast<std::size_t>(csr.num_nodes());
-  const Span<const std::size_t> off = csr.offsets();
+  const std::vector<std::size_t>& off = csr.offsets();
   std::vector<NodeId> sources(off[n]);
   for (std::size_t v = 0; v < n; ++v) {
     for (std::size_t h = off[v]; h < off[v + 1]; ++h) {
@@ -102,7 +111,7 @@ std::vector<NodeId> half_edge_sources(const CsrGraph& csr) {
 
 std::vector<std::size_t> reverse_half_edges(const CsrGraph& csr) {
   const auto m = static_cast<std::size_t>(csr.num_edges());
-  const Span<const EdgeId> edge_ids = csr.edge_id_array();
+  const std::vector<EdgeId>& edge_ids = csr.edge_id_array();
   constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
   // Each edge id occurs in exactly two slots (no self-loops); pair them.
   std::vector<std::size_t> first_slot(m, kUnseen);

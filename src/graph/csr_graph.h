@@ -25,19 +25,19 @@
 // its endpoint/capacity storage (zero copies — snapshots are immutable).
 // The structure arrays are always packed in memory from the edge list
 // — never adopted from outside, so their contents are correct by
-// construction — and may be shared between CsrGraphs of different
-// snapshots in the same copy-on-write lineage when a mutation batch did
-// not touch the adjacency (capacity-only batches share everything;
-// node-only batches share the packed half-edge arrays and re-derive the
-// offsets); see GraphStore::apply. GraphStore::open packs a reopened
-// snapshot's CSR the same way; none is ever read from disk.
+// construction — and held as shared_ptr<const std::vector<T>>, so
+// CsrGraphs of different snapshots in the same copy-on-write lineage
+// share them when a mutation batch did not touch the adjacency
+// (capacity-only batches share everything; node-only batches share the
+// packed half-edge arrays and re-derive the offsets); see
+// GraphStore::apply. GraphStore::open packs a reopened snapshot's CSR
+// the same way; none is ever read from disk.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "graph/graph.h"
-#include "util/span.h"
 
 namespace dmf {
 
@@ -142,16 +142,16 @@ class CsrGraph {
   }
   [[nodiscard]] const double* capacities_data() const { return capacities_; }
 
-  // The packed structure arrays as spans. Sharing across snapshot
-  // versions is observable as data() pointer equality.
-  [[nodiscard]] Span<const std::size_t> offsets() const {
-    return offsets_.span();
+  // The packed structure arrays. Sharing across snapshot versions is
+  // observable as data() pointer equality.
+  [[nodiscard]] const std::vector<std::size_t>& offsets() const {
+    return *offsets_;
   }
-  [[nodiscard]] Span<const NodeId> neighbor_array() const {
-    return neighbors_.span();
+  [[nodiscard]] const std::vector<NodeId>& neighbor_array() const {
+    return *neighbors_;
   }
-  [[nodiscard]] Span<const EdgeId> edge_id_array() const {
-    return edge_ids_.span();
+  [[nodiscard]] const std::vector<EdgeId>& edge_id_array() const {
+    return *edge_ids_;
   }
 
   // The Graph this CSR was packed from (null deleter in the view form).
@@ -162,13 +162,15 @@ class CsrGraph {
   void cache_raw_views();
 
   std::shared_ptr<const Graph> graph_;
-  // The packed structure arrays, shared (handle copy) between snapshot
+  // The packed structure arrays, shared (pointer copy) between snapshot
   // versions whose adjacency is unchanged.
-  SharedArray<std::size_t> offsets_;  // n + 1
-  SharedArray<NodeId> neighbors_;     // 2m
-  SharedArray<EdgeId> edge_ids_;      // 2m
+  template <typename T>
+  using Packed = std::shared_ptr<const std::vector<T>>;
+  Packed<std::size_t> offsets_;  // n + 1
+  Packed<NodeId> neighbors_;     // 2m
+  Packed<EdgeId> edge_ids_;      // 2m
   // Raw views of the arrays above (and the graph's), cached so a row
-  // lookup is two offset loads with no handle indirections.
+  // lookup is two offset loads with no pointer indirections.
   const std::size_t* offsets_ptr_ = nullptr;
   const NodeId* neighbors_ptr_ = nullptr;
   const EdgeId* edge_ids_ptr_ = nullptr;

@@ -10,7 +10,7 @@
 #include <string>
 #include <utility>
 
-#include "util/mmap_arena.h"
+#include "util/arena.h"
 
 namespace dmf {
 
@@ -28,6 +28,12 @@ constexpr std::uint64_t kTagCapacities = 6;
 // at indices 3 and 4 and the edge-list words at 5 and 6.
 constexpr std::size_t kManifestWords = 5;
 constexpr std::size_t kLegacyManifestWords = 7;
+
+// How many persisted versions stay on disk; older manifests and the
+// arena files only they reference are garbage-collected after each
+// publish. The version CURRENT points at is always kept. This bounds
+// disk use only: open() reads nothing but the CURRENT version.
+constexpr std::size_t kRetainVersions = 4;
 
 [[nodiscard]] std::string arena_path(const std::string& dir,
                                      const char* name, std::uint64_t version) {
@@ -72,7 +78,7 @@ struct Manifest {
 // beyond the NodeId/EdgeId range are corrupt, not narrowed.
 [[nodiscard]] Manifest read_manifest(const std::string& dir,
                                      std::uint64_t v) {
-  const SharedArray<std::uint64_t> words = ArenaVector<std::uint64_t>::open(
+  const std::vector<std::uint64_t> words = read_arena<std::uint64_t>(
       arena_path(dir, "manifest", v), kTagManifest);
   const std::size_t size = words.size();
   DMF_REQUIRE((size == kManifestWords || size == kLegacyManifestWords) &&
@@ -145,9 +151,9 @@ std::shared_ptr<GraphStore> GraphStore::open(const std::string& data_dir,
   last.version = v;
   last.endpoints_from = manifest.endpoints_from;
   last.capacities_from = manifest.capacities_from;
-  const SharedArray<EdgeEndpoints> endpoints = ArenaVector<EdgeEndpoints>::open(
+  const std::vector<EdgeEndpoints> endpoints = read_arena<EdgeEndpoints>(
       arena_path(data_dir, "endpoints", last.endpoints_from), kTagEndpoints);
-  const SharedArray<double> capacities = ArenaVector<double>::open(
+  const std::vector<double> capacities = read_arena<double>(
       arena_path(data_dir, "capacities", last.capacities_from),
       kTagCapacities);
   DMF_REQUIRE(
@@ -260,9 +266,9 @@ void GraphStore::persist_snapshot_locked(const GraphSnapshot& snap) {
     refs.endpoints_from = last_persisted_.endpoints_from;
   } else {
     refs.endpoints_from = v;
-    ArenaVector<EdgeEndpoints>::write(arena_path(dir, "endpoints", v),
-                                      kTagEndpoints,
-                                      snap.graph->edge_endpoints());
+    const std::vector<EdgeEndpoints>& endpoints = snap.graph->edge_endpoints();
+    write_arena(arena_path(dir, "endpoints", v), kTagEndpoints,
+                endpoints.data(), endpoints.size());
   }
   const std::vector<double>& caps = snap.graph->capacities();
   if (have_prev && static_cast<std::size_t>(prev.graph->num_edges()) == m &&
@@ -271,8 +277,8 @@ void GraphStore::persist_snapshot_locked(const GraphSnapshot& snap) {
     refs.capacities_from = last_persisted_.capacities_from;
   } else {
     refs.capacities_from = v;
-    ArenaVector<double>::write(arena_path(dir, "capacities", v),
-                               kTagCapacities, caps);
+    write_arena(arena_path(dir, "capacities", v), kTagCapacities, caps.data(),
+                caps.size());
   }
 
   // Manifest after the arrays it references, CURRENT last: a crash at
@@ -283,10 +289,8 @@ void GraphStore::persist_snapshot_locked(const GraphSnapshot& snap) {
       static_cast<std::uint64_t>(m),
       refs.endpoints_from,
       refs.capacities_from};
-  ArenaVector<std::uint64_t>::write(arena_path(dir, "manifest", v),
-                                    kTagManifest,
-                                    Span<const std::uint64_t>(words,
-                                                              kManifestWords));
+  write_arena(arena_path(dir, "manifest", v), kTagManifest, words,
+              kManifestWords);
   write_file_atomic(current_path(dir), std::to_string(v) + "\n");
 
   refs.snapshot = snap;
@@ -299,7 +303,7 @@ void GraphStore::gc_locked() const {
   const std::string& dir = options_.data_dir;
   std::error_code ec;
 
-  // Which manifests stay: the newest retain_versions (CURRENT's always
+  // Which manifests stay: the newest kRetainVersions (CURRENT's always
   // among them — it is the newest by construction).
   std::vector<std::uint64_t> manifests;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
@@ -313,10 +317,8 @@ void GraphStore::gc_locked() const {
   }
   if (ec) return;  // GC is best-effort
   std::sort(manifests.begin(), manifests.end());
-  const std::size_t keep = std::max<std::size_t>(1, options_.retain_versions);
-  if (manifests.size() > keep) {
-    manifests.erase(manifests.begin(),
-                    manifests.end() - static_cast<std::ptrdiff_t>(keep));
+  if (manifests.size() > kRetainVersions) {
+    manifests.erase(manifests.begin(), manifests.end() - kRetainVersions);
   }
   const std::set<std::uint64_t> kept(manifests.begin(), manifests.end());
   if (kept.empty()) return;

@@ -20,16 +20,18 @@
 // long as some reader still holds its GraphSnapshot.
 //
 // Persistence (GraphStoreOptions::persist + data_dir): published
-// snapshots are written to disk as arena files (util/mmap_arena.h) —
-// the edge list only, a manifest plus the endpoints and capacities
-// arrays — and GraphStore::open rebuilds the latest one after a restart,
+// snapshots are written to disk as arena files (util/arena.h) — the
+// edge list only, a manifest plus the endpoints and capacities arrays —
+// and GraphStore::open rebuilds the latest one after a restart,
 // including a crash, since every publish is arrays -> manifest ->
-// CURRENT with each step an atomic tmp+fsync+rename. The CSR is never
-// persisted: open replays the checked edge list and packs it, the same
-// O(n + m) pass a content check of a stored CSR would cost. The on-disk
-// copy-on-write ladder: a node-only version writes only a manifest, a
-// capacity-only one a new capacities array as well, and only topology
-// batches rewrite the endpoints. See README "Persistence & out-of-core".
+// CURRENT with each step an atomic tmp+fsync+rename. open reads each
+// array into memory and checks it; nothing on disk is used in place.
+// The CSR is never persisted: open replays the checked edge list and
+// packs it, the same O(n + m) pass a content check of a stored CSR
+// would cost. The on-disk copy-on-write ladder: a node-only version
+// writes only a manifest, a capacity-only one a new capacities array as
+// well, and only topology batches rewrite the endpoints. See README
+// "Persistence & cold start".
 #pragma once
 
 #include <cstddef>
@@ -139,12 +141,9 @@ struct GraphStoreOptions {
   PersistPolicy persist = PersistPolicy::kNone;
   // Directory for the arena files; required when persist != kNone,
   // optional otherwise (enables manual persist()). Created on demand.
+  // Each publish garbage-collects all but the newest four persisted
+  // versions (CURRENT's always among them).
   std::string data_dir;
-  // How many persisted versions stay on disk; older manifests and the
-  // arena files only they reference are garbage-collected after each
-  // publish. The version CURRENT points at is always kept. This bounds
-  // disk use only: open() reads nothing but the CURRENT version.
-  std::size_t retain_versions = 4;
 };
 
 class GraphStore {

@@ -2,11 +2,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "capprox/approximator.h"
 #include "graph/tree.h"
-#include "util/mmap_arena.h"
+#include "util/arena.h"
 
 namespace dmf {
 namespace {
@@ -128,21 +129,20 @@ void save_hierarchy(const std::string& dir, const ShermanHierarchy& hierarchy,
                  tree.parent_edge.end());
   }
 
-  const Span<const TreeBuildRecord> records = hierarchy.tree_records();
+  const std::vector<TreeBuildRecord>& records = hierarchy.tree_records();
   DMF_REQUIRE(records.size() == static_cast<std::size_t>(num_trees),
               "save_hierarchy: tree record count disagrees with approximator");
 
-  ArenaVector<TreeBuildRecord>::write(hier_path(dir, version, "records"),
-                                      kTagHierRecords, records);
-  ArenaVector<NodeId>::write(hier_path(dir, version, "roots"), kTagHierRoots,
-                             {roots.data(), roots.size()});
-  ArenaVector<NodeId>::write(hier_path(dir, version, "parents"),
-                             kTagHierParents,
-                             {parents.data(), parents.size()});
-  ArenaVector<double>::write(hier_path(dir, version, "caps"), kTagHierCaps,
-                             {caps.data(), caps.size()});
-  ArenaVector<EdgeId>::write(hier_path(dir, version, "edges"), kTagHierEdges,
-                             {edges.data(), edges.size()});
+  write_arena(hier_path(dir, version, "records"), kTagHierRecords,
+              records.data(), records.size());
+  write_arena(hier_path(dir, version, "roots"), kTagHierRoots, roots.data(),
+              roots.size());
+  write_arena(hier_path(dir, version, "parents"), kTagHierParents,
+              parents.data(), parents.size());
+  write_arena(hier_path(dir, version, "caps"), kTagHierCaps, caps.data(),
+              caps.size());
+  write_arena(hier_path(dir, version, "edges"), kTagHierEdges, edges.data(),
+              edges.size());
 
   // Meta last: its presence marks the set complete, so a crash between
   // any of the writes above reads back as "no saved hierarchy".
@@ -154,8 +154,8 @@ void save_hierarchy(const std::string& dir, const ShermanHierarchy& hierarchy,
   meta[kMetaAlpha] = double_bits(hierarchy.alpha());
   meta[kMetaBuildRounds] = double_bits(hierarchy.build_rounds());
   meta[kMetaBucketOctaves] = double_bits(hierarchy.capacity_bucket_octaves());
-  ArenaVector<std::uint64_t>::write(hier_path(dir, version, "meta"),
-                                    kTagHierMeta, {meta, kMetaWords});
+  write_arena(hier_path(dir, version, "meta"), kTagHierMeta, meta,
+              kMetaWords);
 }
 
 std::shared_ptr<const ShermanHierarchy> load_hierarchy(
@@ -175,8 +175,8 @@ std::shared_ptr<const ShermanHierarchy> load_hierarchy(
     return nullptr;
   }
 
-  SharedArray<std::uint64_t> meta =
-      ArenaVector<std::uint64_t>::open(meta_path, kTagHierMeta);
+  const std::vector<std::uint64_t> meta =
+      read_arena<std::uint64_t>(meta_path, kTagHierMeta);
   DMF_REQUIRE(meta.size() == kMetaWords,
               "load_hierarchy: meta arena has wrong word count");
   const NodeId n = snap.graph->num_nodes();
@@ -190,16 +190,16 @@ std::shared_ptr<const ShermanHierarchy> load_hierarchy(
   const std::size_t slices = num_trees + 1;
   const std::size_t nn = static_cast<std::size_t>(n);
 
-  SharedArray<TreeBuildRecord> records = ArenaVector<TreeBuildRecord>::open(
+  std::vector<TreeBuildRecord> records = read_arena<TreeBuildRecord>(
       hier_path(dir, version, "records"), kTagHierRecords);
-  SharedArray<NodeId> roots = ArenaVector<NodeId>::open(
-      hier_path(dir, version, "roots"), kTagHierRoots);
-  SharedArray<NodeId> parents = ArenaVector<NodeId>::open(
+  const std::vector<NodeId> roots =
+      read_arena<NodeId>(hier_path(dir, version, "roots"), kTagHierRoots);
+  const std::vector<NodeId> parents = read_arena<NodeId>(
       hier_path(dir, version, "parents"), kTagHierParents);
-  SharedArray<double> caps = ArenaVector<double>::open(
-      hier_path(dir, version, "caps"), kTagHierCaps);
-  SharedArray<EdgeId> edges = ArenaVector<EdgeId>::open(
-      hier_path(dir, version, "edges"), kTagHierEdges);
+  const std::vector<double> caps =
+      read_arena<double>(hier_path(dir, version, "caps"), kTagHierCaps);
+  const std::vector<EdgeId> edges =
+      read_arena<EdgeId>(hier_path(dir, version, "edges"), kTagHierEdges);
   DMF_REQUIRE(records.size() == num_trees,
               "load_hierarchy: record count disagrees with meta");
   DMF_REQUIRE(roots.size() == slices,
@@ -246,7 +246,7 @@ std::shared_ptr<const ShermanHierarchy> load_hierarchy(
                 "load_hierarchy: mwst edge does not join a node to its "
                 "parent");
   }
-  parts.tree_records.assign(records.data(), records.data() + records.size());
+  parts.tree_records = std::move(records);
   parts.bucket_octaves = bits_double(meta[kMetaBucketOctaves]);
   parts.alpha = bits_double(meta[kMetaAlpha]);
   DMF_REQUIRE(std::isfinite(parts.alpha) && parts.alpha > 0.0,

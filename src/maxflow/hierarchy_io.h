@@ -2,14 +2,15 @@
 // path. The engine saves the serving hierarchy's per-tree arrays
 // (RootedTree parent/parent_cap/parent_edge for every sampled tree and
 // the MWST), the TreeBuildRecord provenance, and the scalar summary
-// (alpha, build rounds, quantization width) as mmap arena files next to
-// the GraphStore's snapshot arrays. A restarted engine reloads them
-// bitwise — the CongestionApproximator's derived state is a
-// deterministic function of the trees — and serves its first query
-// without any sampling. What is cheap to recompute from the snapshot is
-// not saved: the BFS height is re-derived at load, as the build derives
-// it. Tree capacities and the MWST are saved because re-deriving them
-// costs a large share of a load.
+// (alpha, build rounds, quantization width) as arena files
+// (util/arena.h) next to the GraphStore's snapshot arrays. A restarted
+// engine reads them back, each checked, and copies every tree slice
+// into its RootedTree — bitwise, since the CongestionApproximator's
+// derived state is a deterministic function of the trees — and serves
+// its first query without any sampling. What is cheap to recompute from
+// the snapshot is not saved: the BFS height is re-derived at load, as
+// the build derives it. Tree capacities and the MWST are saved because
+// re-deriving them costs a large share of a load.
 //
 // Safety: a fingerprint of the engine seed and every build-relevant
 // option is stored alongside; load_hierarchy returns null (engine falls

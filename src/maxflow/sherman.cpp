@@ -58,7 +58,7 @@ std::shared_ptr<const CsrGraph> attach_csr(
 bool reusable(const ShermanHierarchy& previous, const Graph& g,
               double bucket_octaves, const std::vector<std::uint64_t>& seeds,
               HierarchyDirtySet& diff) {
-  const Span<const TreeBuildRecord> records = previous.tree_records();
+  const std::vector<TreeBuildRecord>& records = previous.tree_records();
   const auto same_seed = [](std::uint64_t seed, const TreeBuildRecord& r) {
     return seed == r.seed;
   };

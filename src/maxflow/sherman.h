@@ -20,7 +20,6 @@
 #include "graph/csr_graph.h"
 #include "graph/graph.h"
 #include "maxflow/almost_route.h"
-#include "util/span.h"
 
 namespace dmf {
 
@@ -181,8 +180,8 @@ class ShermanHierarchy {
 
   // Per-tree repair provenance (one record per sampled tree) and the
   // structural quantization width the build used.
-  [[nodiscard]] Span<const TreeBuildRecord> tree_records() const {
-    return {tree_records_.data(), tree_records_.size()};
+  [[nodiscard]] const std::vector<TreeBuildRecord>& tree_records() const {
+    return tree_records_;
   }
   [[nodiscard]] double capacity_bucket_octaves() const {
     return bucket_octaves_;

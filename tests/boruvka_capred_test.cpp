@@ -1,14 +1,9 @@
-// Tests for distributed Borůvka spanning trees and the capacity-ratio
-// reduction (footnote 1).
+// Tests for distributed Borůvka spanning trees.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "baselines/dinic.h"
 #include "baselines/tree_routing.h"
 #include "cluster/boruvka.h"
 #include "graph/flow.h"
-#include "graph/capacity_reduction.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -106,73 +101,6 @@ TEST(Boruvka, SingleNodeAndEdge) {
   g2.add_edge(0, 1, 3.0);
   const BoruvkaResult r2 = distributed_boruvka(g2, true);
   EXPECT_EQ(r2.tree_edges.size(), 1u);
-}
-
-TEST(WidestPath, PathGraph) {
-  Graph g(4);
-  g.add_edge(0, 1, 9.0);
-  g.add_edge(1, 2, 2.0);
-  g.add_edge(2, 3, 5.0);
-  EXPECT_DOUBLE_EQ(widest_path_capacity(g, 0, 3), 2.0);
-}
-
-TEST(WidestPath, PicksBestRoute) {
-  Graph g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 3, 1.0);
-  g.add_edge(0, 2, 5.0);
-  g.add_edge(2, 3, 4.0);
-  EXPECT_DOUBLE_EQ(widest_path_capacity(g, 0, 3), 4.0);
-}
-
-TEST(CapacityReduction, BoundsRatioPolynomially) {
-  Rng rng(1031);
-  // Capacity ratio 1e9.
-  Graph g(5);
-  g.add_edge(0, 1, 1e9);
-  g.add_edge(1, 2, 1.0);
-  g.add_edge(2, 3, 1e-3);
-  g.add_edge(3, 4, 1e6);
-  g.add_edge(0, 4, 0.5);
-  const CapacityReductionResult reduced =
-      reduce_capacity_ratio(g, 0, 4, 0.1);
-  EXPECT_LT(reduced.ratio_after, reduced.ratio_before);
-  // All capacities are positive integers.
-  for (EdgeId e = 0; e < reduced.graph.num_edges(); ++e) {
-    const double c = reduced.graph.capacity(e);
-    EXPECT_GE(c, 1.0);
-    EXPECT_DOUBLE_EQ(c, std::round(c));
-  }
-  (void)rng;
-}
-
-TEST(CapacityReduction, PreservesMaxFlowValue) {
-  Rng rng(1033);
-  for (int trial = 0; trial < 6; ++trial) {
-    Graph g = make_gnp_connected(25, 0.2, {1, 9}, rng);
-    // Inject extreme capacities.
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (rng.next_bool(0.1)) g.set_capacity(e, 1e8);
-      if (rng.next_bool(0.1)) g.set_capacity(e, 1e-4);
-    }
-    const NodeId s = 0;
-    const NodeId t = 24;
-    const double eps = 0.1;
-    const double before = dinic_max_flow_value(g, s, t);
-    const CapacityReductionResult reduced =
-        reduce_capacity_ratio(g, s, t, eps);
-    const double after =
-        dinic_max_flow_value(reduced.graph, s, t) * reduced.scale;
-    EXPECT_GE(after, (1.0 - 3.0 * eps) * before) << "trial " << trial;
-    EXPECT_LE(after, (1.0 + 3.0 * eps) * before) << "trial " << trial;
-  }
-}
-
-TEST(CapacityReduction, RejectsBadInput) {
-  Graph g(2);
-  g.add_edge(0, 1, 1.0);
-  EXPECT_THROW(reduce_capacity_ratio(g, 0, 1, 0.0), RequirementError);
-  EXPECT_THROW(reduce_capacity_ratio(g, 0, 1, 1.0), RequirementError);
 }
 
 }  // namespace

@@ -212,11 +212,9 @@ TEST(CsrGraphStore, EdgeBatchRebuildsWithoutDisturbingOldVersions) {
   // Record v0's packed state (pointers AND contents).
   const std::size_t* v0_offsets = v0.csr->offsets().data();
   const NodeId* v0_neighbors = v0.csr->neighbor_array().data();
-  const std::vector<std::size_t> v0_offsets_copy =
-      to_vector(v0.csr->offsets());
-  const std::vector<NodeId> v0_neighbors_copy =
-      to_vector(v0.csr->neighbor_array());
-  const std::vector<EdgeId> v0_edges_copy = to_vector(v0.csr->edge_id_array());
+  const std::vector<std::size_t> v0_offsets_copy = v0.csr->offsets();
+  const std::vector<NodeId> v0_neighbors_copy = v0.csr->neighbor_array();
+  const std::vector<EdgeId> v0_edges_copy = v0.csr->edge_id_array();
 
   MutationBatch batch;
   batch.add_edge(0, 2, 5.0);

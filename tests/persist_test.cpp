@@ -1,4 +1,4 @@
-// Out-of-core persistence: mmap arena round trips, hard rejection of
+// Persistence: arena round trips and format, hard rejection of
 // corrupt files, the on-disk copy-on-write ladder, and the zero-rebuild
 // engine cold start (a reopened snapshot + persisted hierarchy serves
 // queries bitwise identical to the process that wrote them).
@@ -10,6 +10,7 @@
 #include <unistd.h>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <set>
@@ -23,9 +24,8 @@
 #include "graph/generators.h"
 #include "graph/graph_store.h"
 #include "maxflow/hierarchy_io.h"
-#include "util/mmap_arena.h"
+#include "util/arena.h"
 #include "util/rng.h"
-#include "util/span.h"
 
 namespace dmf {
 namespace {
@@ -82,71 +82,64 @@ EngineOptions small_engine_options() {
   return opts;
 }
 
-// --- Span API ----------------------------------------------------------------
-
-TEST(Span, EqualityConversionAndViews) {
-  const std::vector<int> v{1, 2, 3, 4};
-  const Span<const int> s(v);  // implicit vector -> span
-  EXPECT_EQ(s.size(), 4u);
-  EXPECT_EQ(s.front(), 1);
-  EXPECT_EQ(s.back(), 4);
-  EXPECT_EQ(s, v);  // span vs vector
-  EXPECT_EQ(v, s);  // vector vs span
-  EXPECT_EQ(s, Span<const int>(v));
-  EXPECT_NE(s.subspan(1), s);
-  EXPECT_EQ(s.subspan(1, 2), (std::vector<int>{2, 3}));
-  EXPECT_EQ(to_vector(s), v);
-  int sum = 0;
-  for (const int x : s) sum += x;  // range-for over the view
-  EXPECT_EQ(sum, 10);
-}
-
-TEST(SharedArray, AdoptAndViewShareStorage) {
-  SharedArray<double> a = SharedArray<double>::adopt({1.0, 2.0, 3.0});
-  SharedArray<double> b = a;  // sharing = copying the handle
-  EXPECT_EQ(a.data(), b.data());
-  EXPECT_EQ(b.span(), (std::vector<double>{1.0, 2.0, 3.0}));
-  auto keep = std::make_shared<std::vector<int>>(std::vector<int>{9, 8});
-  SharedArray<int> view = SharedArray<int>::view(keep->data(), 2, keep);
-  EXPECT_EQ(view[0], 9);
-  EXPECT_EQ(view.size(), 2u);
-}
-
 // --- arena round trip --------------------------------------------------------
 
-TEST(MmapArena, RoundTripIsBitwiseAndZeroCopy) {
+TEST(MmapArena, RoundTripIsBitwise) {
   TempDir dir;
   const std::string path = dir.path() + "/caps.arena";
   std::vector<double> values;
   Rng rng(11);
   for (int i = 0; i < 1000; ++i) values.push_back(rng.next_double(0.1, 99.0));
 
-  ArenaVector<double>::write(path, /*type_tag=*/6, values);
-  const SharedArray<double> mapped =
-      ArenaVector<double>::open(path, /*type_tag=*/6);
-  ASSERT_EQ(mapped.size(), values.size());
-  EXPECT_EQ(mapped.span(), values);  // bitwise: doubles compare exactly
+  write_arena(path, /*type_tag=*/6, values.data(), values.size());
+  const std::vector<double> read = read_arena<double>(path, /*type_tag=*/6);
+  ASSERT_EQ(read.size(), values.size());
+  EXPECT_EQ(read, values);  // bitwise: doubles compare exactly
   EXPECT_EQ(fs::file_size(path), 64 + values.size() * sizeof(double));
   // No stray tmp file left behind by the atomic publish.
   EXPECT_FALSE(fs::exists(path + ".tmp"));
-
-  // Appending writer form produces the identical file.
-  ArenaVector<double> writer;
-  writer.append(Span<const double>(values));
-  writer.publish(dir.path() + "/caps2.arena", 6);
-  const SharedArray<double> mapped2 =
-      ArenaVector<double>::open(dir.path() + "/caps2.arena", 6);
-  EXPECT_EQ(mapped2.span(), mapped.span());
 }
 
 TEST(MmapArena, EmptyArrayRoundTrips) {
   TempDir dir;
   const std::string path = dir.path() + "/empty.arena";
-  ArenaVector<std::uint64_t>::write(path, 1, {});
-  const SharedArray<std::uint64_t> mapped =
-      ArenaVector<std::uint64_t>::open(path, 1);
-  EXPECT_EQ(mapped.size(), 0u);
-  EXPECT_TRUE(mapped.empty());
+  write_arena<std::uint64_t>(path, 1, nullptr, 0);
+  const std::vector<std::uint64_t> read = read_arena<std::uint64_t>(path, 1);
+  EXPECT_EQ(read.size(), 0u);
+  EXPECT_TRUE(read.empty());
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+// The exact bytes written for fixed arrays, as hashes recorded from the
+// release that still mapped arenas: any drift of the on-disk format
+// (header layout, checksums, payload encoding) fails here before it
+// strands a data directory.
+TEST(MmapArena, FormatIsPinned) {
+  TempDir dir;
+  const std::string doubles = dir.path() + "/doubles.arena";
+  const std::vector<double> values{0.5, -1.25, 3e10, 1.0 / 3.0, 7.0};
+  write_arena(doubles, /*type_tag=*/6, values.data(), values.size());
+  const std::string bytes = file_bytes(doubles);
+  EXPECT_EQ(bytes.size(), 104u);
+  EXPECT_EQ(fnv1a(bytes), 0x2a72be2543c56875ULL);
+
+  const std::string empty = dir.path() + "/empty.arena";
+  write_arena<std::uint64_t>(empty, /*type_tag=*/1, nullptr, 0);
+  EXPECT_EQ(file_bytes(empty).size(), 64u);
+  EXPECT_EQ(fnv1a(file_bytes(empty)), 0xecd01238b56a1a79ULL);
 }
 
 // --- corruption corpus -------------------------------------------------------
@@ -157,7 +150,7 @@ class MmapArenaCorruption : public ::testing::Test {
     path_ = dir_.path() + "/victim.arena";
     std::vector<std::uint64_t> values;
     for (std::uint64_t i = 0; i < 64; ++i) values.push_back(i * 3 + 1);
-    ArenaVector<std::uint64_t>::write(path_, kTag, values);
+    write_arena(path_, kTag, values.data(), values.size());
   }
   static constexpr std::uint64_t kTag = 5;
   TempDir dir_;
@@ -166,53 +159,70 @@ class MmapArenaCorruption : public ::testing::Test {
 
 TEST_F(MmapArenaCorruption, MissingFile) {
   EXPECT_THROW(
-      ArenaVector<std::uint64_t>::open(dir_.path() + "/nope.arena", kTag),
+      read_arena<std::uint64_t>(dir_.path() + "/nope.arena", kTag),
       RequirementError);
 }
 
 TEST_F(MmapArenaCorruption, TruncatedBelowHeader) {
   truncate_file(path_, 10);
-  EXPECT_THROW(ArenaVector<std::uint64_t>::open(path_, kTag),
+  EXPECT_THROW(read_arena<std::uint64_t>(path_, kTag),
                RequirementError);
 }
 
 TEST_F(MmapArenaCorruption, TruncatedPayload) {
   truncate_file(path_, 64 + 8 * 13);  // header intact, payload short
-  EXPECT_THROW(ArenaVector<std::uint64_t>::open(path_, kTag),
+  EXPECT_THROW(read_arena<std::uint64_t>(path_, kTag),
                RequirementError);
 }
 
 TEST_F(MmapArenaCorruption, ForeignMagic) {
   overwrite_byte(path_, 0, 'X');
-  EXPECT_THROW(ArenaVector<std::uint64_t>::open(path_, kTag),
+  EXPECT_THROW(read_arena<std::uint64_t>(path_, kTag),
                RequirementError);
 }
 
 TEST_F(MmapArenaCorruption, FutureLayoutVersion) {
   overwrite_byte(path_, 8, 99);  // layout_version field
-  EXPECT_THROW(ArenaVector<std::uint64_t>::open(path_, kTag),
+  EXPECT_THROW(read_arena<std::uint64_t>(path_, kTag),
                RequirementError);
 }
 
 TEST_F(MmapArenaCorruption, WrongTypeTag) {
-  EXPECT_THROW(ArenaVector<std::uint64_t>::open(path_, kTag + 1),
+  EXPECT_THROW(read_arena<std::uint64_t>(path_, kTag + 1),
                RequirementError);
 }
 
 TEST_F(MmapArenaCorruption, WrongElementSize) {
-  EXPECT_THROW(ArenaVector<std::uint32_t>::open(path_, kTag),
+  EXPECT_THROW(read_arena<std::uint32_t>(path_, kTag),
                RequirementError);
 }
 
 TEST_F(MmapArenaCorruption, TamperedCountFailsHeaderChecksum) {
   overwrite_byte(path_, 32, 1);  // count field, low byte
-  EXPECT_THROW(ArenaVector<std::uint64_t>::open(path_, kTag),
+  EXPECT_THROW(read_arena<std::uint64_t>(path_, kTag),
                RequirementError);
+}
+
+// A count whose byte size wraps 2^64 to exactly the payload's 512 bytes,
+// under a recomputed header checksum: the count must be bounded by the
+// file before it is multiplied or allocated.
+TEST_F(MmapArenaCorruption, CountPastTheFileUnderValidChecksum) {
+  constexpr std::uint64_t kWrappingCount = (std::uint64_t{1} << 61) + 64;
+  std::string bytes = file_bytes(path_);
+  ASSERT_EQ(bytes.size(), 64u + 64u * 8u);
+  std::memcpy(&bytes[32], &kWrappingCount, sizeof(kWrappingCount));
+  const std::uint64_t header_hash = fnv1a(bytes.substr(0, 48));
+  std::memcpy(&bytes[48], &header_hash, sizeof(header_hash));
+  {
+    std::ofstream f(path_, std::ios::binary | std::ios::trunc);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_THROW(read_arena<std::uint64_t>(path_, kTag), RequirementError);
 }
 
 TEST_F(MmapArenaCorruption, FlippedPayloadByte) {
   overwrite_byte(path_, 64 + 100, 'Z');
-  EXPECT_THROW(ArenaVector<std::uint64_t>::open(path_, kTag),
+  EXPECT_THROW(read_arena<std::uint64_t>(path_, kTag),
                RequirementError);
 }
 
@@ -223,7 +233,7 @@ TEST_F(MmapArenaCorruption, ForeignFileAndErrorClassification) {
     for (int i = 0; i < 200; ++i) f << "not an arena ";
   }
   try {
-    (void)ArenaVector<std::uint64_t>::open(junk, kTag);
+    (void)read_arena<std::uint64_t>(junk, kTag);
     FAIL() << "foreign file must be rejected";
   } catch (const RequirementError& e) {
     // The engine boundary maps arena rejections to kPreconditionFailed
@@ -360,7 +370,6 @@ TEST(GraphStorePersist, GcBoundsRetainedVersionsOnDisk) {
   GraphStoreOptions gopts;
   gopts.persist = PersistPolicy::kOnPublish;
   gopts.data_dir = dir.path();
-  gopts.retain_versions = 2;
   GraphStore store(test_grid(), gopts);
   for (int i = 0; i < 5; ++i) {
     MutationBatch batch;
@@ -373,7 +382,9 @@ TEST(GraphStorePersist, GcBoundsRetainedVersionsOnDisk) {
     if (name.rfind("manifest.", 0) == 0) ++manifests;
     EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
   }
-  EXPECT_EQ(manifests, 2);
+  // Six versions published; GC keeps the newest four
+  // (kRetainVersions, graph/graph_store.cpp).
+  EXPECT_EQ(manifests, 4);
   // The kept tail reopens at its newest version.
   const std::shared_ptr<GraphStore> reopened = GraphStore::open(dir.path(),
                                                                gopts);
@@ -455,13 +466,11 @@ constexpr std::uint64_t kTagManifest = 1;  // graph/graph_store.cpp
 void rewrite_manifest_word(const std::string& dir, std::uint64_t v,
                            std::size_t word, std::uint64_t value) {
   const std::string path = dir + "/manifest.v" + std::to_string(v) + ".arena";
-  const SharedArray<std::uint64_t> saved =
-      ArenaVector<std::uint64_t>::open(path, kTagManifest);
-  std::vector<std::uint64_t> words(saved.data(), saved.data() + saved.size());
+  std::vector<std::uint64_t> words =
+      read_arena<std::uint64_t>(path, kTagManifest);
   ASSERT_GT(words.size(), word);
   words[word] = value;
-  ArenaVector<std::uint64_t>::write(path, kTagManifest,
-                                    {words.data(), words.size()});
+  write_arena(path, kTagManifest, words.data(), words.size());
 }
 
 // Writes version 0 in the layout earlier releases wrote: a 7-word
@@ -479,21 +488,20 @@ void write_legacy_version(const std::string& dir, const Graph& g,
   const auto file = [&](const char* name) {
     return dir + "/" + name + ".v0.arena";
   };
-  ArenaVector<std::size_t>::write(file("offsets"), kTagOffsets,
-                                  csr.offsets());
-  ArenaVector<NodeId>::write(file("neighbors"), kTagNeighbors,
-                             {neighbors.data(), neighbors.size()});
-  ArenaVector<EdgeId>::write(file("edge_ids"), kTagEdgeIds,
-                             csr.edge_id_array());
-  ArenaVector<EdgeEndpoints>::write(file("endpoints"), kTagEndpoints,
-                                    g.edge_endpoints());
-  ArenaVector<double>::write(file("capacities"), kTagCapacities,
-                             g.capacities());
+  write_arena(file("offsets"), kTagOffsets, csr.offsets().data(),
+              csr.offsets().size());
+  write_arena(file("neighbors"), kTagNeighbors, neighbors.data(),
+              neighbors.size());
+  write_arena(file("edge_ids"), kTagEdgeIds, csr.edge_id_array().data(),
+              csr.edge_id_array().size());
+  write_arena(file("endpoints"), kTagEndpoints, g.edge_endpoints().data(),
+              g.edge_endpoints().size());
+  write_arena(file("capacities"), kTagCapacities, g.capacities().data(),
+              g.capacities().size());
   const std::uint64_t manifest[7] = {
       0, static_cast<std::uint64_t>(g.num_nodes()),
       static_cast<std::uint64_t>(csr.num_edges()), 0, 0, 0, 0};
-  ArenaVector<std::uint64_t>::write(file("manifest"), kTagManifest,
-                                    {manifest, 7});
+  write_arena(file("manifest"), kTagManifest, manifest, 7);
   write_file_atomic(dir + "/CURRENT", "0\n");
 }
 
@@ -580,7 +588,7 @@ TEST(GraphStorePersist, ManifestEdgeCountMustMatchTheArrays) {
   }
   const CsrGraph short_csr(short_g);
   write_legacy_version(legacy.path(), g, short_csr,
-                       to_vector(short_csr.neighbor_array()));
+                       short_csr.neighbor_array());
   EXPECT_THROW((void)GraphStore::open(legacy.path()), RequirementError);
 }
 
@@ -593,7 +601,7 @@ TEST(GraphStorePersist, LegacyLayoutOpensWithoutReadingItsCsrFiles) {
   TempDir dir;
   const Graph g = test_grid();
   const CsrGraph csr(g);
-  std::vector<NodeId> neighbors = to_vector(csr.neighbor_array());
+  std::vector<NodeId> neighbors = csr.neighbor_array();
   neighbors[0] = std::numeric_limits<NodeId>::max();
   write_legacy_version(dir.path(), g, csr, neighbors);
 
@@ -790,15 +798,12 @@ TEST(EngineColdStart, MwstEdgesOutsideTheSnapshotFallBackToBuild) {
   // valid checksum.
   constexpr std::uint64_t kTagHierEdges = 21;  // maxflow/hierarchy_io.cpp
   const std::string path = dir.path() + "/hier.v0.edges.arena";
-  const SharedArray<EdgeId> saved =
-      ArenaVector<EdgeId>::open(path, kTagHierEdges);
-  std::vector<EdgeId> edges(saved.data(), saved.data() + saved.size());
+  std::vector<EdgeId> edges = read_arena<EdgeId>(path, kTagHierEdges);
   ASSERT_GE(edges.size(), 64u);
   for (std::size_t i = edges.size() - 64; i < edges.size(); ++i) {
     if (edges[i] != kInvalidEdge) edges[i] += 1000000;
   }
-  ArenaVector<EdgeId>::write(path, kTagHierEdges,
-                             {edges.data(), edges.size()});
+  write_arena(path, kTagHierEdges, edges.data(), edges.size());
 
   FlowEngine cold(GraphStore::open(dir.path(), gopts), eopts);
   const EngineStats stats = cold.stats();
@@ -836,14 +841,11 @@ TEST(EngineColdStart, BadAlphaFallsBackToBuild) {
       FlowEngine engine(store, eopts);
     }
     const std::string path = dir.path() + "/hier.v0.meta.arena";
-    const SharedArray<std::uint64_t> saved =
-        ArenaVector<std::uint64_t>::open(path, kTagHierMeta);
-    std::vector<std::uint64_t> meta(saved.data(),
-                                    saved.data() + saved.size());
+    std::vector<std::uint64_t> meta =
+        read_arena<std::uint64_t>(path, kTagHierMeta);
     ASSERT_GT(meta.size(), kMetaAlpha);
     meta[tamper.word] = tamper.value;
-    ArenaVector<std::uint64_t>::write(path, kTagHierMeta,
-                                      {meta.data(), meta.size()});
+    write_arena(path, kTagHierMeta, meta.data(), meta.size());
 
     FlowEngine cold(GraphStore::open(dir.path(), gopts), eopts);
     const EngineStats stats = cold.stats();
@@ -873,14 +875,12 @@ TEST(EngineColdStart, EarlierMetaLayoutRebuildsOnce) {
     bfs_height = engine.hierarchy().bfs_height();
   }
   const std::string path = dir.path() + "/hier.v0.meta.arena";
-  const SharedArray<std::uint64_t> saved =
-      ArenaVector<std::uint64_t>::open(path, kTagHierMeta);
-  std::vector<std::uint64_t> meta(saved.data(), saved.data() + saved.size());
+  std::vector<std::uint64_t> meta =
+      read_arena<std::uint64_t>(path, kTagHierMeta);
   ASSERT_EQ(meta.size(), kOldMetaBfsHeight + 1);
   meta.insert(meta.begin() + kOldMetaBfsHeight,
               static_cast<std::uint64_t>(bfs_height));
-  ArenaVector<std::uint64_t>::write(path, kTagHierMeta,
-                                    {meta.data(), meta.size()});
+  write_arena(path, kTagHierMeta, meta.data(), meta.size());
 
   {
     FlowEngine cold(GraphStore::open(dir.path(), gopts), eopts);
